@@ -7,7 +7,7 @@ sweep file).
 
 Exit codes are a stable contract: 0 success, 1 parse or I/O error, 2
 invalid math arguments (a named hypothesis is violated), 3 solver
-remediation needed (constraint grid too coarse), 4 verification
+remediation needed (LP unbounded on the grid or ill-conditioned), 4 verification
 failure.
 
 Every command is deterministic given its full flag set.  Sweep rows are
@@ -679,8 +679,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SolverGridError as ex:
         print(
-            f"solver error: {ex}\nremediation: rerun with a larger "
-            f"--circle-points (double it) or a smaller --n",
+            f"solver error: {ex}\nremediation: rerun with a smaller --n. "
+            f"A larger --circle-points (double it) helps only an unbounded "
+            f"LP (solver status 3), not an ill-conditioned basis (status 4, "
+            f"as at n >= 4)",
             file=sys.stderr,
         )
         return EXIT_SOLVER

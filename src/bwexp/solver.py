@@ -18,15 +18,37 @@ from both sides:
 Two reductions keep the LP tractable.  First, rotating all coefficients
 by e^{2 pi i/S} permutes the constraint set, so objective phases that
 differ by a multiple of 2 pi/S give equal optima; only Q/gcd(S,Q)
-residue phases are solved (one, at the defaults).  Second, constraints
-are activated lazily per candidate: each LP starts from a fixed coarse
-row pattern plus the previous candidate's active rows, violated rows
-are added until no row of the full discretization is violated beyond
-FEASIBILITY_TOL, and solver hiccups fall back through a retry chain
-(tight tolerances, then solver defaults, then interior point, then a
-deterministic densification of the working set).  Feasibility of the
-accepted point is certified by the explicit scan over all rows, not by
-the solver's internal tolerance.
+residue phases are solved (one, at the defaults).  Second, a dual
+bound prunes torus candidates without solving them.  Write the
+constraint matrix E = exp(t (x) nodes) = QR, so f = E c, and take
+lambda = conj(Q) R^{-T} m, the least-squares solution of E^T lambda = m
+for the candidate's monomial vector m, with residual r = E^T lambda - m.
+Then m.c = lambda.f - r.c, and three facts bound it for every point the
+sweep can accept:
+
+  * the polygon rows force |f_i| <= sec(pi/S) at every circle point;
+  * ||c||_2 <= sqrt(M1) sec(pi/S) / sigma_min(E), which bounds the
+    residual term ||r||_2 ||c||_2 (sigma_min less a QR rounding
+    allowance; if that leaves nothing, every bound is inf);
+  * an accepted point violates no row by more than FEASIBILITY_TOL,
+    except rows the solver itself accepts at its feasibility floor,
+    which stay within its tolerance; so both facts hold with the extra
+    factor (1 + _ACCEPT_TOL), the loosest tolerance of the retry chain.
+
+So Re(e^{i theta} m.c) <= (1 + _ACCEPT_TOL) sec(pi/S)
+(sum |lambda_i| + ||r||_2 sqrt(M1)/sigma_min), inflated for float
+rounding, for every residue phase theta at once.  Candidates are
+solved in descending bound order and the sweep stops at the first
+whose bound does not exceed the incumbent.  Each surviving LP
+activates constraints lazily: it starts from a fixed coarse row
+pattern plus the previous candidate's active rows, violated rows are
+added until no row of the full discretization is violated beyond
+FEASIBILITY_TOL, and it is abandoned as soon as a relaxation value
+falls to the incumbent.  Solver hiccups fall back through a retry
+chain (tight tolerances, then solver defaults, then interior point,
+then a deterministic densification of the working set).  Feasibility
+of the accepted point is certified by the explicit scan over all rows,
+not by the solver's internal tolerance.
 
 The LP layer runs in float64 (the estimates are grid-resolution-bound
 far above rounding error); analytic and witness quantities come from
@@ -62,10 +84,15 @@ _BASE_DIRECTIONS = 8
 _CUTS_PER_ROUND = 64
 _MAX_ROUNDS = 200
 _ACTIVE_SLACK = 1e-7
+_BOUND_CHUNK = 64
+# Largest row violation an accepted point can carry: FEASIBILITY_TOL, or
+# HiGHS's default primal feasibility tolerance in the retry chain's
+# later links.
+_ACCEPT_TOL = 1e-7
 
 
 class SolverGridError(RuntimeError):
-    """The constraint discretization cannot bound the LP; raise circle_points."""
+    """The LP could not be solved: an unbounded grid or an ill-conditioned basis."""
 
 
 @dataclass(frozen=True)
@@ -176,7 +203,6 @@ class _WorkingSetLP:
         self.phases = np.exp(2j * np.pi * np.arange(S) / S)
         self.base = self._pattern(min(_BASE_POINTS, self.M1), min(_BASE_DIRECTIONS, S))
         self.prev_active: set = set()
-        self.last_solution: np.ndarray | None = None
 
     def _pattern(self, pts: int, dirs: int) -> set:
         return {
@@ -212,16 +238,21 @@ class _WorkingSetLP:
                     min(self.S, _BASE_DIRECTIONS * 2**densify_level),
                 )
                 if not extra - working:
+                    cause = (
+                        "the grid leaves it unbounded; increase circle_points"
+                        if res.status == 3
+                        else "the float64 basis exp(t * nodes) is too ill-conditioned "
+                        "at this degree; a finer grid does not help"
+                    )
                     raise SolverGridError(
                         f"LP not solvable on the full constraint grid "
-                        f"(solver status {res.status}); increase circle_points"
+                        f"(solver status {res.status}): {cause}"
                     )
                 working |= extra
                 continue
             if res.status != 0:
                 raise SolverGridError(f"LP solver failed with status {res.status}")
             x = res.x
-            self.last_solution = x
             if abandon_below is not None and float(d @ x) <= abandon_below:
                 self.prev_active = set(ids[A @ x > 1 - _ACTIVE_SLACK].tolist())
                 return None
@@ -245,6 +276,70 @@ class _WorkingSetLP:
         raise SolverGridError("constraint generation did not converge")
 
 
+def _dual_certificate(
+    E: np.ndarray, S: int, sigma: float, lam: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """Bound on |m.c| over every point the sweep can accept, for any lam.
+
+    Columns of m are monomial vectors and the matching columns of lam
+    are arbitrary complex weights over the circle points; sigma is a
+    lower bound on sigma_min(E).  The residual term carries whatever
+    E^T lam misses of m, so an inexact lam loosens the bound but never
+    invalidates it.  gamma covers float rounding in the residual, in the
+    sums, and in the objective the LP evaluates.
+    """
+    M1, N = E.shape
+    gamma = 4 * (M1 + N) * np.finfo(float).eps
+    resid = (
+        np.linalg.norm(E.T @ lam - m, axis=0)
+        + gamma * (np.linalg.norm(np.abs(E).T @ np.abs(lam), axis=0)
+                   + 2 * np.linalg.norm(m, axis=0))
+    )
+    scale = (1 + _ACCEPT_TOL) * (1 + gamma) / math.cos(math.pi / S)
+    return scale * (np.abs(lam).sum(axis=0) + resid * (math.sqrt(M1) / sigma))
+
+
+def _dual_bounds(E: np.ndarray, S: int, mono: np.ndarray) -> np.ndarray:
+    """Upper bound on every LP value at each row of mono; inf if E is singular.
+
+    lambda = conj(Q) R^{-T} m from one QR of E, formed _BOUND_CHUNK
+    candidates at a time so the M1 x candidates matrix never exists.
+    sigma_min(E) is that of R less a Householder backward-error
+    allowance; when nothing is left, every bound is inf and nothing is
+    pruned.
+    """
+    M1, N = E.shape
+    inf = np.full(len(mono), np.inf)
+    if not np.isfinite(E).all():
+        return inf
+    Q, R = np.linalg.qr(E)
+    sigma = np.linalg.svd(R, compute_uv=False)[-1] - (
+        4 * M1 * N * np.finfo(float).eps * np.linalg.norm(E)
+    )
+    if not sigma > 0:
+        return inf
+    y = np.linalg.solve(R.T, mono.T)
+    chunks = (slice(lo, lo + _BOUND_CHUNK) for lo in range(0, len(mono), _BOUND_CHUNK))
+    return np.concatenate([
+        _dual_certificate(E, S, sigma, np.conj(Q) @ y[:, c], mono[c].T) for c in chunks
+    ])
+
+
+def _lp_problem(n: int, alpha: AlphaParam, cfg: LPConfig, bits: int):
+    """Constraint matrix E (circle points x monomials) and torus monomial rows."""
+    nodes = _nodes_f64(n, alpha, bits)
+    idx = canonical_indices(n)
+    M1 = cfg.circle_points
+    t = np.exp(2j * np.pi * np.arange(M1) / M1)
+    E = np.exp(np.outer(t, nodes))
+    M2 = cfg.torus_points
+    zgrid = np.exp(2j * np.pi * np.arange(M2) / M2)
+    jpow = np.array([[z ** jk.j for jk in idx] for z in zgrid])
+    kpow = np.array([[z ** jk.k for jk in idx] for z in zgrid])
+    mono = (jpow[:, None, :] * kpow[None, :, :]).reshape(M2 * M2, len(idx))
+    return E, mono
+
+
 def en_lp_estimate(
     n: int,
     alpha: AlphaParam,
@@ -256,38 +351,22 @@ def en_lp_estimate(
     _candidate_guard(n, cfg, max_degree)
     if alpha.im == 0.0:
         raise ValueError("LP estimate requires Im(alpha) != 0")
-    nodes = _nodes_f64(n, alpha, bits)
-    idx = canonical_indices(n)
-    M1, S = cfg.circle_points, cfg.polygon_sides
-    t = np.exp(2j * np.pi * np.arange(M1) / M1)
-    E = np.exp(np.outer(t, nodes))
+    E, mono = _lp_problem(n, alpha, cfg, bits)
+    S = cfg.polygon_sides
     lp = _WorkingSetLP(E, S)
-    thetas = phase_residues(S, cfg.phase_samples)
+    rotations = np.exp(1j * np.array(phase_residues(S, cfg.phase_samples)))[:, None]
+    bounds = _dual_bounds(E, S, mono)
 
-    M2 = cfg.torus_points
-    zgrid = np.exp(2j * np.pi * np.arange(M2) / M2)
-    jpow = np.array([[z ** jk.j for jk in idx] for z in zgrid])
-    kpow = np.array([[z ** jk.k for jk in idx] for z in zgrid])
-    objectives = np.stack([
-        np.concatenate([dm.real, -dm.imag])
-        for pz in range(M2)
-        for pw in range(M2)
-        for dm in ((jpow[pz] * kpow[pw]) * np.exp(1j * np.array(thetas))[:, None])
-    ])
-
-    # One candidate is solved to convergence up front; its solution
-    # scores every other objective, and sweeping in descending score
-    # order lets the incumbent abandon most candidates after a single
-    # solve (the relaxation value never rises as cuts accumulate).
-    best = lp.maximize(objectives[0])
-    if best is None:  # pragma: no cover - no incumbent on the first call
-        raise SolverGridError("initial LP candidate did not converge")
-    scores = objectives[1:] @ lp.last_solution
-    order = 1 + np.argsort(-scores, kind="stable")
-    for pos in order:
-        val = lp.maximize(objectives[pos], abandon_below=best)
-        if val is not None and val > best:
-            best = val
+    # A candidate whose bound does not exceed the incumbent cannot be
+    # accepted above it, and neither can any later one in this order.
+    best = -math.inf
+    for p in np.argsort(-bounds, kind="stable"):
+        if bounds[p] <= best:
+            break
+        for dm in mono[p] * rotations:
+            val = lp.maximize(np.concatenate([dm.real, -dm.imag]), abandon_below=best)
+            if val is not None and val > best:
+                best = val
     if best <= 0:
         raise SolverGridError("LP produced a nonpositive maximum; grid degenerate")
     return math.log(best)

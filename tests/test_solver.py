@@ -6,14 +6,21 @@ live in the acceptance suite.
 """
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from bwexp import solver
 from bwexp.core import make_alpha, space_dimension
 from bwexp.solver import (
     EnEstimate,
     LPConfig,
     SolverGridError,
+    _dual_bounds,
+    _dual_certificate,
+    _lp_problem,
+    _WorkingSetLP,
     en_bracket,
     en_lp_estimate,
     en_random_search,
@@ -93,6 +100,79 @@ def test_lp_monotone_under_circle_doubling():
                              torus_points=8, phase_samples=8)
         )
         assert fine <= coarse + 1e-8, f"n={n}: {fine} > {coarse}"
+
+
+def _converged_values(n, alpha, cfg):
+    """Every torus point's LP value, each residue phase solved to convergence.
+
+    The exhaustive reference for the pruned sweep: no candidate is
+    skipped and none is abandoned.
+    """
+    E, mono = _lp_problem(n, alpha, cfg, 256)
+    lp = _WorkingSetLP(E, cfg.polygon_sides)
+    thetas = phase_residues(cfg.polygon_sides, cfg.phase_samples)
+    values = np.array([
+        max(
+            lp.maximize(np.concatenate([dm.real, -dm.imag]))
+            for dm in m * np.exp(1j * np.array(thetas))[:, None]
+        )
+        for m in mono
+    ])
+    return E, mono, values
+
+
+@pytest.mark.parametrize("alpha", [(0.0, 0.5), (0.0, -0.5), (0.3, 0.4)])
+def test_pruning_matches_exhaustive_sweep(alpha):
+    a = make_alpha(*alpha)
+    S = SMALL.polygon_sides
+    for n in (1, 2, 3):
+        E, mono, values = _converged_values(n, a, SMALL)
+        assert en_lp_estimate(n, a, SMALL) == pytest.approx(
+            math.log(values.max()), abs=1e-9
+        ), f"n={n}"
+        bounds = _dual_bounds(E, S, mono)
+        assert np.all(bounds >= values), f"n={n}: bound below a converged value"
+        # the certificate holds for any weights, not only least-squares
+        # ones: with half the weights the residual term carries the rest
+        lam = np.linalg.lstsq(E.T, mono.T, rcond=None)[0]
+        sigma = np.linalg.svd(E, compute_uv=False)[-1] / 2
+        assert np.all(_dual_certificate(E, S, sigma, lam / 2, mono.T) >= values)
+
+
+def test_dual_bounds_singular_basis_prunes_nothing(monkeypatch):
+    E, mono = _lp_problem(2, A05, SMALL, 256)
+    S = SMALL.polygon_sides
+    singular = E.copy()
+    singular[:, -1] = singular[:, 0]
+    near = E.copy()
+    near[:, -1] = near[:, 0] + 1e-14 * near[:, 1]
+    overflow = E.copy()
+    overflow[0, -1] = np.inf  # exp(t * nodes) overflows for |Im alpha| > 709
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (singular, near, overflow):
+            assert np.all(np.isinf(_dual_bounds(bad, S, mono)))
+
+    def singular_bounds(E, S, mono):
+        bad = E.copy()
+        bad[:, -1] = bad[:, 0]
+        return _dual_bounds(bad, S, mono)
+
+    monkeypatch.setattr(solver, "_dual_bounds", singular_bounds)
+    _, _, values = _converged_values(2, A05, SMALL)
+    assert en_lp_estimate(2, A05, SMALL) == pytest.approx(
+        math.log(values.max()), abs=1e-9
+    )
+
+
+@pytest.mark.parametrize("alpha", [(0.0, 0.5), (0.3, 0.4)])
+def test_lp_conjugate_symmetry(alpha):
+    # t -> conj t maps the curve for alpha onto the one for conj alpha
+    a, conj = make_alpha(*alpha), make_alpha(alpha[0], -alpha[1])
+    for n in (1, 2, 3):
+        assert en_lp_estimate(n, a, SMALL) == pytest.approx(
+            en_lp_estimate(n, conj, SMALL), abs=1e-9
+        ), f"n={n}"
 
 
 def test_lp_deterministic():
