@@ -7,8 +7,8 @@ sweep file).
 
 Exit codes are a stable contract: 0 success, 1 parse or I/O error, 2
 invalid math arguments (a named hypothesis is violated), 3 solver
-remediation needed (LP unbounded on the grid or ill-conditioned), 4 verification
-failure.
+remediation needed (a working-set LP unbounded or ill-conditioned), 4
+verification failure.
 
 Every command is deterministic given its full flag set.  Sweep rows are
 computed by a share-nothing worker pool and assembled in sorted (n,
@@ -679,10 +679,11 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SolverGridError as ex:
         print(
-            f"solver error: {ex}\nremediation: rerun with a smaller --n. "
-            f"A larger --circle-points (double it) helps only an unbounded "
-            f"LP (solver status 3), not an ill-conditioned basis (status 4, "
-            f"as at n >= 4)",
+            f"solver error: {ex}\nremediation: rerun with a smaller --n, or "
+            f"below n = 4 with another grid: n = 3 at alpha 0.1+0.1i fails "
+            f"with --polygon-sides 16 or 32 but solves with the defaults or "
+            f"with --circle-points 128. At n >= 4 no grid tried solves "
+            f"(status 4, an ill-conditioned float64 basis)",
             file=sys.stderr,
         )
         return EXIT_SOLVER

@@ -165,6 +165,27 @@ def test_dual_bounds_singular_basis_prunes_nothing(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("status", [4, 3])
+@pytest.mark.parametrize("k", [1, 4])
+def test_nonzero_status_raises_at_once(monkeypatch, status, k):
+    # each working set gets one HiGHS solve: the first nonzero status ends
+    # the estimate, with no retry and no wider working set after it
+    real = solver.linprog
+    calls = []
+
+    def failing_on_kth(*args, **kwargs):
+        calls.append(kwargs)
+        res = real(*args, **kwargs)
+        if len(calls) == k:
+            res.status, res.x = status, None
+        return res
+
+    monkeypatch.setattr(solver, "linprog", failing_on_kth)
+    with pytest.raises(SolverGridError, match=f"solver status {status}"):
+        en_lp_estimate(1, A05, SMALL)
+    assert len(calls) == k
+
+
 @pytest.mark.parametrize("alpha", [(0.0, 0.5), (0.3, 0.4)])
 def test_lp_conjugate_symmetry(alpha):
     # t -> conj t maps the curve for alpha onto the one for conj alpha
