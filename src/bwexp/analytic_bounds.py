@@ -43,7 +43,6 @@ from .core import (
     AlphaParam,
     ExpSum,
     MultiIndex,
-    canonical_indices,
     monomial_nodes,
     space_dimension,
 )

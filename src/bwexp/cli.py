@@ -32,8 +32,8 @@ from multiprocessing import Pool
 from mpmath import mp
 
 from .analytic_bounds import theorem2_bounds
-from .construct import required_witness_bits, witness_certificate
-from .core import DEFAULT_BITS, AlphaParam, make_alpha, space_dimension
+from .construct import witness_certificate
+from .core import DEFAULT_BITS, AlphaParam, make_alpha
 from .solver import LPConfig, SolverGridError, en_bracket
 from .suites import run_suites
 

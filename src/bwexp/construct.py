@@ -38,7 +38,7 @@ from .core import (
     DEFAULT_BITS,
     AlphaParam,
     Poly2,
-    canonical_indices,
+    compose_to_expsum,
     monomial_nodes,
     space_dimension,
 )
@@ -201,8 +201,6 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
     with mp.workprec(bits):
         radius = mp.mpf(radius)
     normk = norm_on_K(w.p, alpha, grid, bits)
-    from .core import compose_to_expsum
-
     f = compose_to_expsum(w.p, alpha, bits)
     circle = norm_on_circle(f, radius, grid, bits, depth=0)
     lower = witness_lower_bound(w, alpha, radius, normk, circle)

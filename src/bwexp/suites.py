@@ -31,12 +31,10 @@ from .construct import build_witness, required_witness_bits
 from .core import (
     DEFAULT_BITS,
     AlphaParam,
-    ExpSum,
     Poly2,
     canonical_indices,
     compose_to_expsum,
     make_alpha,
-    monomial_nodes,
     space_dimension,
 )
 from .norms import norm_on_K, norm_on_circle

@@ -5,7 +5,7 @@ import random
 from mpmath import mp
 import pytest
 
-from bwexp import ExpSum, MultiIndex, Poly2, canonical_indices, compose_to_expsum, make_alpha
+from bwexp import ExpSum, MultiIndex, Poly2, canonical_indices, compose_to_expsum, eval_poly, make_alpha
 from bwexp.analytic_bounds import coeff_log_upper, theorem2_bounds
 from bwexp.construct import build_witness
 from bwexp.norms import _CircleGrid, bw_envelope, norm_on_bidisk, norm_on_circle, norm_on_K
@@ -156,6 +156,59 @@ def test_preselection_matches_full_scan(monkeypatch):
         assert fast[tag].certified_upper == slow.certified_upper, tag
 
 
+def _full_scan_bidisk(p, M):
+    """Reference grid max and coefficient sum: every torus point at working precision."""
+    items = sorted(p.coeffs.items())
+    with mp.workprec(BITS):
+        step = 2 * mp.pi / M
+        roots = [mp.exp(mp.mpc(0, m * step)) for m in range(M)]
+        best = mp.mpf(0)
+        for a in range(M):
+            for b in range(M):
+                s = mp.mpc(0)
+                for (j, k), c in items:
+                    s += mp.mpc(c) * roots[(a * j + b * k) % M]
+                v = abs(s)
+                if v > best:
+                    best = v
+        csum = mp.mpf(0)
+        for _, c in items:
+            csum += abs(mp.mpc(c))
+    return best, csum
+
+
+def test_bidisk_preselection_matches_full_scan():
+    # the float64 torus scan reports exactly the working-precision grid
+    # maximum of a full scan, ties and sub-float differences included
+    polys = {}
+    for n in (1, 2, 3):
+        for re, im in STANDARD_ALPHAS:
+            polys[f"witness n={n} alpha={re}+{im}i"] = build_witness(n, make_alpha(re, im), BITS).p
+    rng = random.Random(SEED + 5)
+    for trial in range(4):
+        polys[f"random {trial}"] = random_poly(rng, rng.randint(1, 3))
+    # every grid point ties; only M of the M^2 phase tuples are distinct
+    polys["z w"] = Poly2(2, {MultiIndex(1, 1): 1})
+    with mp.workprec(BITS):
+        tiny = mp.mpf(2) ** -60
+        for sign in (1, -1):
+            # the maxima at z = 1 and z = -1 differ by 2^-59, below float64 resolution
+            polys[f"1 + z^2 + {sign} 2^-60 z"] = Poly2(
+                2, {MultiIndex(0, 0): 1, MultiIndex(1, 0): sign * tiny, MultiIndex(2, 0): 1}
+            )
+            # |2 + sign 2^-60 z| on the diagonal z = w: the float values of its
+            # near-ties are ordered by twiddle rounding, not by the true values
+            polys[f"z + w + {sign} 2^-60 z w"] = Poly2(
+                2, {MultiIndex(1, 0): 1, MultiIndex(0, 1): 1, MultiIndex(1, 1): sign * tiny}
+            )
+    for M in (16, 32):
+        for tag, p in polys.items():
+            est = norm_on_bidisk(p, M, BITS)
+            grid_max, csum = _full_scan_bidisk(p, M)
+            assert est.grid_max == grid_max, f"{tag} M={M}"
+            assert est.certified_upper == csum, f"{tag} M={M}"
+
+
 def test_one_sidedness_random():
     rng = random.Random(SEED)
     for trial in range(10):
@@ -219,8 +272,6 @@ def test_depth_one_matches_first_order_bound():
     p = Poly2(2, {MultiIndex(1, 0): 1, MultiIndex(0, 1): -2j, MultiIndex(1, 1): 0.5})
     with mp.workprec(BITS):
         est = norm_on_K(p, alpha, 128, depth=1)
-        from bwexp import compose_to_expsum
-
         f = compose_to_expsum(p, alpha)
         L = mp.mpf(0)
         for c, a in f.terms:
@@ -257,8 +308,6 @@ def test_bw_envelope_dominates_random_polys():
                 for _ in range(20):
                     z = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
                     w = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                    from bwexp import eval_poly
-
                     val = abs(eval_poly(p, z, w))
                     cap = bw_envelope(z, w, nk.certified_upper, en, n)
                     assert val <= cap, f"n={n} trial={trial}"
