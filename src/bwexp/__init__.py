@@ -40,7 +40,6 @@ from .core import (
     ExpSum,
     MultiIndex,
     Poly2,
-    Precision,
     canonical_indices,
     compose_to_expsum,
     derivative_at_zero,
@@ -48,6 +47,8 @@ from .core import (
     eval_poly,
     make_alpha,
     monomial_nodes,
+    require_alpha,
+    require_bits,
     space_dimension,
 )
 from .norms import (
@@ -81,7 +82,6 @@ __all__ = [
     "MultiIndex",
     "NormEstimate",
     "Poly2",
-    "Precision",
     "SolverGridError",
     "WitnessResult",
     "annihilator",
@@ -109,6 +109,8 @@ __all__ = [
     "norm_on_circle",
     "numeric_inequality_suite",
     "proof_lower_bound",
+    "require_alpha",
+    "require_bits",
     "required_witness_bits",
     "space_dimension",
     "stirling_ratio",

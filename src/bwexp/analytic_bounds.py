@@ -44,15 +44,9 @@ from .core import (
     ExpSum,
     MultiIndex,
     monomial_nodes,
+    require_alpha,
     space_dimension,
 )
-
-
-def _require_valid(alpha: AlphaParam) -> None:
-    if not alpha.theorem_valid:
-        raise ValueError(
-            f"alpha = {alpha} violates the bracket hypotheses (need |alpha| < 1, Im != 0)"
-        )
 
 
 def _require_target(l: int, m: int, n: int) -> None:
@@ -67,7 +61,7 @@ def theorem2_bounds(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS):
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    _require_valid(alpha)
+    require_alpha(alpha, theorem=True)
     with mp.workprec(bits):
         n2 = mp.mpf(n) ** 2
         half = n2 * mp.log(n) / 2
@@ -114,8 +108,7 @@ def lemma_product_lower(x: int, y: int, k: int, alpha: AlphaParam, bits: int = D
         raise ValueError(f"empty range: x={x} > y={y}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if alpha.im == 0.0:
-        raise ValueError("lemma bound requires Im(alpha) != 0")
+    require_alpha(alpha)
     with mp.workprec(bits):
         d = y - x
         base = mp.mpf(1) if d == 0 else (mp.mpf(d) / (2 * mp.e)) ** d
@@ -174,8 +167,7 @@ def annihilator(l: int, m: int, n: int, alpha: AlphaParam, bits: int = DEFAULT_B
     is the same product evaluated at the target node l + m*alpha.
     """
     _require_target(l, m, n)
-    if alpha.im == 0.0:
-        raise ValueError("annihilator requires distinct nodes (Im(alpha) != 0)")
+    require_alpha(alpha)
     target = MultiIndex(l, m)
     with mp.workprec(bits):
         nodes = monomial_nodes(n, alpha, bits)
@@ -221,7 +213,7 @@ def apply_annihilator(data: AnnihilatorData, f: ExpSum, bits: int = DEFAULT_BITS
 def beta_log_lower(l: int, m: int, n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS):
     """Floor for ln|beta_lm|: (n^2 ln n)/2 - 9 n^2/4 + n ln|alpha2|."""
     _require_target(l, m, n)
-    _require_valid(alpha)
+    require_alpha(alpha, theorem=True)
     with mp.workprec(bits):
         n2 = mp.mpf(n) ** 2
         return n2 * mp.log(n) / 2 - 9 * n2 / 4 + n * mp.log(abs(mp.mpf(alpha.im)))
@@ -265,7 +257,7 @@ def coeff_log_upper(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS):
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    _require_valid(alpha)
+    require_alpha(alpha, theorem=True)
     with mp.workprec(bits):
         n2 = mp.mpf(n) ** 2
         return n2 * mp.log(n) / 2 + mp.mpf("5.95") * n2 - n * mp.log(abs(mp.mpf(alpha.im)))

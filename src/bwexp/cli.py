@@ -33,7 +33,7 @@ from mpmath import mp
 
 from .analytic_bounds import theorem2_bounds
 from .construct import witness_certificate
-from .core import DEFAULT_BITS, AlphaParam, make_alpha
+from .core import DEFAULT_BITS, AlphaParam, make_alpha, require_alpha, require_bits
 from .solver import LPConfig, SolverGridError, en_bracket
 from .suites import run_suites
 
@@ -81,13 +81,8 @@ def _alpha_flag(text: str):
 
 
 def _checked_alpha(re: float, im: float) -> AlphaParam:
-    """Build AlphaParam, naming the violated hypothesis on rejection."""
-    a = make_alpha(re, im)
-    if a.im == 0.0:
-        raise ValueError("alpha_2 must be nonzero")
-    if not a.theorem_valid:
-        raise ValueError("alpha must satisfy |alpha| < 1")
-    return a
+    """Every command reports the theorem's bracket, so both hypotheses apply."""
+    return require_alpha(make_alpha(re, im), theorem=True)
 
 
 def _f17(x) -> str:
@@ -676,6 +671,8 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return int(ex.code or 0)
     try:
+        if "precision" in vars(args):
+            require_bits(args.precision)
         return args.handler(args)
     except SolverGridError as ex:
         print(

@@ -40,6 +40,7 @@ from .core import (
     Poly2,
     compose_to_expsum,
     monomial_nodes,
+    require_alpha,
     space_dimension,
 )
 from .norms import NormEstimate, norm_on_circle, norm_on_K
@@ -110,8 +111,7 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS, r=None) -
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    if alpha.im == 0.0:
-        raise ValueError("witness needs distinct nodes: Im(alpha) must be nonzero")
+    require_alpha(alpha)
     floor = required_witness_bits(n)
     if bits < floor:
         raise ValueError(

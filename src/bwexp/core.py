@@ -28,19 +28,10 @@ DEFAULT_BITS = 256
 MIN_BITS = 64
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Binary working precision shared by one computation context."""
-
-    bits: int = DEFAULT_BITS
-
-    def __post_init__(self) -> None:
-        if self.bits < MIN_BITS:
-            raise ValueError(f"precision must be >= {MIN_BITS} bits, got {self.bits}")
-
-    def workprec(self):
-        """Context manager setting mpmath precision to self.bits."""
-        return mp.workprec(self.bits)
+def require_bits(bits: int) -> None:
+    """Raise if bits is below the MIN_BITS precision floor."""
+    if bits < MIN_BITS:
+        raise ValueError(f"precision must be >= {MIN_BITS} bits, got {bits}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +58,20 @@ class AlphaParam:
 def make_alpha(re: float, im: float) -> AlphaParam:
     """Build an AlphaParam; validity is a flag, never a rejection."""
     return AlphaParam(float(re), float(im))
+
+
+def require_alpha(alpha: AlphaParam, theorem: bool = False) -> AlphaParam:
+    """Return alpha, or raise naming the first hypothesis it violates.
+
+    Im(alpha) != 0 makes the exponent nodes distinct, which every
+    construction needs; theorem=True also asks for |alpha| < 1, which
+    the bracket's closed-form endpoints need.
+    """
+    if alpha.im == 0.0:
+        raise ValueError(f"alpha_2 must be nonzero (alpha = {alpha})")
+    if theorem and not alpha.theorem_valid:
+        raise ValueError(f"alpha must satisfy |alpha| < 1 (alpha = {alpha})")
+    return alpha
 
 
 class MultiIndex(NamedTuple):

@@ -10,10 +10,10 @@ from both sides:
     Re(e^{i theta} P(z0, w0)).  Finitely many constraint points plus the
     outer polygon make this a relaxation of the candidate restriction,
     so refining the constraint grid can only shrink the value.
-  * en_random_search evaluates feasible points: random coefficient
-    vectors (plus the deterministic candidates z, w, and the witness)
-    scored by ln(bidisk grid max / certified K upper), a true lower
-    bound up to the bidisk grid's resolution.
+  * en_random_search scores random coefficient vectors (plus the
+    deterministic candidates z, w, and the witness) on the LP's circle
+    and torus grids by ln(bidisk grid max / first-order K bound), a
+    float64 lower estimate without a rounding allowance.
 
 Two reductions keep the LP tractable.  First, rotating all coefficients
 by e^{2 pi i/S} permutes the constraint set, so objective phases that
@@ -69,6 +69,7 @@ from .core import (
     AlphaParam,
     canonical_indices,
     monomial_nodes,
+    require_alpha,
     space_dimension,
 )
 
@@ -84,6 +85,7 @@ _CUTS_PER_ROUND = 64
 _MAX_ROUNDS = 200
 _ACTIVE_SLACK = 1e-7
 _BOUND_CHUNK = 64
+_ORACLE_CIRCLE_POINTS = 512
 # Margin for the row violation of an accepted point in the dual bound.
 # The largest measured over the test suite and the benchmark workloads
 # is 1.6e-8 (HiGHS at primal feasibility 1e-9 leaves rows of its working
@@ -202,9 +204,11 @@ class _WorkingSetLP:
         self.M1 = E.shape[0]
         self.S = S
         self.phases = np.exp(2j * np.pi * np.arange(S) / S)
+        # at least one circle point per coefficient, or the first LP is unbounded
+        stride = self.M1 // max(_BASE_POINTS, E.shape[1])
         self.base = {
             i * S + s
-            for i in range(0, self.M1, max(1, self.M1 // _BASE_POINTS))
+            for i in range(0, self.M1, max(1, stride))
             for s in range(0, S, max(1, S // _BASE_DIRECTIONS))
         }
         self.prev_active: set = set()
@@ -332,8 +336,7 @@ def en_lp_estimate(
 ) -> float:
     """ln of the discretized-LP maximum over torus candidates and phases."""
     _candidate_guard(n, cfg, max_degree)
-    if alpha.im == 0.0:
-        raise ValueError("LP estimate requires Im(alpha) != 0")
+    require_alpha(alpha)
     E, mono = _lp_problem(n, alpha, cfg, bits)
     S = cfg.polygon_sides
     lp = _WorkingSetLP(E, S)
@@ -361,68 +364,46 @@ def en_random_search(
     trials: int,
     seed: int,
     grid_points: int = 32,
-    norm_grid: int = 512,
     bits: int = DEFAULT_BITS,
 ) -> float:
-    """Best feasible ratio ln(bidisk grid max / certified K upper).
+    """Best score ln(bidisk grid max / first-order K bound) over sampled P.
 
-    Samples coefficient vectors uniformly on the unit sphere of
-    R^{2(N+1)} and always includes the deterministic candidates z, w,
-    and the witness.  The K norm is certified by the first-order bound
-    grid_max + (pi/M) sum |c||a|e^{|a|}, so every reported ratio is a
-    true lower bound on e_n(alpha) up to bidisk grid resolution.
+    Scores the deterministic candidates z, w and the witness, then
+    `trials` coefficient vectors drawn as standard normals in
+    R^{2(N+1)}; the score is scale invariant, so their directions are
+    uniform on the unit sphere.  The bidisk maximum is taken over the
+    LP's torus grid with grid_points per axis, and ||P||_K is bounded by
+    grid_max + (pi/M) sum |c||a|e^{|a|} over the LP's circle grid of
+    M = _ORACLE_CIRCLE_POINTS points.  That K bound is first order and
+    evaluated in float64 with no rounding allowance, so the score is an
+    estimate of a lower bound on e_n(alpha), not a certified one.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if alpha.im == 0.0:
-        raise ValueError("random search requires Im(alpha) != 0")
+    require_alpha(alpha)
     idx = canonical_indices(n)
     ncoef = len(idx)
+    cfg = LPConfig(circle_points=_ORACLE_CIRCLE_POINTS, torus_points=grid_points)
+    E, mono = _lp_problem(n, alpha, cfg, bits)
     nodes = _nodes_f64(n, alpha, bits)
+    deriv_weight = (np.pi / _ORACLE_CIRCLE_POINTS) * np.abs(nodes) * np.exp(np.abs(nodes))
 
-    M2 = grid_points
-    zgrid = np.exp(2j * np.pi * np.arange(M2) / M2)
-    B = np.empty((M2 * M2, ncoef), dtype=np.complex128)
-    for p, jk in enumerate(idx):
-        B[:, p] = np.outer(zgrid**jk.j, zgrid**jk.k).ravel()
+    witness = build_witness(n, alpha, max(bits, required_witness_bits(n)))
+    fixed = np.zeros((3, ncoef), dtype=np.complex128)
+    fixed[0, idx.index((1, 0))] = 1.0
+    fixed[1, idx.index((0, 1))] = 1.0
+    fixed[2] = [complex(witness.p.coefficient(jk.j, jk.k)) for jk in idx]
+    v = np.random.default_rng(seed).standard_normal((trials, 2 * ncoef))
+    cols = np.concatenate([fixed, v[:, :ncoef] + 1j * v[:, ncoef:]]).T
 
-    MK = norm_grid
-    tK = np.exp(2j * np.pi * np.arange(MK) / MK)
-    EK = np.exp(np.outer(tK, nodes))
-    deriv_weight = np.abs(nodes) * np.exp(np.abs(nodes))
-
-    def score(c: np.ndarray) -> float:
-        top = np.abs(B @ c).max()
-        gridk = np.abs(EK @ c).max()
-        certk = gridk + (np.pi / MK) * float(np.abs(c) @ deriv_weight)
-        if top == 0 or certk == 0:
-            return -math.inf
-        return math.log(top) - math.log(certk)
-
-    fixed = []
-    ez = np.zeros(ncoef, dtype=np.complex128)
-    ez[idx.index((1, 0))] = 1.0
-    fixed.append(ez)
-    ew = np.zeros(ncoef, dtype=np.complex128)
-    ew[idx.index((0, 1))] = 1.0
-    fixed.append(ew)
-    wbits = max(bits, required_witness_bits(n))
-    witness = build_witness(n, alpha, wbits)
-    fixed.append(np.array([complex(witness.p.coefficient(jk.j, jk.k)) for jk in idx]))
-
-    best = max(score(c) for c in fixed)
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        v = rng.standard_normal(2 * ncoef)
-        norm = math.sqrt(float(v @ v))
-        if norm == 0:
-            continue
-        v /= norm
-        val = score(v[:ncoef] + 1j * v[ncoef:])
-        if val > best:
-            best = val
+    best = -math.inf
+    for lo in range(0, cols.shape[1], _BOUND_CHUNK):
+        c = cols[:, lo:lo + _BOUND_CHUNK]
+        top = np.abs(mono @ c).max(axis=0)
+        certk = np.abs(E @ c).max(axis=0) + deriv_weight @ np.abs(c)
+        best = max(best, float(np.max(np.log(top) - np.log(certk))))
     return best
 
 

@@ -88,6 +88,28 @@ def test_domain_errors_name_the_hypothesis(capsys):
     assert code == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "3", "--alpha", "0.0+0.5i"],
+    ["witness", "--n", "1", "--alpha", "0.0+0.5i"],
+    ["solve", "--n", "1", "--alpha", "0.0+0.5i"] + SMALL_FLAGS,
+    ["sweep", "--n-range", "1", "--alpha-grid", "im:0.5,re:0"] + SMALL_FLAGS,
+    ["verify"],
+], ids=lambda argv: argv[0])
+def test_precision_below_floor_exits_domain(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--precision", "63"])
+    assert code == EXIT_DOMAIN
+    assert "precision must be >= 64" in err
+    assert out == ""  # rejected before any row or suite runs
+
+
+def test_precision_at_floor_is_accepted(capsys):
+    code, out, _ = run_cli(
+        capsys, ["bounds", "--n", "3", "--alpha", "0.0+0.5i", "--precision", "64"]
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["precision_bits"] == 64
+
+
 def test_n_range_parser():
     assert _parse_n_range("2") == [2]
     assert _parse_n_range("1..3") == [1, 2, 3]

@@ -9,18 +9,28 @@ from bwexp import (
     DEFAULT_BITS,
     AlphaParam,
     ExpSum,
+    LPConfig,
     MultiIndex,
     Poly2,
-    Precision,
+    annihilator,
+    beta_log_lower,
+    build_witness,
     canonical_indices,
+    coeff_log_upper,
     compose_to_expsum,
     derivative_at_zero,
+    en_lp_estimate,
+    en_random_search,
     eval_expsum,
     eval_poly,
+    lemma_product_lower,
     make_alpha,
     monomial_nodes,
+    require_bits,
     space_dimension,
+    theorem2_bounds,
 )
+from bwexp.cli import _checked_alpha
 
 SEED = 20240811
 
@@ -41,10 +51,41 @@ def test_make_alpha_validity_flags():
 
 
 def test_precision_floor():
-    assert Precision(64).bits == 64
-    assert Precision().bits == DEFAULT_BITS
-    with pytest.raises(ValueError):
-        Precision(32)
+    require_bits(64)
+    require_bits(DEFAULT_BITS)
+    with pytest.raises(ValueError, match="precision must be >= 64"):
+        require_bits(32)
+
+
+# every entry point that takes alpha, and whether it needs |alpha| < 1
+ALPHA_ENTRY_POINTS = {
+    "theorem2_bounds": (lambda a: theorem2_bounds(1, a), True),
+    "beta_log_lower": (lambda a: beta_log_lower(0, 1, 1, a), True),
+    "coeff_log_upper": (lambda a: coeff_log_upper(1, a), True),
+    "cli": (lambda a: _checked_alpha(a.re, a.im), True),
+    "lemma_product_lower": (lambda a: lemma_product_lower(0, 1, 1, a), False),
+    "annihilator": (lambda a: annihilator(0, 1, 1, a), False),
+    "build_witness": (lambda a: build_witness(1, a), False),
+    "en_lp_estimate": (
+        lambda a: en_lp_estimate(1, a, LPConfig(circle_points=64, polygon_sides=16,
+                                                torus_points=8, phase_samples=8)),
+        False,
+    ),
+    "en_random_search": (lambda a: en_random_search(1, a, 10, seed=0, grid_points=8), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALPHA_ENTRY_POINTS))
+def test_entry_points_share_one_alpha_check(name):
+    call, theorem = ALPHA_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match=r"alpha_2 must be nonzero \(alpha = 0\.5\+0i\)"):
+        call(make_alpha(0.5, 0.0))
+    outside = make_alpha(0.9, 0.9)  # |alpha|^2 = 1.62
+    if theorem:
+        with pytest.raises(ValueError, match=r"\|alpha\| < 1 \(alpha = 0\.9\+0\.9i\)"):
+            call(outside)
+    else:
+        call(outside)
 
 
 def test_space_dimension_formula():

@@ -7,12 +7,14 @@ live in the acceptance suite.
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bwexp import solver
-from bwexp.core import make_alpha, space_dimension
+from bwexp.construct import required_witness_bits
+from bwexp.core import MultiIndex, Poly2, canonical_indices, make_alpha, space_dimension
 from bwexp.solver import (
     EnEstimate,
     LPConfig,
@@ -20,6 +22,7 @@ from bwexp.solver import (
     _dual_bounds,
     _dual_certificate,
     _lp_problem,
+    _nodes_f64,
     _WorkingSetLP,
     en_bracket,
     en_lp_estimate,
@@ -232,6 +235,64 @@ def test_oracle_validation():
         en_random_search(1, A05, -1, seed=0)
     with pytest.raises(ValueError):
         en_random_search(1, make_alpha(0.5, 0.0), 10, seed=0)
+
+
+def _reference_random_search(n, alpha, trials, seed, grid_points, bits=256):
+    """The oracle scored one candidate per call, with its own grids."""
+    idx = canonical_indices(n)
+    ncoef = len(idx)
+    nodes = _nodes_f64(n, alpha, bits)
+    zgrid = np.exp(2j * np.pi * np.arange(grid_points) / grid_points)
+    B = np.empty((grid_points * grid_points, ncoef), dtype=np.complex128)
+    for p, jk in enumerate(idx):
+        B[:, p] = np.outer(zgrid**jk.j, zgrid**jk.k).ravel()
+    MK = 512
+    EK = np.exp(np.outer(np.exp(2j * np.pi * np.arange(MK) / MK), nodes))
+    deriv_weight = np.abs(nodes) * np.exp(np.abs(nodes))
+
+    def score(c):
+        certk = np.abs(EK @ c).max() + (np.pi / MK) * float(np.abs(c) @ deriv_weight)
+        return math.log(np.abs(B @ c).max()) - math.log(certk)
+
+    fixed = [np.zeros(ncoef, dtype=np.complex128) for _ in range(2)]
+    fixed[0][idx.index((1, 0))] = 1.0
+    fixed[1][idx.index((0, 1))] = 1.0
+    witness = solver.build_witness(n, alpha, max(bits, required_witness_bits(n)))
+    fixed.append(np.array([complex(witness.p.coefficient(jk.j, jk.k)) for jk in idx]))
+    best = max(score(c) for c in fixed)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        v = rng.standard_normal(2 * ncoef)
+        v /= math.sqrt(float(v @ v))
+        best = max(best, score(v[:ncoef] + 1j * v[ncoef:]))
+    return best
+
+
+@pytest.mark.parametrize("grid_points", [8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_matches_per_trial_reference(monkeypatch, n, grid_points):
+    # with z in place of the witness the random trials beat the fixed
+    # candidates, so a changed draw order changes the value
+    monkeypatch.setattr(solver, "build_witness", lambda n, alpha, bits: SimpleNamespace(
+        p=Poly2(n, {MultiIndex(1, 0): 1.0})))
+    fixed_only = en_random_search(n, A05, 0, seed=0, grid_points=grid_points)
+    for trials in (0, 50, 200):
+        for seed in (0, 7):
+            got = en_random_search(n, A05, trials, seed=seed, grid_points=grid_points)
+            want = _reference_random_search(n, A05, trials, seed, grid_points)
+            assert got == pytest.approx(want, abs=1e-12), (trials, seed)
+            if trials == 200:
+                assert got > fixed_only + 1e-6, seed
+
+
+def test_base_pattern_spans_the_coefficients():
+    # fewer circle points than coefficients leave the first LP unbounded
+    cfg = LPConfig()
+    for n in range(1, 9):
+        E, _ = _lp_problem(n, A05, cfg, 256)
+        lp = _WorkingSetLP(E, cfg.polygon_sides)
+        points = {row // cfg.polygon_sides for row in lp.base}
+        assert len(points) >= space_dimension(n) + 1, n
 
 
 def test_bracket_small_config_invariants():
