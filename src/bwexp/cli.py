@@ -184,10 +184,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_bounds(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     a = _checked_alpha(*args.alpha)
     lo, up = theorem2_bounds(args.n, a, args.precision)
-    runtime_ms = (time.time() - t0) * 1000.0
+    runtime_ms = (time.perf_counter() - t0) * 1000.0
     if args.format == "json":
         report = {
             "n": args.n,
@@ -208,14 +208,14 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     a = _checked_alpha(*args.alpha)
     bits = args.precision
     w, normk, circle, lower = witness_certificate(
         args.n, a, r=args.r, grid=512, bits=bits
     )
     lo, up = theorem2_bounds(args.n, a, bits)
-    runtime_ms = (time.time() - t0) * 1000.0
+    runtime_ms = (time.perf_counter() - t0) * 1000.0
     digits = int(bits * 0.30103) + 3
     with mp.workprec(bits):
         coeff_rows = [
@@ -281,7 +281,7 @@ def _cfg_from_args(args) -> LPConfig:
 
 
 def cmd_solve(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     a = _checked_alpha(*args.alpha)
     cfg = _cfg_from_args(args)
     est = en_bracket(
@@ -289,7 +289,7 @@ def cmd_solve(args) -> int:
         trials=args.trials, seed=args.seed, bits=args.precision,
         max_degree=args.max_degree,
     )
-    runtime_ms = (time.time() - t0) * 1000.0
+    runtime_ms = (time.perf_counter() - t0) * 1000.0
     for flag in est.flags:
         print(f"warning: {flag}", file=sys.stderr)
     if args.format == "json":
@@ -678,9 +678,10 @@ def main(argv=None) -> int:
         print(
             f"solver error: {ex}\nremediation: rerun with a smaller --n, or "
             f"below n = 4 with another grid: n = 3 at alpha 0.1+0.1i fails "
-            f"with --polygon-sides 16 or 32 but solves with the defaults or "
-            f"with --circle-points 128. At n >= 4 no grid tried solves "
-            f"(status 4, an ill-conditioned float64 basis)",
+            f"with the defaults and with --circle-points 1024 but solves with "
+            f"--circle-points 256 or 128, or with --polygon-sides 32 or 16. "
+            f"At n >= 4 no grid tried solves (status 4, an ill-conditioned "
+            f"float64 basis)",
             file=sys.stderr,
         )
         return EXIT_SOLVER

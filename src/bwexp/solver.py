@@ -33,21 +33,34 @@ sweep can accept:
   * an accepted point violates no row by more than FEASIBILITY_TOL,
     except rows already in its working set that HiGHS leaves violated
     at its feasibility floor; so both facts hold with the extra factor
-    (1 + _ACCEPT_TOL), a margin over the largest such violation seen.
+    (1 + _ACCEPT_TOL), a margin of about 3.5 over the largest such
+    violation measured (2.8e-8).
 
 So Re(e^{i theta} m.c) <= (1 + _ACCEPT_TOL) sec(pi/S)
 (sum |lambda_i| + ||r||_2 sqrt(M1)/sigma_min), inflated for float
 rounding, for every residue phase theta at once.  Candidates are
 solved in descending bound order and the sweep stops at the first
 whose bound does not exceed the incumbent.  Each surviving LP
-activates constraints lazily: it starts from a fixed coarse row
-pattern plus the previous candidate's active rows, violated rows are
-added until no row of the full discretization is violated beyond
-FEASIBILITY_TOL, and it is abandoned as soon as a relaxation value
-falls to the incumbent.  Each working set is solved once, by HiGHS at
-SOLVER_OPTIONS; any nonzero status raises SolverGridError at once.
-Feasibility of the accepted point is certified by the explicit scan
-over all rows, not by the solver's internal tolerance.
+activates constraints lazily: violated rows are added until no row of
+the full discretization is violated beyond FEASIBILITY_TOL, and the
+LP is abandoned as soon as a relaxation value falls to the incumbent.
+All candidates share one HiGHS model: it starts from a fixed coarse
+row pattern and keeps every cut row, so a candidate starts from the
+rows its predecessors needed.  A new objective starts the dual simplex
+from the slack basis; each cut round hot-starts it from the previous
+basis, which adding rows leaves dual feasible.  Each working set is
+solved once, at SOLVER_OPTIONS (presolve off, tolerances 1e-9); any
+nonzero status raises SolverGridError at once.  Feasibility of the
+accepted point is certified by the explicit scan over all rows, not by
+the solver's internal tolerance.
+
+The model is SciPy's bundled HiGHS binding,
+scipy.optimize._highspy._core._Highs (SciPy 1.15 and later, by SciPy's
+release notes), and its statuses are mapped by SciPy's own
+scipy.optimize._linprog_highs.  Both modules are private and may move
+in a later SciPy release.  They are used because SciPy's public
+linprog builds a new model for every call and cannot hot-start, and
+the public binding, highspy, is not a dependency.
 
 The LP layer runs in float64 (the estimates are grid-resolution-bound
 far above rounding error); analytic and witness quantities come from
@@ -60,7 +73,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy._core import _Highs, kHighsInf
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from .analytic_bounds import theorem2_bounds
 from .construct import build_witness, required_witness_bits, witness_certificate
@@ -76,6 +91,7 @@ from .core import (
 DEFAULT_MAX_DEGREE = 8
 FEASIBILITY_TOL = 1e-9
 SOLVER_OPTIONS = {
+    "presolve": "off",
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }
@@ -83,12 +99,11 @@ _BASE_POINTS = 32
 _BASE_DIRECTIONS = 8
 _CUTS_PER_ROUND = 64
 _MAX_ROUNDS = 200
-_ACTIVE_SLACK = 1e-7
 _BOUND_CHUNK = 64
 _ORACLE_CIRCLE_POINTS = 512
 # Margin for the row violation of an accepted point in the dual bound.
 # The largest measured over the test suite and the benchmark workloads
-# is 1.6e-8 (HiGHS at primal feasibility 1e-9 leaves rows of its working
+# is 2.8e-8 (HiGHS at primal feasibility 1e-9 leaves rows of its working
 # set violated by up to that); a looser margin only loosens the bound.
 _ACCEPT_TOL = 1e-7
 _STATUS_CAUSES = {
@@ -105,8 +120,11 @@ class SolverGridError(RuntimeError):
     numerical difficulties from the ill-conditioned float64 basis
     exp(t * nodes).  Status 4 occurs at n >= 4 on every grid tried, and
     at some smaller (n, alpha) on some grids only: n = 3, alpha =
-    0.1+0.1i fails with polygon_sides 16 or 32 but solves at the default
-    LPConfig.  A smaller degree helps; below n = 4 another grid can too.
+    0.1+0.1i fails at the default LPConfig, with circle_points 1024, and
+    with circle_points 256 and polygon_sides 32, but solves with
+    circle_points 256, 128 or 64, with polygon_sides 32 or 16, and on
+    the coarser grids tried.  A smaller degree helps; below n = 4
+    another grid can too.
     """
 
 
@@ -190,13 +208,46 @@ def _nodes_f64(n: int, alpha: AlphaParam, bits: int) -> np.ndarray:
     )
 
 
+def linprog(c, A_ub, model, options=SOLVER_OPTIONS):
+    """Append the rows A_ub x <= 1 to a persistent HiGHS model and minimize c.x.
+
+    A new cost c replaces the model's and clears its solver, so the
+    solve starts from the slack basis; c = None keeps the cost and
+    hot-starts the dual simplex from the last basis, which stays dual
+    feasible when rows are only added.  Returns status (HiGHS's model
+    status mapped to linprog's codes), x (None unless status is 0) and
+    message.
+    """
+    for key, value in options.items():
+        model.setOptionValue(key, value)
+    if c is not None:
+        model.changeColsCost(len(c), np.arange(len(c), dtype=np.int32), c)
+        model.clearSolver()
+    k = A_ub.shape[0]
+    if k:
+        rows, cols = np.nonzero(A_ub)
+        starts = np.searchsorted(rows, np.arange(k)).astype(np.int32)
+        model.addRows(k, np.full(k, -kHighsInf), np.ones(k), len(rows), starts,
+                      cols.astype(np.int32), A_ub[rows, cols])
+    model.run()
+    highs_status = model.getModelStatus()
+    status, message = _highs_to_scipy_status_message(
+        highs_status, model.modelStatusToString(highs_status)
+    )
+    x = np.array(model.getSolution().col_value) if status == 0 else None
+    return OptimizeResult(status=status, x=x, message=message)
+
+
 class _WorkingSetLP:
     """Row-generation solver over one circle/polygon discretization.
 
     Rows are indexed i*S + s for circle point i and polygon direction s.
-    Each maximize() call warm-starts from a fixed coarse pattern plus
-    the active rows of the previous call, which makes sweeping many
-    nearby objectives cheap.
+    One HiGHS model, with the 2(N+1) real coefficient parts as free
+    columns, lives as long as the solver: it starts from a fixed coarse
+    row pattern, and cut rows are appended and never removed, so each
+    maximize() call starts from every row an earlier call needed.  Each
+    new objective starts from the slack basis; its cut rounds hot-start
+    from the previous basis.
     """
 
     def __init__(self, E: np.ndarray, S: int):
@@ -211,7 +262,11 @@ class _WorkingSetLP:
             for i in range(0, self.M1, max(1, stride))
             for s in range(0, S, max(1, S // _BASE_DIRECTIONS))
         }
-        self.prev_active: set = set()
+        self.working: set = set()
+        ncol = 2 * E.shape[1]
+        self.model = _Highs()
+        self.model.setOptionValue("output_flag", False)
+        self.model.addVars(ncol, np.full(ncol, -kHighsInf), np.full(ncol, kHighsInf))
 
     def _rows(self, ids: np.ndarray) -> np.ndarray:
         i, s = ids // self.S, ids % self.S
@@ -227,22 +282,21 @@ class _WorkingSetLP:
         and the search stops early, returning None.
         """
         ncoef = d.shape[0] // 2
-        working = self.base | self.prev_active
+        cost = -d
+        new = sorted(self.base - self.working)
         for _ in range(_MAX_ROUNDS):
-            ids = np.array(sorted(working))
-            A = self._rows(ids)
-            res = linprog(-d, A_ub=A, b_ub=np.ones(len(ids)), bounds=(None, None),
-                          method="highs", options=SOLVER_OPTIONS)
+            self.working.update(new)
+            res = linprog(cost, self._rows(np.array(new, dtype=int)), self.model)
             if res.status != 0:
                 cause = _STATUS_CAUSES.get(res.status, res.message)
                 raise SolverGridError(
-                    f"LP not solvable on its working set of {len(ids)} constraint "
-                    f"rows (solver status {res.status}): {cause}"
+                    f"LP not solvable on its working set of {len(self.working)} "
+                    f"constraint rows (solver status {res.status}): {cause}"
                 )
             x = res.x
             if abandon_below is not None and float(d @ x) <= abandon_below:
-                self.prev_active = set(ids[A @ x > 1 - _ACTIVE_SLACK].tolist())
                 return None
+            cost = None
             c = x[:ncoef] + 1j * x[ncoef:]
             g = self.E @ c
             ang = np.angle(g)
@@ -252,13 +306,14 @@ class _WorkingSetLP:
             bad = np.flatnonzero(vals > 1 + FEASIBILITY_TOL)
             if bad.size:
                 order = bad[np.argsort(-vals[bad], kind="stable")][:_CUTS_PER_ROUND]
-                new = {int(i) * self.S + int(s) for i, s in zip(order, sstar[order])}
-                if new - working:
-                    working |= new
+                new = sorted(
+                    {int(i) * self.S + int(s) for i, s in zip(order, sstar[order])}
+                    - self.working
+                )
+                if new:
                     continue
                 # every violated row is already in the working set: the
                 # solver's attainable feasibility floor; accept the point
-            self.prev_active = set(ids[A @ x > 1 - _ACTIVE_SLACK].tolist())
             return float(d @ x)
         raise SolverGridError("constraint generation did not converge")
 

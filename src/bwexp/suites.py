@@ -84,7 +84,7 @@ def _random_poly(n: int, rng, bits: int) -> Poly2:
 
 def suite_endpoint_formulas(level: str, bits: int) -> SuiteResult:
     """theorem2_bounds against a doubled-precision re-evaluation."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cases = failures = 0
     first = None
     for n in range(1, 6):
@@ -102,13 +102,13 @@ def suite_endpoint_formulas(level: str, bits: int) -> SuiteResult:
                 failures += 1
                 first = first or f"n={n} alpha={a}: endpoint drift beyond 1e-12"
     return SuiteResult(
-        "endpoint-formulas", cases, failures, first, time.time() - t0
+        "endpoint-formulas", cases, failures, first, time.perf_counter() - t0
     )
 
 
 def suite_interval_product(level: str, bits: int) -> SuiteResult:
     """Randomized exact-product >= closed-form-lower-bound checks."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     count = 10_000 if level == "full" else 100
     rng = np.random.default_rng(_SUITE_SEED)
     failures = 0
@@ -130,13 +130,13 @@ def suite_interval_product(level: str, bits: int) -> SuiteResult:
                     f"< bound {mp.nstr(lower, 10)}"
                 )
     return SuiteResult(
-        "interval-product-lemma", count, failures, first, time.time() - t0
+        "interval-product-lemma", count, failures, first, time.perf_counter() - t0
     )
 
 
 def suite_stirling(level: str, bits: int) -> SuiteResult:
     """Stirling ratio window and half-integer product identity."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     m_max = 1000 if level == "full" else 200
     h_max = 500 if level == "full" else 100
     cases = failures = 0
@@ -161,12 +161,12 @@ def suite_stirling(level: str, bits: int) -> SuiteResult:
                 if abs(prod - direct) > tiny or prod < floor * (1 - mp.mpf(2) ** (-bits // 2)):
                     failures += 1
                     first = first or f"m={m}: half-integer product off"
-    return SuiteResult("stirling-bounds", cases, failures, first, time.time() - t0)
+    return SuiteResult("stirling-bounds", cases, failures, first, time.perf_counter() - t0)
 
 
 def suite_annihilator(level: str, bits: int) -> SuiteResult:
     """Annihilator isolation identity and the |beta| floor."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n_max = 5 if level == "full" else 2
     per = 20 if level == "full" else 5
     rng = np.random.default_rng(_SUITE_SEED + 1)
@@ -201,13 +201,13 @@ def suite_annihilator(level: str, bits: int) -> SuiteResult:
                             f"isolation residual {mp.nstr(abs(got - want), 5)}"
                         )
     return SuiteResult(
-        "annihilator-identity", cases, failures, first, time.time() - t0
+        "annihilator-identity", cases, failures, first, time.perf_counter() - t0
     )
 
 
 def suite_inequalities(level: str, bits: int) -> SuiteResult:
     """Closed-form inequality scan (the n^2 ln n bookkeeping chain)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n_max = 10_000 if level == "full" else 1000
     report = numeric_inequality_suite(n_max, bits)
     failures = 0 if report.ok else 1
@@ -216,13 +216,13 @@ def suite_inequalities(level: str, bits: int) -> SuiteResult:
         n_bad, name = report.violation
         first = f"n={n_bad}: {name}"
     return SuiteResult(
-        "closed-form-inequalities", n_max, failures, first, time.time() - t0
+        "closed-form-inequalities", n_max, failures, first, time.perf_counter() - t0
     )
 
 
 def suite_witness(level: str, bits: int) -> SuiteResult:
     """Witness vanishing order: residuals and the r^N growth law."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n_max = 6 if level == "full" else 3
     wbits = 512 if level == "full" else bits
     cases = failures = 0
@@ -250,12 +250,12 @@ def suite_witness(level: str, bits: int) -> SuiteResult:
                     first = first or (
                         f"n={n} r={r}: growth {mp.nstr(gain, 10)} < N ln r"
                     )
-    return SuiteResult("witness-vanishing", cases, failures, first, time.time() - t0)
+    return SuiteResult("witness-vanishing", cases, failures, first, time.perf_counter() - t0)
 
 
 def suite_norm_refinement(level: str, bits: int) -> SuiteResult:
     """Grid max grows and stays below the certificate under refinement."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n_max = 3 if level == "full" else 2
     cases = failures = 0
     first = None
@@ -277,12 +277,12 @@ def suite_norm_refinement(level: str, bits: int) -> SuiteResult:
                         failures += 1
                         first = first or f"n={n} M={M}: grid max shrank"
                     prev = est.grid_max
-    return SuiteResult("norm-refinement", cases, failures, first, time.time() - t0)
+    return SuiteResult("norm-refinement", cases, failures, first, time.perf_counter() - t0)
 
 
 def suite_envelope(level: str, bits: int) -> SuiteResult:
     """Growth envelope |P| <= ||P||_K e^{upper} e^{n log+ max(|z|,|w|)}."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n_max = 3
     per_poly = 300 if level == "full" else 50
     pts = 300 if level == "full" else 50
@@ -318,7 +318,7 @@ def suite_envelope(level: str, bits: int) -> SuiteResult:
                     f"n={n} z={z[i]:.3f} w={w[i]:.3f}: "
                     f"|P|={abs(vals[i]):.3e} > {bound[i]:.3e}"
                 )
-    return SuiteResult("envelope-domination", cases, failures, first, time.time() - t0)
+    return SuiteResult("envelope-domination", cases, failures, first, time.perf_counter() - t0)
 
 
 _SUITES = (

@@ -1,4 +1,5 @@
-"""Every import in the package is used (a stdlib stand-in for a linter)."""
+"""Every import in the package is used, and durations use a monotonic clock
+(a stdlib stand-in for a linter)."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,30 @@ def test_package_has_no_unused_imports():
     assert paths
     unused = {path.name: unused_imports(path.read_text()) for path in paths}
     assert not {name: names for name, names in unused.items() if names}
+
+
+def wall_clock_reads(source: str) -> list:
+    """Lines that read time.time, which can jump; durations use time.perf_counter."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "time"
+        and isinstance(node.value, ast.Name) and node.value.id == "time"
+        or isinstance(node, ast.ImportFrom) and node.module == "time"
+        and any(alias.name == "time" for alias in node.names)
+    )
+
+
+def test_detector_sees_wall_clock_reads():
+    source = (
+        "import time\nfrom time import time as now\nt0 = time.perf_counter()\n"
+        "dt = time.time() - t0\nf = time.time\n"
+    )
+    assert wall_clock_reads(source) == [2, 4, 5]
+
+
+def test_package_times_with_a_monotonic_clock():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    reads = {path.name: wall_clock_reads(path.read_text()) for path in paths}
+    assert not {name: lines for name, lines in reads.items() if lines}

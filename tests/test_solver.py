@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from bwexp import solver
 from bwexp.construct import required_witness_bits
@@ -166,6 +167,37 @@ def test_dual_bounds_singular_basis_prunes_nothing(monkeypatch):
     assert en_lp_estimate(2, A05, SMALL) == pytest.approx(
         math.log(values.max()), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("alpha", [(0.0, 0.5), (0.3, 0.4)])
+def test_working_set_matches_cold_full_grid_solve(alpha):
+    # an independent reference for the persistent, hot-started model: one
+    # cold linprog over all M1*S rows per torus point (SMALL solves one
+    # phase).  Two cold HiGHS solves of the same rows, presolve on and
+    # off, differ by up to 6.4e-9 relative at n = 3, so the values are
+    # compared at 1e-8 and not at that rounding level
+    a = make_alpha(*alpha)
+    S = SMALL.polygon_sides
+    tolerances = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
+    for n in (1, 2, 3):
+        E, mono = _lp_problem(n, a, SMALL, 256)
+        lp = _WorkingSetLP(E, S)
+        rows = lp._rows(np.arange(SMALL.circle_points * S))
+        for p, m in enumerate(mono):
+            d = np.concatenate([m.real, -m.imag])
+            ref = linprog(-d, A_ub=rows, b_ub=np.ones(len(rows)), bounds=(None, None),
+                          method="highs", options=tolerances)
+            assert ref.status == 0
+            assert lp.maximize(d) == pytest.approx(-ref.fun, rel=1e-8), (n, p)
+
+
+def test_unbounded_working_set_raises_status_3():
+    # no mocks: one circle point leaves the 2(N+1) free columns unbounded
+    E, mono = _lp_problem(2, A05, SMALL, 256)
+    lp = _WorkingSetLP(E[:1], SMALL.polygon_sides)
+    m = mono[1]
+    with pytest.raises(SolverGridError, match="solver status 3"):
+        lp.maximize(np.concatenate([m.real, -m.imag]))
 
 
 @pytest.mark.parametrize("status", [4, 3])
