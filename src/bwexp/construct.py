@@ -62,21 +62,20 @@ def divided_difference_weights(nodes, bits: int = DEFAULT_BITS):
         vals = [mp.mpc(a) for a in nodes]
         scale = max(mp.mpf(1), max(abs(a) for a in vals))
         sep = mp.mpf(2) ** (-(bits // 2)) * scale
-        weights = []
+        # each pair i < j once: a_j - a_i is -(a_i - a_j) exactly, and every
+        # product still takes its factors in increasing j
+        prods = [mp.mpc(1)] * len(vals)
         for i, ai in enumerate(vals):
-            prod = mp.mpc(1)
-            for j, aj in enumerate(vals):
-                if i == j:
-                    continue
-                d = ai - aj
+            for j in range(i + 1, len(vals)):
+                d = ai - vals[j]
                 if abs(d) < sep:
                     raise ValueError(
                         f"nodes {i} and {j} coincide to working precision "
                         f"(|diff| = {mp.nstr(abs(d), 5)}); need distinct nodes"
                     )
-                prod *= d
-            weights.append(1 / prod)
-        return weights
+                prods[i] *= d
+                prods[j] *= -d
+        return [1 / p for p in prods]
 
 
 @dataclass(frozen=True)

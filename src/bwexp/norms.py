@@ -29,6 +29,13 @@ out are evaluated at working precision.
   and w = e^{2 pi i/M}, f^(j)(t_i) = sum_m b_m w^{im} with
   b_m = mu_{m+j} r^m/m!: a length-M DFT of the Taylor coefficients,
   folded mod M, evaluated as a float64 matrix-vector product.
+* The rest of a level's set-up is float arithmetic on a table filled
+  once per moment: each mu_k, sum |c||a|^k and r^m/m! is stored, when
+  it is formed, as a float64 mantissa of modulus at most 1 and a binary
+  exponent from mp.mag.  L and a power-of-two scale 2^-S are picked
+  from the table's log2 values, and each scaled coefficient is the
+  product of the mantissas of mu_{m+j} and r^m/m!, shifted exactly by
+  ldexp.
 * Cauchy's estimate gives |b_m| <= sup_{|t|=r} |f^(j)|, so no term of
   the float sum exceeds the level maximum and its rounding error is
   small relative to that maximum, even where the terms c e^{a t} of f
@@ -37,13 +44,23 @@ out are evaluated at working precision.
 * A grid point is kept when its float modulus is within 2E of the float
   maximum, where E bounds |float value - working-precision value| at
   every grid point.  E adds the float rounding
-  2 gamma_{2L+64} sum|b_m| (conversion, twiddle factors, folding and the
-  dot product; gamma_n = n u/(1 - n u)) with an underflow allowance, the
-  closed-form truncation tail sum |c||a|^j sum_{m>L} (r|a|)^m/m!, and
-  the working-precision rounding of the moments and of the direct
-  evaluation, a multiple of 2^-bits sum |c||a|^j e^{r|a|}.  L is the
-  first index at which the tail drops below the float rounding of
-  max|b_m| or below that working-precision scale, so it is no parameter.
+  2 gamma_{2L+66} sum|b_m| (gamma_n = n u/(1 - n u)) with an underflow
+  allowance, the closed-form truncation tail
+  sum |c||a|^j sum_{m>L} (r|a|)^m/m!, and the working-precision rounding
+  of the moments and of the direct evaluation, a multiple of 2^-bits T_j
+  with T_j = sum |c||a|^j e^{r|a|}, the running sum the ladder keeps.
+  The gamma count covers three roundings of each coefficient (the float
+  mantissas of mu_{m+j} and of r^m/m!, and their product; the shifts
+  are exact), the twiddle factors, folding and the dot product; a
+  product of n factors (1 + delta), |delta| <= u, is 1 + theta with
+  |theta| <= gamma_n (Higham, Accuracy and Stability of Numerical
+  Algorithms, 2nd ed., Lemma 3.1), so the two roundings a coefficient
+  carries beyond a single float conversion add 2 to the count.
+* L is the first index at which the tail's float log2 value drops below
+  that of the float rounding of max|b_m| or of 2^-bits T_j, so it is no
+  parameter.  L sets only the work: the tail for the chosen L is formed
+  once, at working precision, and E holds for every L with
+  L + 2 > r max|a|.
 * The working-precision maximizer has a float modulus within 2E of the
   float maximum, so it is always kept, and so are exact ties such as
   mirror-image points.  Kept points are evaluated exactly as a full scan
@@ -76,6 +93,7 @@ moments or ladder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,19 +118,37 @@ class NormEstimate:
 _UNIT = 2.0**-53  # float64 unit roundoff
 
 
-def _near_max(vals, n: int, size: float, extra: float):
-    """Flat indices of the points whose float modulus is within 2E of the max.
+def _window(top: float, n: int, size: float, extra: float) -> float:
+    """E, a bound on |float value - working-precision value| at every point.
 
-    E bounds |float value - working-precision value| at every point: the
-    float rounding 2 gamma_n size (gamma_n = n u/(1 - n u), size the sum
-    of the float terms' moduli), the caller's extra terms, and the
-    rounding of the modulus, of the threshold and of E itself.
+    E adds the float rounding 2 gamma_n size (gamma_n = n u/(1 - n u),
+    size the sum of the float terms' moduli), the caller's extra terms,
+    and the rounding of the modulus, of the threshold and of E itself
+    (top is the largest float modulus).
     """
     gamma = n * _UNIT / (1 - n * _UNIT)
+    return (2 * gamma * size + extra + 4 * _UNIT * top) * (1 + gamma)
+
+
+def _near_max(vals, n: int, size: float, extra: float):
+    """Flat indices of the points whose float modulus is within 2E of the max."""
     mod = np.abs(vals)
     top = float(mod.max())
-    err = (2 * gamma * size + extra + 4 * _UNIT * top) * (1 + gamma)
-    return np.flatnonzero(mod >= top - 2 * err)
+    return np.flatnonzero(mod >= top - 2 * _window(top, n, size, extra))
+
+
+def _split(x, kind):
+    """(m, e, log2|x|) with x = m 2^e, |m| <= 1, m rounded once to kind.
+
+    e comes from mp.mag, so the scaling by 2^-e is exact and the
+    conversion of m to float or complex is the only rounding; zero
+    splits as (0, 0, -inf).
+    """
+    if not x:
+        return kind(0), 0, -math.inf
+    e = int(mp.mag(x))
+    m = kind(x * mp.ldexp(1, -e))
+    return m, e, e + math.log2(abs(m))
 
 
 class _CircleGrid:
@@ -127,49 +163,98 @@ class _CircleGrid:
         self.exps, self.r, self.M, self.bits = exps, r, M, bits
         self.abs_exps = [abs(a) for a in exps]
         self.xmax = r * max(self.abs_exps)  # r max|a|
-        self.growth = [mp.exp(r * x) for x in self.abs_exps]  # e^{r|a|}
         self.powers = list(coeffs)  # c a^k for the next moment k
         self.abs_powers = [abs(c) for c in coeffs]  # |c||a|^k
-        self.moments = []  # mu_k = sum c a^k
         self.abs_moments = []  # sum |c||a|^k
         self.rfac = [mp.mpf(1)]  # r^m / m!
+        # the float table: _split of mu_k = sum c a^k and of r^m/m!, log2 sum |c||a|^k
+        self.mu_f, self.rfac_f, self.abs_log = [], [_split(self.rfac[0], float)], []
+        self.tails = [abs(c) * mp.exp(r * x) for c, x in zip(coeffs, self.abs_exps)]  # |c||a|^j e^{r|a|}
+        self.totals = [sum(self.tails)]  # T_j
         self.step = 2 * mp.pi / M
         self.twiddle = np.exp(2j * np.pi * np.arange(M) / M)
         self.rows = {}  # grid index -> [e^{a t_i}]
 
     def extend(self, k: int, m: int):
         """Make moments up to index k and r^m/m! up to m available."""
-        while len(self.moments) <= k:
+        while len(self.mu_f) <= k:
             s = mp.mpc(0)
             for p in self.powers:
                 s += p
-            self.moments.append(s)
+            self.mu_f.append(_split(s, complex))
             self.abs_moments.append(sum(self.abs_powers))
+            self.abs_log.append(_split(self.abs_moments[-1], float)[2])
             self.powers = [p * a for p, a in zip(self.powers, self.exps)]
             self.abs_powers = [p * x for p, x in zip(self.abs_powers, self.abs_exps)]
         while len(self.rfac) <= m:
             self.rfac.append(self.rfac[-1] * self.r / len(self.rfac))
+            self.rfac_f.append(_split(self.rfac[-1], float))
 
-    def taylor(self, j: int, scaled):
-        """b_m = mu_{m+j} r^m/m! for m <= L, the tail bound past L, and noise.
+    def total(self, j: int):
+        """T_j = sum |c||a|^j e^{r|a|}, one |a| factor per level on a running list."""
+        while len(self.totals) <= j:
+            self.tails = [u * x for u, x in zip(self.tails, self.abs_exps)]
+            self.totals.append(sum(self.tails))
+        return self.totals[j]
+
+    def taylor(self, j: int):
+        """Float 2^-S b_m, b_m = mu_{m+j} r^m/m! for m <= L; S, the tail past L, noise.
 
         The closed-form tail sum |c||a|^j sum_{m>L} (r|a|)^m/m! is at
         most r^{L+1}/(L+1)! sum |c||a|^{j+L+1} / (1 - r max|a|/(L+2)).
-        L is the first index at which it drops below the float rounding
-        of the largest b_m or below noise = 2^-bits sum |c||a|^j e^{r|a|},
-        the scale of working-precision rounding at this level.
+        L is picked from the float table's log2 values: the first index
+        with L + 2 > r max|a| at which the tail drops below the float
+        rounding of the largest b_m or below noise = 2^-bits T_j, the
+        scale of working-precision rounding at this level.  L only sets
+        the work: the tail for the chosen L, formed once at working
+        precision, enters the window.  S is the least integer with
+        max|b_m| <= 2^S by the same log2 values.
         """
-        noise = mp.mpf(2) ** (-self.bits) * sum(abs(d) * g for d, g in zip(scaled, self.growth))
-        b, bmax, m = [], mp.mpf(0), 0
+        noise = mp.ldexp(self.total(j), -self.bits)
+        log_noise = _split(noise, float)[2]
+        xmax = float(self.xmax)
+        log_bmax, m = -math.inf, 0
         while True:
             self.extend(m + j + 1, m + 1)
-            b.append(self.moments[m + j] * self.rfac[m])
-            bmax = max(bmax, abs(b[-1]))
-            if m + 2 > self.xmax:
-                tail = self.abs_moments[m + j + 1] * self.rfac[m + 1] / (1 - self.xmax / (m + 2))
-                if tail <= _UNIT * bmax or tail <= noise:
-                    return b, bmax, tail, noise
+            log_bmax = max(log_bmax, self.mu_f[m + j][2] + self.rfac_f[m][2])
+            shrink = 1 - xmax / (m + 2)  # > 0 only if m + 2 > r max|a| exactly
+            if shrink > 0:
+                log_tail = self.abs_log[m + j + 1] + self.rfac_f[m + 1][2] - math.log2(shrink)
+                if log_tail <= log_bmax - 53 or log_tail <= log_noise:
+                    break
             m += 1
+        tail = self.abs_moments[m + j + 1] * self.rfac[m + 1] / (1 - self.xmax / (m + 2))
+        S = math.ceil(log_bmax) if log_bmax > -math.inf else 0
+        mu, rf = self.mu_f[j : j + m + 1], self.rfac_f[: m + 1]
+        # Re and Im of each float moment times the float r^m/m!, scaled exactly
+        mant = np.array([u for u, _, _ in mu]).view(np.float64) * np.repeat([v for v, _, _ in rf], 2)
+        shift = np.repeat([e + g - S for (_, e, _), (_, g, _) in zip(mu, rf)], 2)
+        return np.ldexp(mant, shift).view(np.complex128), S, tail, noise
+
+    def scan(self, j: int):
+        """Float values 2^-S f^(j)(t_i) at every grid point, and the window's inputs.
+
+        Returns (vals, n, size, extra, S); _near_max(vals, n, size, extra)
+        keeps the points within 2E of the float maximum, where E bounds
+        |vals_i - 2^-S f^(j)(t_i)|, f^(j)(t_i) evaluated at working
+        precision as level_max does.
+        """
+        M = self.M
+        coef, S, tail, noise = self.taylor(j)
+        L = len(coef) - 1
+        folded = np.zeros(M, dtype=np.complex128)
+        np.add.at(folded, np.arange(L + 1) % M, coef)
+        q = min(L + 1, M)
+        vals = self.twiddle[np.outer(np.arange(M), np.arange(q)) % M] @ folded[:q]
+        # rounding of the moments (k + K + 2 roundings of terms up to
+        # |c||a|^k), of r^m/m!, and of the direct evaluation, whose
+        # exponent a t_i carries an error of order r|a| 2^-bits
+        work = 64 * (len(self.exps) + L + j + 8 + self.xmax) * noise
+        # float underflow; truncation and working precision
+        extra = (L + M + 8) * 2.0**-1060 + float(mp.ldexp(tail + work, -S))
+        # each coefficient carries three roundings (float moment, float
+        # r^m/m!, their product); then twiddles, folding and the dot product
+        return vals, 2 * L + 66, float(np.abs(coef).sum()), extra, S
 
     def row(self, i: int):
         row = self.rows.get(i)
@@ -180,24 +265,9 @@ class _CircleGrid:
 
     def level_max(self, j: int, scaled):
         """Grid max of |f^(j)| = |sum scaled_k e^{a_k t}|, scaled_k = c_k a_k^j."""
-        M = self.M
-        b, bmax, tail, noise = self.taylor(j, scaled)
-        L = len(b) - 1
-        # scale by a power of two so the float coefficients have max ~1
-        scale = mp.ldexp(1, -mp.mag(bmax)) if bmax else mp.mpf(1)
-        coef = np.array([complex(v * scale) for v in b])
-        folded = np.zeros(M, dtype=np.complex128)
-        np.add.at(folded, np.arange(L + 1) % M, coef)
-        q = min(L + 1, M)
-        vals = self.twiddle[np.outer(np.arange(M), np.arange(q)) % M] @ folded[:q]
-        # rounding of the moments (k + K + 2 roundings of terms up to
-        # |c||a|^k), of r^m/m!, and of the direct evaluation, whose
-        # exponent a t_i carries an error of order r|a| 2^-bits
-        work = 64 * (len(self.exps) + L + j + 8 + self.xmax) * noise
-        # float underflow; truncation and working precision
-        extra = (L + M + 8) * 2.0**-1060 + float((tail + work) * scale)
+        vals, n, size, extra, _ = self.scan(j)
         best = mp.mpf(0)
-        for i in _near_max(vals, 2 * L + 64, float(np.abs(coef).sum()), extra).tolist():
+        for i in _near_max(vals, n, size, extra).tolist():
             s = mp.mpc(0)
             for d, e in zip(scaled, self.row(i)):
                 s += d * e
@@ -225,15 +295,13 @@ def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth, method: str) -> Nor
         if not coeffs:
             zero = mp.mpf(0)
             return NormEstimate(zero, zero, M, method, bits)
-        level_max = _CircleGrid(coeffs, exps, rr, M, bits).level_max
+        grid = _CircleGrid(coeffs, exps, rr, M, bits)
 
-        grid_max = level_max(0, coeffs)
+        grid_max = grid.level_max(0, coeffs)
         if depth == 0:
             return NormEstimate(grid_max, None, M, method, bits)
 
         h = mp.pi * rr / M
-        # T_m = sum |c| |a|^m e^{r|a|}, updated by one |a| factor per level
-        tails = [abs(c) * mp.exp(rr * abs(a)) for c, a in zip(coeffs, exps)]
         scaled = list(coeffs)
         cap = depth if depth is not None else max(GRID_FLOOR, 2 * len(coeffs) + 16)
         cutoff = mp.mpf(2) ** (-(bits // 2))
@@ -243,9 +311,8 @@ def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth, method: str) -> Nor
         g = grid_max
         for m in range(cap):
             partial += hfac * g
-            tails = [u * abs(a) for u, a in zip(tails, exps)]
             hfac *= h / (m + 1)
-            tail = hfac * sum(tails)  # h^D/D! * T_D at D = m+1
+            tail = hfac * grid.total(m + 1)  # h^D/D! * T_D at D = m+1
             cand = partial + tail
             if best is None or cand < best:
                 best = cand
@@ -253,7 +320,7 @@ def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth, method: str) -> Nor
                 break
             if m + 1 < cap:
                 scaled = [d * a for d, a in zip(scaled, exps)]
-                g = level_max(m + 1, scaled)
+                g = grid.level_max(m + 1, scaled)
         return NormEstimate(grid_max, best, M, method, bits)
 
 

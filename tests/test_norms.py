@@ -3,12 +3,13 @@
 import random
 
 from mpmath import mp
+import numpy as np
 import pytest
 
 from bwexp import ExpSum, MultiIndex, Poly2, canonical_indices, compose_to_expsum, eval_poly, make_alpha
 from bwexp.analytic_bounds import coeff_log_upper, theorem2_bounds
 from bwexp.construct import build_witness
-from bwexp.norms import _CircleGrid, bw_envelope, norm_on_bidisk, norm_on_circle, norm_on_K
+from bwexp.norms import _CircleGrid, _window, bw_envelope, norm_on_bidisk, norm_on_circle, norm_on_K
 
 SEED = 20240814
 BITS = 256
@@ -154,6 +155,55 @@ def test_preselection_matches_full_scan(monkeypatch):
         slow = run()
         assert fast[tag].grid_max == slow.grid_max, tag
         assert fast[tag].certified_upper == slow.certified_upper, tag
+
+
+def test_preselection_matches_full_scan_higher_degree(monkeypatch):
+    # the certify-witness degrees, where the float-chosen truncation L is
+    # longest, on the K circle, at r = N/n and on fixed-depth ladders
+    alpha = make_alpha(0.0, 0.5)
+    cases = []
+    for n, depth in ((4, 1), (5, 3)):
+        w = build_witness(n, alpha, BITS)
+        f = compose_to_expsum(w.p, alpha, BITS)
+        cases.append((f"n={n} K", lambda p=w.p: norm_on_K(p, alpha, 128, BITS)))
+        cases.append((f"n={n} r=N/n", lambda f=f, r=w.r: norm_on_circle(f, r, 128, BITS, depth=0)))
+        cases.append((f"n={n} r=2 depth={depth}", lambda f=f, d=depth: norm_on_circle(f, 2, 128, BITS, depth=d)))
+    fast = {tag: run() for tag, run in cases}
+    monkeypatch.setattr(_CircleGrid, "level_max", _full_scan_level_max)
+    for tag, run in cases:
+        slow = run()
+        assert fast[tag].grid_max == slow.grid_max, tag
+        assert fast[tag].certified_upper == slow.certified_upper, tag
+
+
+def test_float_scan_within_window():
+    # every float grid value of levels j <= 3 lies within E of the
+    # working-precision value, E the bound the preselection window uses
+    sums = {}
+    for n in (1, 2, 3):
+        for re, im in STANDARD_ALPHAS[:2]:
+            alpha = make_alpha(re, im)
+            sums[f"witness n={n} alpha={re}+{im}i"] = compose_to_expsum(build_witness(n, alpha, BITS).p, alpha, BITS)
+    rng = random.Random(SEED + 6)
+    for trial in range(3):
+        alpha = make_alpha(rng.uniform(-0.7, 0.7), rng.uniform(0.1, 0.7))
+        sums[f"random {trial}"] = compose_to_expsum(random_poly(rng, rng.randint(1, 3)), alpha, BITS)
+    with mp.workprec(BITS):
+        for tag, f in sums.items():
+            coeffs = [mp.mpc(c) for c, _ in f.terms]
+            exps = [mp.mpc(a) for _, a in f.terms]
+            for r in (1, 2):
+                grid = _CircleGrid(coeffs, exps, mp.mpf(r), 64, BITS)
+                scaled = coeffs
+                for j in range(4):
+                    vals, n, size, extra, S = grid.scan(j)
+                    E = mp.mpf(_window(float(np.abs(vals).max()), n, size, extra))
+                    for i, v in enumerate(vals.tolist()):
+                        s = mp.mpc(0)
+                        for d, e in zip(scaled, grid.row(i)):
+                            s += d * e
+                        assert abs(mp.mpc(v) - s * mp.ldexp(1, -S)) <= E, f"{tag} r={r} j={j} i={i}"
+                    scaled = [d * a for d, a in zip(scaled, exps)]
 
 
 def _full_scan_bidisk(p, M):
