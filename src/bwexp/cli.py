@@ -27,7 +27,6 @@ import json
 import re as _re
 import sys
 import time
-from multiprocessing import Pool
 
 from mpmath import mp
 
@@ -369,6 +368,8 @@ def cmd_sweep(args) -> int:
     if not tasks:
         raise ValueError("sweep grid is empty")
     if args.jobs > 1:
+        from multiprocessing import Pool  # about 7 ms, paid only with --jobs > 1
+
         with Pool(processes=args.jobs) as pool:
             rows = pool.map(_sweep_worker, tasks)
     else:

@@ -56,11 +56,16 @@ the solver's internal tolerance.
 
 The model is SciPy's bundled HiGHS binding,
 scipy.optimize._highspy._core._Highs (SciPy 1.15 and later, by SciPy's
-release notes), and its statuses are mapped by SciPy's own
-scipy.optimize._linprog_highs.  Both modules are private and may move
-in a later SciPy release.  They are used because SciPy's public
-linprog builds a new model for every call and cannot hot-start, and
-the public binding, highspy, is not a dependency.
+release notes), a private module that may move in a later release.  It
+is used because SciPy's public linprog builds a new model for every
+call and cannot hot-start, and the public binding, highspy, is not a
+dependency.  The extension is loaded from its file under
+scipy/optimize/_highspy/, whose package __init__ is empty, so that
+scipy/optimize/__init__.py never runs: that import (scipy.linalg,
+scipy.fft, scipy.special, scipy.spatial and SciPy's array-API layer)
+took about 0.6 s of the 0.85 s it took to import bwexp.cli.  An already
+imported copy is reused.  HiGHS model statuses map to linprog's codes
+in _LINPROG_STATUS.
 
 The LP layer runs in float64 (the estimates are grid-resolution-bound
 far above rounding error); analytic and witness quantities come from
@@ -70,12 +75,15 @@ the extended-precision modules.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import OptimizeResult
-from scipy.optimize._highspy._core import _Highs, kHighsInf
-from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+from numpy.random import default_rng
 
 from .analytic_bounds import theorem2_bounds
 from .construct import build_witness, required_witness_bits, witness_certificate
@@ -87,6 +95,36 @@ from .core import (
     require_alpha,
     space_dimension,
 )
+
+
+def _load_highs_core():
+    """SciPy's HiGHS extension, loaded without importing scipy.optimize."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = find_spec("scipy")
+    spec = None
+    if scipy_spec is not None:
+        where = os.path.join(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
+        spec = PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(f"bwexp needs scipy>=1.15, whose {name} binds HiGHS; it was not found")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_core = _load_highs_core()
+_Highs, kHighsInf = _core._Highs, _core.kHighsInf
+# linprog's status codes; every other HiGHS model status is 4
+_LINPROG_STATUS = {
+    _core.HighsModelStatus.kOptimal: 0,
+    _core.HighsModelStatus.kTimeLimit: 1,
+    _core.HighsModelStatus.kIterationLimit: 1,
+    _core.HighsModelStatus.kInfeasible: 2,
+    _core.HighsModelStatus.kModelError: 2,
+    _core.HighsModelStatus.kUnbounded: 3,
+}
 
 DEFAULT_MAX_DEGREE = 8
 FEASIBILITY_TOL = 1e-9
@@ -231,11 +269,10 @@ def linprog(c, A_ub, model, options=SOLVER_OPTIONS):
                       cols.astype(np.int32), A_ub[rows, cols])
     model.run()
     highs_status = model.getModelStatus()
-    status, message = _highs_to_scipy_status_message(
-        highs_status, model.modelStatusToString(highs_status)
-    )
+    status = _LINPROG_STATUS.get(highs_status, 4)
+    message = f"HiGHS status {int(highs_status)}: {model.modelStatusToString(highs_status)}"
     x = np.array(model.getSolution().col_value) if status == 0 else None
-    return OptimizeResult(status=status, x=x, message=message)
+    return SimpleNamespace(status=status, x=x, message=message)
 
 
 class _WorkingSetLP:
@@ -450,7 +487,7 @@ def en_random_search(
     fixed[0, idx.index((1, 0))] = 1.0
     fixed[1, idx.index((0, 1))] = 1.0
     fixed[2] = [complex(witness.p.coefficient(jk.j, jk.k)) for jk in idx]
-    v = np.random.default_rng(seed).standard_normal((trials, 2 * ncoef))
+    v = default_rng(seed).standard_normal((trials, 2 * ncoef))
     cols = np.concatenate([fixed, v[:, :ncoef] + 1j * v[:, ncoef:]]).T
 
     best = -math.inf

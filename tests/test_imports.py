@@ -2,6 +2,8 @@
 (a stdlib stand-in for a linter)."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import bwexp
@@ -64,3 +66,20 @@ def test_package_times_with_a_monotonic_clock():
     assert paths
     reads = {path.name: wall_clock_reads(path.read_text()) for path in paths}
     assert not {name: lines for name, lines in reads.items() if lines}
+
+
+def test_cli_solve_never_imports_scipy_optimize():
+    # scipy.optimize took about 0.6 s of a 0.85 s start; the solver loads only
+    # SciPy's HiGHS extension.  A fresh interpreter, because this one may hold
+    # scipy.optimize already; checked after a solve too, since a lazy import
+    # would only move that cost into the first solve.
+    script = (
+        "import sys\n"
+        "import bwexp.cli\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "assert bwexp.cli.main(['solve', '--n', '1', '--alpha', '0.0+0.5i']) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, cwd=PACKAGE.parent)
+    assert proc.returncode == 0, proc.stderr

@@ -6,12 +6,16 @@ live in the acceptance suite.
 """
 
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from bwexp import solver
 from bwexp.construct import required_witness_bits
@@ -219,6 +223,31 @@ def test_nonzero_status_raises_at_once(monkeypatch, status, k):
     with pytest.raises(SolverGridError, match=f"solver status {status}"):
         en_lp_estimate(1, A05, SMALL)
     assert len(calls) == k
+
+
+def test_status_map_matches_linprog():
+    # the local map gives linprog's code for every HiGHS model status
+    for status in solver._core.HighsModelStatus.__members__.values():
+        expected = _highs_to_scipy_status_message(status, "")[0]
+        assert solver._LINPROG_STATUS.get(status, 4) == expected, status
+
+
+def test_binding_is_scipys_own_when_bwexp_imported_first():
+    # the order of a script that imports bwexp before SciPy: the extension
+    # solver loaded from its file is the one scipy.optimize then imports,
+    # and SciPy's own linprog still works after it
+    script = (
+        "import sys\n"
+        "import bwexp.solver\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy._core import _Highs\n"
+        "assert bwexp.solver._Highs is _Highs\n"
+        "assert scipy.optimize.linprog([1.0], bounds=[(0, 1)]).status == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, cwd=Path(solver.__file__).parents[1])
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("alpha", [(0.0, 0.5), (0.3, 0.4)])
