@@ -22,18 +22,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re as _re
 import sys
 import time
+from operator import attrgetter
 
 from mpmath import mp
 
 from .analytic_bounds import theorem2_bounds
 from .construct import witness_certificate
 from .core import DEFAULT_BITS, AlphaParam, make_alpha, require_alpha, require_bits
-from .solver import LPConfig, SolverGridError, en_bracket
+from .solver import DEFAULT_MAX_DEGREE, LPConfig, SolverGridError, en_bracket
 from .suites import run_suites
 
 EXIT_OK = 0
@@ -42,17 +44,27 @@ EXIT_DOMAIN = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
-SWEEP_COLUMNS = (
-    "n",
-    "alpha_re",
-    "alpha_im",
-    "analytic_lower",
-    "analytic_upper",
-    "witness_lower",
-    "oracle_lower",
-    "lp_estimate",
-    "precision_bits",
-    "seed",
+# Every bracket column and the EnEstimate attribute it reports.
+_BRACKET_FIELDS = {
+    "n": "n",
+    "alpha_re": "alpha.re",
+    "alpha_im": "alpha.im",
+    "analytic_lower": "analytic_lower",
+    "analytic_upper": "analytic_upper",
+    "witness_lower": "witness_log_value",
+    "oracle_lower": "oracle_log_value",
+    "lp_estimate": "lp_log_value",
+    "precision_bits": "precision_bits",
+    "seed": "seed",
+}
+SWEEP_COLUMNS = tuple(_BRACKET_FIELDS)
+
+# The LPConfig field behind each grid flag.
+_GRID_FLAGS = (
+    ("--circle-points", "circle_points", "constraint circle grid size"),
+    ("--polygon-sides", "polygon_sides", "outer polygon directions per point"),
+    ("--torus-points", "torus_points", "objective torus grid per axis"),
+    ("--phases", "phase_samples", "objective phase samples"),
 )
 
 _ALPHA_PATTERN = _re.compile(
@@ -84,10 +96,6 @@ def _checked_alpha(re: float, im: float) -> AlphaParam:
     return require_alpha(make_alpha(re, im), theorem=True)
 
 
-def _f17(x) -> str:
-    return "%.17g" % float(x)
-
-
 def _mp_str(x, bits: int) -> str:
     """Full-precision decimal string for an extended-precision value."""
     digits = int(bits * 0.30103) + 3
@@ -103,12 +111,27 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _csv_text(header, rows) -> str:
+def _emit_json(report, out: str | None) -> None:
+    _emit(json.dumps(report, indent=2) + "\n", out)
+
+
+def _csv_cells(row: dict, columns) -> list:
+    """row's values in column order: floats to 17 digits, '' for a missing key."""
+    values = (row.get(c, "") for c in columns)
+    return ["%.17g" % v if isinstance(v, float) else v for v in values]
+
+
+def _csv_text(columns, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(columns)
+    writer.writerows(_csv_cells(r, columns) for r in rows)
     return buf.getvalue()
+
+
+def _bracket_row(est) -> dict:
+    """One bracket as a dict keyed by SWEEP_COLUMNS."""
+    return {col: attrgetter(attr)(est) for col, attr in _BRACKET_FIELDS.items()}
 
 
 def _parse_n_range(text: str):
@@ -158,51 +181,50 @@ def _parse_alpha_grid(text: str):
     return [(r, i) for r in axes["re"] for i in axes["im"]]
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_precision(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=DEFAULT_BITS,
-                   help="working precision in bits (default 256)")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="output format (default json)")
+                   help="working precision in bits (default %(default)s)")
+
+
+def _add_output(p: argparse.ArgumentParser, default_format: str = "json") -> None:
+    p.add_argument("--out", default="-", help="output file (default stdout)")
+    p.add_argument("--format", choices=("json", "csv"), default=default_format,
+                   help="output format (default %(default)s)")
+    _add_precision(p)
+
+
+def _add_point(p: argparse.ArgumentParser) -> None:
+    """The flags of a single-(n, alpha) report: bounds, witness and solve."""
+    p.add_argument("--n", type=int, required=True, help="polynomial degree (>= 1)")
+    p.add_argument("--alpha", type=_alpha_flag, required=True,
+                   help="curve exponent, RE+IMi (e.g. 0.0+0.5i)")
+    _add_output(p)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--circle-points", type=int, default=512,
-                   help="constraint circle grid size (default 512)")
-    p.add_argument("--polygon-sides", type=int, default=64,
-                   help="outer polygon directions per point (default 64)")
-    p.add_argument("--torus-points", type=int, default=32,
-                   help="objective torus grid per axis (default 32)")
-    p.add_argument("--phases", type=int, default=16,
-                   help="objective phase samples (default 16)")
+    for flag, name, text in _GRID_FLAGS:
+        p.add_argument(flag, dest=name, type=int, default=getattr(LPConfig, name),
+                       help=f"{text} (default %(default)s)")
     p.add_argument("--trials", type=int, default=1000,
-                   help="random-search trials (default 1000)")
+                   help="random-search trials (default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
-                   help="random-search seed (default 0)")
-    p.add_argument("--max-degree", type=int, default=8,
-                   help="LP size guard; raise to allow larger n (default 8)")
+                   help="random-search seed (default %(default)s)")
+    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
+                   help="LP size guard; raise to allow larger n (default %(default)s)")
 
 
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
     a = _checked_alpha(*args.alpha)
     lo, up = theorem2_bounds(args.n, a, args.precision)
-    runtime_ms = (time.perf_counter() - t0) * 1000.0
+    values = {"analytic_lower": float(lo), "analytic_upper": float(up),
+              "precision_bits": args.precision,
+              "runtime_ms": (time.perf_counter() - t0) * 1000.0}
     if args.format == "json":
-        report = {
-            "n": args.n,
-            "alpha": {"re": a.re, "im": a.im},
-            "analytic_lower": float(lo),
-            "analytic_upper": float(up),
-            "precision_bits": args.precision,
-            "runtime_ms": runtime_ms,
-        }
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        _emit_json({"n": args.n, "alpha": {"re": a.re, "im": a.im}, **values}, args.out)
     else:
-        header = ("n", "alpha_re", "alpha_im", "analytic_lower",
-                  "analytic_upper", "precision_bits", "runtime_ms")
-        row = (args.n, _f17(a.re), _f17(a.im), _f17(lo), _f17(up),
-               args.precision, _f17(runtime_ms))
-        _emit(_csv_text(header, [row]), args.out)
+        row = {"n": args.n, "alpha_re": a.re, "alpha_im": a.im, **values}
+        _emit(_csv_text(tuple(row), [row]), args.out)
     return EXIT_OK
 
 
@@ -214,28 +236,21 @@ def cmd_witness(args) -> int:
         args.n, a, r=args.r, grid=512, bits=bits
     )
     lo, up = theorem2_bounds(args.n, a, bits)
-    runtime_ms = (time.perf_counter() - t0) * 1000.0
-    digits = int(bits * 0.30103) + 3
-    with mp.workprec(bits):
-        coeff_rows = [
-            {
-                "j": jk[0],
-                "k": jk[1],
-                "re": mp.nstr(mp.mpc(c).real, digits, strip_zeros=True),
-                "im": mp.nstr(mp.mpc(c).imag, digits, strip_zeros=True),
-            }
-            for jk, c in sorted(
-                w.p.coeffs.items(), key=lambda it: (it[0][0] + it[0][1], it[0][1])
-            )
-        ]
+    head = {"r": float(w.r if args.r is None else args.r),
+            "vanishing_order": w.order, "precision_bits": bits}
+    tail = {"witness_lower": float(lower), "analytic_lower": float(lo),
+            "analytic_upper": float(up),
+            "runtime_ms": (time.perf_counter() - t0) * 1000.0}
     if args.format == "json":
-        report = {
+        coeffs = sorted(w.p.coeffs.items(), key=lambda it: (it[0][0] + it[0][1], it[0][1]))
+        _emit_json({
             "n": args.n,
             "alpha": {"re": a.re, "im": a.im},
-            "r": float(w.r if args.r is None else args.r),
-            "vanishing_order": w.order,
-            "precision_bits": bits,
-            "coefficients": coeff_rows,
+            **head,
+            "coefficients": [
+                {"j": j, "k": k, "re": _mp_str(c.real, bits), "im": _mp_str(c.imag, bits)}
+                for (j, k), c in coeffs
+            ],
             "max_residual": _mp_str(w.max_residual, bits),
             "norm_K": {
                 "grid_max": _mp_str(normk.grid_max, bits),
@@ -249,34 +264,20 @@ def cmd_witness(args) -> int:
                     else _mp_str(circle.certified_upper, bits)
                 ),
             },
-            "witness_lower": float(lower),
-            "analytic_lower": float(lo),
-            "analytic_upper": float(up),
-            "runtime_ms": runtime_ms,
-        }
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+            **tail,
+        }, args.out)
     else:
-        header = ("n", "alpha_re", "alpha_im", "r", "vanishing_order",
-                  "precision_bits", "max_residual", "norm_k_grid",
-                  "norm_k_upper", "circle_grid", "witness_lower",
-                  "analytic_lower", "analytic_upper", "runtime_ms")
-        row = (args.n, _f17(a.re), _f17(a.im),
-               _f17(w.r if args.r is None else args.r), w.order, bits,
-               _mp_str(w.max_residual, bits), _mp_str(normk.grid_max, bits),
-               _mp_str(normk.certified_upper, bits),
-               _mp_str(circle.grid_max, bits), _f17(lower), _f17(lo),
-               _f17(up), _f17(runtime_ms))
-        _emit(_csv_text(header, [row]), args.out)
+        row = {"n": args.n, "alpha_re": a.re, "alpha_im": a.im, **head,
+               "max_residual": _mp_str(w.max_residual, bits),
+               "norm_k_grid": _mp_str(normk.grid_max, bits),
+               "norm_k_upper": _mp_str(normk.certified_upper, bits),
+               "circle_grid": _mp_str(circle.grid_max, bits), **tail}
+        _emit(_csv_text(tuple(row), [row]), args.out)
     return EXIT_OK
 
 
 def _cfg_from_args(args) -> LPConfig:
-    return LPConfig(
-        circle_points=args.circle_points,
-        polygon_sides=args.polygon_sides,
-        torus_points=args.torus_points,
-        phase_samples=args.phases,
-    )
+    return LPConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(LPConfig)})
 
 
 def cmd_solve(args) -> int:
@@ -291,61 +292,37 @@ def cmd_solve(args) -> int:
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     for flag in est.flags:
         print(f"warning: {flag}", file=sys.stderr)
+    row = _bracket_row(est)
     if args.format == "json":
-        report = {
+        _emit_json({
             "n": est.n,
             "alpha": {"re": a.re, "im": a.im},
-            "analytic_lower": est.analytic_lower,
-            "analytic_upper": est.analytic_upper,
-            "witness_lower": est.witness_log_value,
-            "oracle_lower": est.oracle_log_value,
-            "lp_estimate": est.lp_log_value,
-            "precision_bits": est.precision_bits,
-            "cfg": {
-                "circle_points": cfg.circle_points,
-                "polygon_sides": cfg.polygon_sides,
-                "torus_points": cfg.torus_points,
-                "phase_samples": cfg.phase_samples,
-            },
+            **{col: row[col] for col in SWEEP_COLUMNS[3:9]},
+            "cfg": dataclasses.asdict(cfg),
             "trials": est.trials,
             "seed": est.seed,
             "flags": list(est.flags),
             "runtime_ms": runtime_ms,
-        }
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        }, args.out)
     else:
-        header = SWEEP_COLUMNS + ("runtime_ms",)
-        row = (est.n, _f17(a.re), _f17(a.im), _f17(est.analytic_lower),
-               _f17(est.analytic_upper), _f17(est.witness_log_value),
-               _f17(est.oracle_log_value), _f17(est.lp_log_value),
-               est.precision_bits, est.seed, _f17(runtime_ms))
-        _emit(_csv_text(header, [row]), args.out)
+        row["runtime_ms"] = runtime_ms
+        _emit(_csv_text(SWEEP_COLUMNS + ("runtime_ms",), [row]), args.out)
     return EXIT_OK
 
 
 def _sweep_worker(task):
     """One (n, alpha) sweep row; returns a dict, never raises."""
-    n, re, im, cfg_tuple, trials, seed, bits, max_degree = task
-    row = {"n": n, "alpha_re": re, "alpha_im": im}
+    n, re, im, cfg, trials, seed, bits, max_degree = task
     try:
-        a = _checked_alpha(re, im)
-        cfg = LPConfig(*cfg_tuple)
         est = en_bracket(
-            n, a, cfg, trials=trials, seed=seed, bits=bits, max_degree=max_degree
+            n, _checked_alpha(re, im), cfg,
+            trials=trials, seed=seed, bits=bits, max_degree=max_degree,
         )
-        row.update(
-            analytic_lower=est.analytic_lower,
-            analytic_upper=est.analytic_upper,
-            witness_lower=est.witness_log_value,
-            oracle_lower=est.oracle_log_value,
-            lp_estimate=est.lp_log_value,
-            precision_bits=est.precision_bits,
-            seed=est.seed,
-        )
-        if est.flags:
-            row["error"] = "; ".join(est.flags)
     except (ValueError, SolverGridError) as ex:
-        row["error"] = str(ex)
+        return {"n": n, "alpha_re": re, "alpha_im": im, "error": str(ex)}
+    row = _bracket_row(est)
+    if est.flags:
+        row["error"] = "; ".join(est.flags)
     return row
 
 
@@ -357,11 +334,8 @@ def cmd_sweep(args) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_PARSE
     cfg = _cfg_from_args(args)  # validate before spawning workers
-    cfg_tuple = (cfg.circle_points, cfg.polygon_sides, cfg.torus_points,
-                 cfg.phase_samples)
     tasks = [
-        (n, re, im, cfg_tuple, args.trials, args.seed, args.precision,
-         args.max_degree)
+        (n, re, im, cfg, args.trials, args.seed, args.precision, args.max_degree)
         for n in sorted(ns)
         for re, im in sorted(alphas)
     ]
@@ -377,27 +351,12 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: (r["n"], r["alpha_re"], r["alpha_im"]))
 
     any_error = any("error" in r for r in rows)
-    ok_count = sum(1 for r in rows if "error" not in r)
     if args.format == "csv":
-        header = SWEEP_COLUMNS + (("error",) if any_error else ())
-        table = []
-        for r in rows:
-            line = [
-                r["n"], _f17(r["alpha_re"]), _f17(r["alpha_im"]),
-                _f17(r["analytic_lower"]) if "analytic_lower" in r else "",
-                _f17(r["analytic_upper"]) if "analytic_upper" in r else "",
-                _f17(r["witness_lower"]) if "witness_lower" in r else "",
-                _f17(r["oracle_lower"]) if "oracle_lower" in r else "",
-                _f17(r["lp_estimate"]) if "lp_estimate" in r else "",
-                r.get("precision_bits", ""), r.get("seed", ""),
-            ]
-            if any_error:
-                line.append(r.get("error", ""))
-            table.append(line)
-        _emit(_csv_text(header, table), args.out)
+        columns = SWEEP_COLUMNS + (("error",) if any_error else ())
+        _emit(_csv_text(columns, rows), args.out)
     else:
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
-    if ok_count == 0:
+        _emit_json(rows, args.out)
+    if all("error" in r for r in rows):
         print("error: every sweep row failed", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK
@@ -439,15 +398,13 @@ def _read_sweep_rows(path: str):
     else:
         reader = csv.DictReader(io.StringIO(text))
         raw_rows = list(reader)
-    needed = ("n", "alpha_re", "alpha_im", "analytic_lower", "analytic_upper",
-              "witness_lower", "oracle_lower", "lp_estimate")
     for raw in raw_rows:
         if raw.get("error"):
             continue
         try:
             rows.append({
                 "n": int(raw["n"]),
-                **{key: float(raw[key]) for key in needed[1:]},
+                **{key: float(raw[key]) for key in SWEEP_COLUMNS[1:8]},
             })
         except (KeyError, TypeError, ValueError) as ex:
             raise ValueError(f"malformed sweep row {raw!r}") from ex
@@ -458,18 +415,21 @@ def _read_sweep_rows(path: str):
 
 _SVG_W, _SVG_H = 720, 460
 _MARGIN = 56
+# kind: the sweep columns of the band's edges, the plot CSV's names for
+# them, the band's legend, and the sweep columns drawn as points
+_PLOT_KINDS = {
+    "bounds": (("analytic_lower", "analytic_upper"), ("band_low", "band_high"),
+               "analytic band", ("witness_lower", "oracle_lower", "lp_estimate")),
+    "bracket": (("witness_lower", "lp_estimate"), ("bracket_low", "bracket_high"),
+                "numeric bracket", ("oracle_lower",)),
+}
+_SERIES_COLORS = {"witness_lower": "#2a7f2a", "oracle_lower": "#b8860b",
+                  "lp_estimate": "#b03030"}
 
 
 def _svg_document(rows, kind: str) -> str:
     """Static SVG: per-n band plus overlaid point estimates."""
-    if kind == "bounds":
-        low_key, high_key = "analytic_lower", "analytic_upper"
-        series = ("witness_lower", "oracle_lower", "lp_estimate")
-        band_label = "analytic band"
-    else:
-        low_key, high_key = "witness_lower", "lp_estimate"
-        series = ("oracle_lower",)
-        band_label = "numeric bracket"
+    (low_key, high_key), _, band_label, series = _PLOT_KINDS[kind]
     ns = sorted({r["n"] for r in rows})
     band = {
         n: (
@@ -507,13 +467,11 @@ def _svg_document(rows, kind: str) -> str:
         f'<polygon points="{" ".join(upper_pts + lower_pts)}" '
         f'fill="#c8d8f0" stroke="#4b6ea8" stroke-width="1"/>'
     )
-    colors = {"witness_lower": "#2a7f2a", "oracle_lower": "#b8860b",
-              "lp_estimate": "#b03030"}
     for key in series:
         for r in rows:
             parts.append(
                 f'<circle cx="{sx(r["n"]):.2f}" cy="{sy(r[key]):.2f}" r="3.5" '
-                f'fill="{colors[key]}"/>'
+                f'fill="{_SERIES_COLORS[key]}"/>'
             )
     # axes
     parts.append(
@@ -540,7 +498,7 @@ def _svg_document(rows, kind: str) -> str:
         f'text-anchor="middle">degree n</text>'
     )
     legend = [("band", band_label, "#c8d8f0")] + [
-        (key, key, colors[key]) for key in series
+        (key, key, _SERIES_COLORS[key]) for key in series
     ]
     ly = _MARGIN - 34
     lx = _MARGIN
@@ -557,26 +515,9 @@ def _svg_document(rows, kind: str) -> str:
 
 
 def _plot_csv(rows, kind: str) -> str:
-    if kind == "bounds":
-        header = ("n", "alpha_re", "alpha_im", "band_low", "band_high",
-                  "witness_lower", "oracle_lower", "lp_estimate")
-        table = [
-            (r["n"], _f17(r["alpha_re"]), _f17(r["alpha_im"]),
-             _f17(r["analytic_lower"]), _f17(r["analytic_upper"]),
-             _f17(r["witness_lower"]), _f17(r["oracle_lower"]),
-             _f17(r["lp_estimate"]))
-            for r in rows
-        ]
-    else:
-        header = ("n", "alpha_re", "alpha_im", "bracket_low", "bracket_high",
-                  "oracle_lower")
-        table = [
-            (r["n"], _f17(r["alpha_re"]), _f17(r["alpha_im"]),
-             _f17(r["witness_lower"]), _f17(r["lp_estimate"]),
-             _f17(r["oracle_lower"]))
-            for r in rows
-        ]
-    return _csv_text(header, table)
+    edges, names, _, series = _PLOT_KINDS[kind]
+    table = [{**r, **{name: r[key] for name, key in zip(names, edges)}} for r in rows]
+    return _csv_text(SWEEP_COLUMNS[:3] + names + series, table)
 
 
 def cmd_plot(args) -> int:
@@ -609,29 +550,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="analytic endpoint formulas only")
-    p.add_argument("--n", type=int, required=True, help="polynomial degree (>= 1)")
-    p.add_argument("--alpha", type=_alpha_flag, required=True,
-                   help="curve exponent, RE+IMi (e.g. 0.0+0.5i)")
-    p.add_argument("--out", default="-", help="output file (default stdout)")
-    _add_common(p)
+    _add_point(p)
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("witness", help="witness construction report")
-    p.add_argument("--n", type=int, required=True, help="polynomial degree (>= 1)")
-    p.add_argument("--alpha", type=_alpha_flag, required=True,
-                   help="curve exponent, RE+IMi")
+    _add_point(p)
     p.add_argument("--r", type=float, default=None,
                    help="certificate radius (default N/n)")
-    p.add_argument("--out", default="-", help="output file (default stdout)")
-    _add_common(p)
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("solve", help="full three-way bracket for one (n, alpha)")
-    p.add_argument("--n", type=int, required=True, help="polynomial degree (>= 1)")
-    p.add_argument("--alpha", type=_alpha_flag, required=True,
-                   help="curve exponent, RE+IMi")
-    p.add_argument("--out", default="-", help="output file (default stdout)")
-    _add_common(p)
+    _add_point(p)
     _add_solver_flags(p)
     p.set_defaults(handler=cmd_solve)
 
@@ -640,19 +569,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha-grid", required=True,
                    help="axes spec, e.g. 'im:0.1..0.9:5,re:0'")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--out", default="-", help="output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default csv)")
-    p.add_argument("--precision", type=int, default=DEFAULT_BITS,
-                   help="working precision in bits (default 256)")
+    _add_output(p, default_format="csv")
     _add_solver_flags(p)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("verify", help="run every invariant suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick",
                    help="case-count level (default quick)")
-    p.add_argument("--precision", type=int, default=DEFAULT_BITS,
-                   help="working precision in bits (default 256)")
+    _add_precision(p)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("plot", help="SVG or plot-ready CSV from a sweep file")
@@ -677,12 +601,8 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SolverGridError as ex:
         print(
-            f"solver error: {ex}\nremediation: rerun with a smaller --n, or "
-            f"below n = 4 with another grid: n = 3 at alpha 0.1+0.1i fails "
-            f"with the defaults and with --circle-points 1024 but solves with "
-            f"--circle-points 256 or 128, or with --polygon-sides 32 or 16. "
-            f"At n >= 4 no grid tried solves (status 4, an ill-conditioned "
-            f"float64 basis)",
+            f"solver error: {ex}\nremediation: rerun with a smaller --n, or with "
+            f"another --circle-points or --polygon-sides",
             file=sys.stderr,
         )
         return EXIT_SOLVER

@@ -92,7 +92,7 @@ class WitnessResult:
     n: int
     order: int  # N, the vanishing order at t = 0
     max_residual: object  # mp.mpf
-    r: object  # mp.mpf, default evaluation radius N/n
+    r: object  # mp.mpf, the evaluation radius N/n
     bits: int
 
     @property
@@ -101,7 +101,7 @@ class WitnessResult:
             return self.max_residual <= mp.mpf(2) ** (-(self.bits // 4))
 
 
-def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS, r=None) -> WitnessResult:
+def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> WitnessResult:
     """Construct the order-N witness for (n, alpha).
 
     Coefficients are the divided-difference weights over the canonical
@@ -152,11 +152,10 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS, r=None) -
         coeffs = {
             e.index: w / wmax for e, w in zip(nodes, weights)
         }
-        radius = mp.mpf(N) / n if r is None else mp.mpf(r)
-        return WitnessResult(Poly2(n, coeffs), n, N, worst, radius, bits)
+        return WitnessResult(Poly2(n, coeffs), n, N, worst, mp.mpf(N) / n, bits)
 
 
-def witness_lower_bound(w: WitnessResult, alpha: AlphaParam, r, normk: NormEstimate, circle_sup: NormEstimate):
+def witness_lower_bound(w: WitnessResult, r, normk: NormEstimate, circle_sup: NormEstimate):
     """Certified lower bound on e_n(alpha) from the witness ratio.
 
     Returns ln(circle grid max) - ln(certified K upper) - n*r.  The
@@ -202,5 +201,5 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
     normk = norm_on_K(w.p, alpha, grid, bits)
     f = compose_to_expsum(w.p, alpha, bits)
     circle = norm_on_circle(f, radius, grid, bits, depth=0)
-    lower = witness_lower_bound(w, alpha, radius, normk, circle)
+    lower = witness_lower_bound(w, radius, normk, circle)
     return w, normk, circle, lower

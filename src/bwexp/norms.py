@@ -110,9 +110,6 @@ class NormEstimate:
 
     grid_max: object  # mp.mpf, a true lower bound on the sup
     certified_upper: object  # mp.mpf upper bound, or None
-    grid_points: int
-    method: str
-    bits: int
 
 
 _UNIT = 2.0**-53  # float64 unit roundoff
@@ -277,7 +274,7 @@ class _CircleGrid:
         return best
 
 
-def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth, method: str) -> NormEstimate:
+def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth) -> NormEstimate:
     """Grid max and ladder certificate for an ExpSum on |t| = r.
 
     depth: 0 for grid max only, a positive integer for a fixed Taylor
@@ -294,12 +291,12 @@ def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth, method: str) -> Nor
         exps = [mp.mpc(a) for _, a in f.terms]
         if not coeffs:
             zero = mp.mpf(0)
-            return NormEstimate(zero, zero, M, method, bits)
+            return NormEstimate(zero, zero)
         grid = _CircleGrid(coeffs, exps, rr, M, bits)
 
         grid_max = grid.level_max(0, coeffs)
         if depth == 0:
-            return NormEstimate(grid_max, None, M, method, bits)
+            return NormEstimate(grid_max, None)
 
         h = mp.pi * rr / M
         scaled = list(coeffs)
@@ -321,7 +318,7 @@ def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth, method: str) -> Nor
             if m + 1 < cap:
                 scaled = [d * a for d, a in zip(scaled, exps)]
                 g = grid.level_max(m + 1, scaled)
-        return NormEstimate(grid_max, best, M, method, bits)
+        return NormEstimate(grid_max, best)
 
 
 def norm_on_K(p: Poly2, alpha: AlphaParam, M: int = 512, bits: int = DEFAULT_BITS, depth=None) -> NormEstimate:
@@ -331,12 +328,12 @@ def norm_on_K(p: Poly2, alpha: AlphaParam, M: int = 512, bits: int = DEFAULT_BIT
     |t| = 1; the grid scans that circle.  depth as in norm_on_circle.
     """
     f = compose_to_expsum(p, alpha, bits)
-    return _circle_estimate(f, 1, M, bits, depth, "curve-circle-grid")
+    return _circle_estimate(f, 1, M, bits, depth)
 
 
 def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=None) -> NormEstimate:
     """Sup of |f| on |t| = r with grid max and ladder certificate."""
-    return _circle_estimate(f, r, M, bits, depth, "circle-grid")
+    return _circle_estimate(f, r, M, bits, depth)
 
 
 def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEstimate:
@@ -356,7 +353,7 @@ def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEsti
         csum = sum(abs(c) for c in coeffs)
         if csum == 0:
             zero = mp.mpf(0)
-            return NormEstimate(zero, zero, M, "torus-grid", bits)
+            return NormEstimate(zero, zero)
         T = len(coeffs)
         step = 2 * mp.pi / M
         roots = [mp.exp(mp.mpc(0, m * step)) for m in range(M)]
@@ -380,7 +377,7 @@ def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEsti
             v = abs(s)
             if v > best:
                 best = v
-        return NormEstimate(best, csum, M, "torus-grid", bits)
+        return NormEstimate(best, csum)
 
 
 def bw_envelope(z, w, normk, en, n: int, bits: int = DEFAULT_BITS):

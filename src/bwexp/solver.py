@@ -156,13 +156,16 @@ class SolverGridError(RuntimeError):
 
     Status 3: the working rows leave the objective unbounded.  Status 4:
     numerical difficulties from the ill-conditioned float64 basis
-    exp(t * nodes).  Status 4 occurs at n >= 4 on every grid tried, and
-    at some smaller (n, alpha) on some grids only: n = 3, alpha =
-    0.1+0.1i fails at the default LPConfig, with circle_points 1024, and
-    with circle_points 256 and polygon_sides 32, but solves with
-    circle_points 256, 128 or 64, with polygon_sides 32 or 16, and on
-    the coarser grids tried.  A smaller degree helps; below n = 4
-    another grid can too.
+    exp(t * nodes), on some grids only, and not monotonically in the
+    grid size.  n = 3, alpha = 0.1+0.1i fails at the default LPConfig,
+    with circle_points 1024, and with circle_points 256 and
+    polygon_sides 32, but solves with circle_points 256, 128 or 64, with
+    polygon_sides 32 or 16, and on the coarser grids tried.  n = 4,
+    alpha = 0.9i fails at the default LPConfig but solves with
+    circle_points 128 and polygon_sides 32, and with 64 and 16.  n = 4,
+    alpha = 0.5i fails on all three of those grids, and n = 5, alpha =
+    0.9i fails with circle_points 128 and polygon_sides 32 or 16.  A
+    smaller degree helps; another grid can too.
     """
 
 
@@ -507,7 +510,6 @@ def en_bracket(
     seed: int = 0,
     bits: int = DEFAULT_BITS,
     max_degree: int = DEFAULT_MAX_DEGREE,
-    witness_grid: int = 512,
 ) -> EnEstimate:
     """Assemble LP, oracle, witness, and analytic endpoints for (n, alpha).
 
@@ -516,7 +518,7 @@ def en_bracket(
     """
     lo, up = theorem2_bounds(n, alpha, bits)
     wbits = max(bits, required_witness_bits(n))
-    _, _, _, wlower = witness_certificate(n, alpha, grid=witness_grid, bits=wbits)
+    _, _, _, wlower = witness_certificate(n, alpha, bits=wbits)
     lp_val = en_lp_estimate(n, alpha, cfg, bits, max_degree)
     oracle_val = en_random_search(
         n, alpha, trials, seed, grid_points=cfg.torus_points, bits=bits

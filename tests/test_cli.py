@@ -251,6 +251,32 @@ def test_solve_csv_row_shares_sweep_schema(capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "1", "--alpha", "0.0+0.5i"],
+    ["sweep", "--n-range", "1", "--alpha-grid", "re:0,im:0.5"],
+], ids=["solve", "sweep"])
+def test_flag_defaults_are_the_solver_defaults(capsys, monkeypatch, argv):
+    from dataclasses import asdict
+
+    from bwexp.core import DEFAULT_BITS
+    from bwexp.solver import DEFAULT_MAX_DEGREE, EnEstimate, LPConfig
+
+    seen = []
+
+    def record(n, alpha, cfg, **kwargs):
+        seen.append((cfg, kwargs))
+        return EnEstimate(n, alpha, 1.0, 0.5, 0.0, -1.0, 9.0, cfg,
+                          kwargs["trials"], kwargs["seed"], kwargs["bits"])
+
+    monkeypatch.setattr("bwexp.cli.en_bracket", record)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    assert seen == [(LPConfig(), {"trials": 1000, "seed": 0, "bits": DEFAULT_BITS,
+                                  "max_degree": DEFAULT_MAX_DEGREE})]
+    if argv[0] == "solve":
+        assert json.loads(out)["cfg"] == asdict(LPConfig())
+
+
 def test_solve_grid_error_maps_to_remediation_exit(capsys, monkeypatch):
     from bwexp.solver import SolverGridError
 

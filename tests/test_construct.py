@@ -168,10 +168,10 @@ def test_witness_lower_bound_validation():
     f = compose_to_expsum(w.p, alpha)
     circ = norm_on_circle(f, 2, 64, depth=0)
     with pytest.raises(ValueError):
-        witness_lower_bound(w, alpha, 0.5, normk, circ)
+        witness_lower_bound(w, 0.5, normk, circ)
     grid_only = norm_on_K(w.p, alpha, 64, depth=0)
     with pytest.raises(ValueError):
-        witness_lower_bound(w, alpha, 2, grid_only, circ)
+        witness_lower_bound(w, 2, grid_only, circ)
 
 
 def test_witness_lower_bound_scale_invariance():
@@ -187,5 +187,5 @@ def test_witness_lower_bound_scale_invariance():
         normk2 = norm_on_K(scaled, alpha, 512)
         f2 = compose_to_expsum(scaled, alpha)
         circ2 = norm_on_circle(f2, w.r, 512, depth=0)
-        lower2 = witness_lower_bound(w, alpha, w.r, normk2, circ2)
+        lower2 = witness_lower_bound(w, w.r, normk2, circ2)
         assert abs(lower - lower2) <= mp.mpf(2) ** (-(BITS // 2)) * (1 + abs(lower))

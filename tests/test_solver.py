@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -108,6 +109,22 @@ def test_lp_monotone_under_circle_doubling():
                              torus_points=8, phase_samples=8)
         )
         assert fine <= coarse + 1e-8, f"n={n}: {fine} > {coarse}"
+
+
+@pytest.mark.parametrize("alpha", [A05, make_alpha(0.3, 0.4)], ids=str)
+def test_lp_monotone_under_torus_doubling(alpha):
+    # torus grids nest (angles k/M2), so doubling M2 only adds candidates;
+    # a non-multiple need not (12 -> 16 lowers n = 2 at 0.5i on 64/16)
+    for n in (1, 2, 3):
+        vals = [en_lp_estimate(n, alpha, replace(SMALL, torus_points=m)) for m in (8, 16, 32)]
+        assert vals[0] <= vals[1] + 1e-8 and vals[1] <= vals[2] + 1e-8, f"n={n}: {vals}"
+
+
+def test_lp_solves_degree_four_on_a_coarse_grid():
+    # status 4 at n = 4 depends on the grid: at alpha = 0.9i the default
+    # grid fails but 64 circle points and 16 polygon sides solve
+    val = en_lp_estimate(4, make_alpha(0.0, 0.9), LPConfig(circle_points=64, polygon_sides=16))
+    assert val == pytest.approx(19.998292560750425, abs=1e-6)
 
 
 def _converged_values(n, alpha, cfg):
