@@ -7,8 +7,8 @@ sweep file).
 
 Exit codes are a stable contract: 0 success, 1 parse or I/O error, 2
 invalid math arguments (a named hypothesis is violated), 3 solver
-remediation needed (a working-set LP unbounded or ill-conditioned), 4
-verification failure.
+remediation needed (a working-set LP ended with a nonzero HiGHS
+status), 4 verification failure.
 
 Every command is deterministic given its full flag set.  Sweep rows are
 computed by a share-nothing worker pool and assembled in sorted (n,
@@ -256,14 +256,7 @@ def cmd_witness(args) -> int:
                 "grid_max": _mp_str(normk.grid_max, bits),
                 "certified_upper": _mp_str(normk.certified_upper, bits),
             },
-            "circle_sup": {
-                "grid_max": _mp_str(circle.grid_max, bits),
-                "certified_upper": (
-                    None
-                    if circle.certified_upper is None
-                    else _mp_str(circle.certified_upper, bits)
-                ),
-            },
+            "circle_sup": {"grid_max": _mp_str(circle.grid_max, bits)},
             **tail,
         }, args.out)
     else:

@@ -15,28 +15,33 @@ from both sides:
     and torus grids by ln(bidisk grid max / first-order K bound), a
     float64 lower estimate without a rounding allowance.
 
+The LP's variables are Newton coefficients d: f = Psi d and c = W d,
+where column k of Psi is psi_k(t) = [a_0..a_k] e^{a t} over the nodes,
+scaled to max 1 on the circle (_newton_basis); a candidate's objective
+m.c is g.d, with g = W^T m over the scales.  At alpha = 0.5i, cond(Psi)
+is about 300 at n = 8, cond(exp(t (x) nodes)) 9e16 already at n = 5.
+
 Two reductions keep the LP tractable.  First, rotating all coefficients
 by e^{2 pi i/S} permutes the constraint set, so objective phases that
 differ by a multiple of 2 pi/S give equal optima; only Q/gcd(S,Q)
 residue phases are solved (one, at the defaults).  Second, a dual
-bound prunes torus candidates without solving them.  Write the
-constraint matrix E = exp(t (x) nodes) = QR, so f = E c, and take
-lambda = conj(Q) R^{-T} m, the least-squares solution of E^T lambda = m
-for the candidate's monomial vector m, with residual r = E^T lambda - m.
-Then m.c = lambda.f - r.c, and three facts bound it for every point the
+bound prunes torus candidates without solving them.  Write Psi = QR and
+take lambda = conj(Q) R^{-T} g, the least-squares solution of
+Psi^T lambda = g, with residual r = Psi^T lambda - g.  Then
+g.d = lambda.f - r.d, and three facts bound it for every point the
 sweep can accept:
 
   * the polygon rows force |f_i| <= sec(pi/S) at every circle point;
-  * ||c||_2 <= sqrt(M1) sec(pi/S) / sigma_min(E), which bounds the
-    residual term ||r||_2 ||c||_2 (sigma_min less a QR rounding
+  * ||d||_2 <= sqrt(M1) sec(pi/S) / sigma_min(Psi), which bounds the
+    residual term ||r||_2 ||d||_2 (sigma_min less a QR rounding
     allowance; if that leaves nothing, every bound is inf);
   * an accepted point violates no row by more than FEASIBILITY_TOL,
     except rows already in its working set that HiGHS leaves violated
     at its feasibility floor; so both facts hold with the extra factor
-    (1 + _ACCEPT_TOL), a margin of about 3.5 over the largest such
-    violation measured (2.8e-8).
+    (1 + _ACCEPT_TOL), far above the largest violation of an accepted
+    point measured (2.9e-11).
 
-So Re(e^{i theta} m.c) <= (1 + _ACCEPT_TOL) sec(pi/S)
+So Re(e^{i theta} g.d) <= (1 + _ACCEPT_TOL) sec(pi/S)
 (sum |lambda_i| + ||r||_2 sqrt(M1)/sigma_min), inflated for float
 rounding, for every residue phase theta at once.  Candidates are
 solved in descending bound order and the sweep stops at the first
@@ -49,8 +54,9 @@ row pattern and keeps every cut row, so a candidate starts from the
 rows its predecessors needed.  A new objective starts the dual simplex
 from the slack basis; each cut round hot-starts it from the previous
 basis, which adding rows leaves dual feasible.  Each working set is
-solved once, at SOLVER_OPTIONS (presolve off, tolerances 1e-9); any
-nonzero status raises SolverGridError at once.  Feasibility of the
+solved once, at SOLVER_OPTIONS (presolve off, tolerances 1e-9) with
+the cost scaled by a power of two to max 1 or below; any nonzero
+status raises SolverGridError at once.  Feasibility of the
 accepted point is certified by the explicit scan over all rows, not by
 the solver's internal tolerance.
 
@@ -64,8 +70,7 @@ scipy/optimize/_highspy/, whose package __init__ is empty, so that
 scipy/optimize/__init__.py never runs: that import (scipy.linalg,
 scipy.fft, scipy.special, scipy.spatial and SciPy's array-API layer)
 took about 0.6 s of the 0.85 s it took to import bwexp.cli.  An already
-imported copy is reused.  HiGHS model statuses map to linprog's codes
-in _LINPROG_STATUS.
+imported copy is reused.
 
 The LP layer runs in float64 (the estimates are grid-resolution-bound
 far above rounding error); analytic and witness quantities come from
@@ -115,16 +120,7 @@ def _load_highs_core():
 
 
 _core = _load_highs_core()
-_Highs, kHighsInf = _core._Highs, _core.kHighsInf
-# linprog's status codes; every other HiGHS model status is 4
-_LINPROG_STATUS = {
-    _core.HighsModelStatus.kOptimal: 0,
-    _core.HighsModelStatus.kTimeLimit: 1,
-    _core.HighsModelStatus.kIterationLimit: 1,
-    _core.HighsModelStatus.kInfeasible: 2,
-    _core.HighsModelStatus.kModelError: 2,
-    _core.HighsModelStatus.kUnbounded: 3,
-}
+_Highs, kHighsInf, _HighsModelStatus = _core._Highs, _core.kHighsInf, _core.HighsModelStatus
 
 DEFAULT_MAX_DEGREE = 8
 FEASIBILITY_TOL = 1e-9
@@ -140,33 +136,15 @@ _MAX_ROUNDS = 200
 _BOUND_CHUNK = 64
 _ORACLE_CIRCLE_POINTS = 512
 # Margin for the row violation of an accepted point in the dual bound.
-# The largest measured over the test suite and the benchmark workloads
-# is 2.8e-8 (HiGHS at primal feasibility 1e-9 leaves rows of its working
-# set violated by up to that); a looser margin only loosens the bound.
+# The largest measured over the test suite, the benchmark workloads and
+# n <= 8 at eleven alphas is 2.9e-11 (HiGHS runs at primal feasibility
+# 1e-9); a looser margin only loosens the bound.
 _ACCEPT_TOL = 1e-7
-_STATUS_CAUSES = {
-    3: "these rows leave the objective unbounded",
-    4: "the solver met numerical difficulties; the float64 basis exp(t * nodes) "
-    "is ill-conditioned at this degree and alpha",
-}
 
 
 class SolverGridError(RuntimeError):
-    """A working-set LP ended with a nonzero HiGHS status.
-
-    Status 3: the working rows leave the objective unbounded.  Status 4:
-    numerical difficulties from the ill-conditioned float64 basis
-    exp(t * nodes), on some grids only, and not monotonically in the
-    grid size.  n = 3, alpha = 0.1+0.1i fails at the default LPConfig,
-    with circle_points 1024, and with circle_points 256 and
-    polygon_sides 32, but solves with circle_points 256, 128 or 64, with
-    polygon_sides 32 or 16, and on the coarser grids tried.  n = 4,
-    alpha = 0.9i fails at the default LPConfig but solves with
-    circle_points 128 and polygon_sides 32, and with 64 and 16.  n = 4,
-    alpha = 0.5i fails on all three of those grids, and n = 5, alpha =
-    0.9i fails with circle_points 128 and polygon_sides 32 or 16.  A
-    smaller degree helps; another grid can too.
-    """
+    """A working-set LP ended with status 3 (its rows leave the objective
+    unbounded) or 4 (any other nonzero HiGHS status, named in the message)."""
 
 
 @dataclass(frozen=True)
@@ -255,9 +233,9 @@ def linprog(c, A_ub, model, options=SOLVER_OPTIONS):
     A new cost c replaces the model's and clears its solver, so the
     solve starts from the slack basis; c = None keeps the cost and
     hot-starts the dual simplex from the last basis, which stays dual
-    feasible when rows are only added.  Returns status (HiGHS's model
-    status mapped to linprog's codes), x (None unless status is 0) and
-    message.
+    feasible when rows are only added.  Returns status (0 optimal, 3
+    unbounded, 4 any other HiGHS model status; linprog's 1 and 2 cannot
+    occur: no limit is set and x = 0 satisfies every row), x and message.
     """
     for key, value in options.items():
         model.setOptionValue(key, value)
@@ -272,7 +250,7 @@ def linprog(c, A_ub, model, options=SOLVER_OPTIONS):
                       cols.astype(np.int32), A_ub[rows, cols])
     model.run()
     highs_status = model.getModelStatus()
-    status = _LINPROG_STATUS.get(highs_status, 4)
+    status = {_HighsModelStatus.kOptimal: 0, _HighsModelStatus.kUnbounded: 3}.get(highs_status, 4)
     message = f"HiGHS status {int(highs_status)}: {model.modelStatusToString(highs_status)}"
     x = np.array(model.getSolution().col_value) if status == 0 else None
     return SimpleNamespace(status=status, x=x, message=message)
@@ -290,27 +268,27 @@ class _WorkingSetLP:
     from the previous basis.
     """
 
-    def __init__(self, E: np.ndarray, S: int):
-        self.E = E
-        self.M1 = E.shape[0]
+    def __init__(self, psi: np.ndarray, S: int):
+        self.psi = psi
+        self.M1 = psi.shape[0]
         self.S = S
         self.phases = np.exp(2j * np.pi * np.arange(S) / S)
         # at least one circle point per coefficient, or the first LP is unbounded
-        stride = self.M1 // max(_BASE_POINTS, E.shape[1])
+        stride = self.M1 // max(_BASE_POINTS, psi.shape[1])
         self.base = {
             i * S + s
             for i in range(0, self.M1, max(1, stride))
             for s in range(0, S, max(1, S // _BASE_DIRECTIONS))
         }
         self.working: set = set()
-        ncol = 2 * E.shape[1]
+        ncol = 2 * psi.shape[1]
         self.model = _Highs()
         self.model.setOptionValue("output_flag", False)
         self.model.addVars(ncol, np.full(ncol, -kHighsInf), np.full(ncol, kHighsInf))
 
     def _rows(self, ids: np.ndarray) -> np.ndarray:
         i, s = ids // self.S, ids % self.S
-        u = self.E[i] * self.phases[s][:, None]
+        u = self.psi[i] * self.phases[s][:, None]
         return np.concatenate([u.real, -u.imag], axis=1)
 
     def maximize(self, d: np.ndarray, abandon_below: float | None = None) -> float | None:
@@ -322,27 +300,26 @@ class _WorkingSetLP:
         and the search stops early, returning None.
         """
         ncoef = d.shape[0] // 2
-        cost = -d
+        # HiGHS's tolerances are absolute; an exact power of two keeps x unchanged
+        cost = np.ldexp(-d, -math.frexp(np.abs(d).max())[1])
         new = sorted(self.base - self.working)
         for _ in range(_MAX_ROUNDS):
             self.working.update(new)
             res = linprog(cost, self._rows(np.array(new, dtype=int)), self.model)
             if res.status != 0:
-                cause = _STATUS_CAUSES.get(res.status, res.message)
                 raise SolverGridError(
                     f"LP not solvable on its working set of {len(self.working)} "
-                    f"constraint rows (solver status {res.status}): {cause}"
+                    f"constraint rows (solver status {res.status}): {res.message}"
                 )
             x = res.x
             if abandon_below is not None and float(d @ x) <= abandon_below:
                 return None
             cost = None
-            c = x[:ncoef] + 1j * x[ncoef:]
-            g = self.E @ c
-            ang = np.angle(g)
-            # nearest polygon direction maximizes Re(e^{i phi_s} g_i) over s
+            f = self.psi @ (x[:ncoef] + 1j * x[ncoef:])
+            ang = np.angle(f)
+            # nearest polygon direction maximizes Re(e^{i phi_s} f_i) over s
             sstar = np.mod(np.round(-ang * self.S / (2 * np.pi)), self.S).astype(int)
-            vals = np.abs(g) * np.cos(ang + 2 * np.pi * sstar / self.S)
+            vals = np.abs(f) * np.cos(ang + 2 * np.pi * sstar / self.S)
             bad = np.flatnonzero(vals > 1 + FEASIBILITY_TOL)
             if bad.size:
                 order = bad[np.argsort(-vals[bad], kind="stable")][:_CUTS_PER_ROUND]
@@ -359,67 +336,96 @@ class _WorkingSetLP:
 
 
 def _dual_certificate(
-    E: np.ndarray, S: int, sigma: float, lam: np.ndarray, m: np.ndarray
+    psi: np.ndarray, S: int, sigma: float, lam: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
-    """Bound on |m.c| over every point the sweep can accept, for any lam.
+    """Bound on |g.d| over every point the sweep can accept, for any lam.
 
-    Columns of m are monomial vectors and the matching columns of lam
-    are arbitrary complex weights over the circle points; sigma is a
-    lower bound on sigma_min(E).  The residual term carries whatever
-    E^T lam misses of m, so an inexact lam loosens the bound but never
+    Columns of g are torus rows and the matching columns of lam are
+    arbitrary complex weights over the circle points; sigma is a lower
+    bound on sigma_min(psi).  The residual term carries whatever
+    psi^T lam misses of g, so an inexact lam loosens the bound but never
     invalidates it.  gamma covers float rounding in the residual, in the
     sums, and in the objective the LP evaluates.
     """
-    M1, N = E.shape
+    M1, N = psi.shape
     gamma = 4 * (M1 + N) * np.finfo(float).eps
     resid = (
-        np.linalg.norm(E.T @ lam - m, axis=0)
-        + gamma * (np.linalg.norm(np.abs(E).T @ np.abs(lam), axis=0)
-                   + 2 * np.linalg.norm(m, axis=0))
+        np.linalg.norm(psi.T @ lam - g, axis=0)
+        + gamma * (np.linalg.norm(np.abs(psi).T @ np.abs(lam), axis=0)
+                   + 2 * np.linalg.norm(g, axis=0))
     )
     scale = (1 + _ACCEPT_TOL) * (1 + gamma) / math.cos(math.pi / S)
     return scale * (np.abs(lam).sum(axis=0) + resid * (math.sqrt(M1) / sigma))
 
 
-def _dual_bounds(E: np.ndarray, S: int, mono: np.ndarray) -> np.ndarray:
-    """Upper bound on every LP value at each row of mono; inf if E is singular.
+def _dual_bounds(psi: np.ndarray, S: int, rows: np.ndarray) -> np.ndarray:
+    """Upper bound on every LP value at each torus row; inf if psi is singular.
 
-    lambda = conj(Q) R^{-T} m from one QR of E, formed _BOUND_CHUNK
+    lambda = conj(Q) R^{-T} g from one QR of psi, formed _BOUND_CHUNK
     candidates at a time so the M1 x candidates matrix never exists.
-    sigma_min(E) is that of R less a Householder backward-error
+    sigma_min(psi) is that of R less a Householder backward-error
     allowance; when nothing is left, every bound is inf and nothing is
     pruned.
     """
-    M1, N = E.shape
-    inf = np.full(len(mono), np.inf)
-    if not np.isfinite(E).all():
+    M1, N = psi.shape
+    inf = np.full(len(rows), np.inf)
+    if not np.isfinite(psi).all():
         return inf
-    Q, R = np.linalg.qr(E)
+    Q, R = np.linalg.qr(psi)
     sigma = np.linalg.svd(R, compute_uv=False)[-1] - (
-        4 * M1 * N * np.finfo(float).eps * np.linalg.norm(E)
+        4 * M1 * N * np.finfo(float).eps * np.linalg.norm(psi)
     )
     if not sigma > 0:
         return inf
-    y = np.linalg.solve(R.T, mono.T)
-    chunks = (slice(lo, lo + _BOUND_CHUNK) for lo in range(0, len(mono), _BOUND_CHUNK))
+    y = np.linalg.solve(R.T, rows.T)
+    chunks = (slice(lo, lo + _BOUND_CHUNK) for lo in range(0, len(rows), _BOUND_CHUNK))
     return np.concatenate([
-        _dual_certificate(E, S, sigma, np.conj(Q) @ y[:, c], mono[c].T) for c in chunks
+        _dual_certificate(psi, S, sigma, np.conj(Q) @ y[:, c], rows[c].T) for c in chunks
     ])
 
 
-def _lp_problem(n: int, alpha: AlphaParam, cfg: LPConfig, bits: int):
-    """Constraint matrix E (circle points x monomials) and torus monomial rows."""
-    nodes = _nodes_f64(n, alpha, bits)
+def _torus_monomials(n: int, M2: int) -> np.ndarray:
+    """Monomial vectors m (rows, canonical order) at the M2 x M2 torus grid points."""
     idx = canonical_indices(n)
-    M1 = cfg.circle_points
-    t = np.exp(2j * np.pi * np.arange(M1) / M1)
-    E = np.exp(np.outer(t, nodes))
-    M2 = cfg.torus_points
     zgrid = np.exp(2j * np.pi * np.arange(M2) / M2)
     jpow = np.array([[z ** jk.j for jk in idx] for z in zgrid])
     kpow = np.array([[z ** jk.k for jk in idx] for z in zgrid])
-    mono = (jpow[:, None, :] * kpow[None, :, :]).reshape(M2 * M2, len(idx))
-    return E, mono
+    return (jpow[:, None, :] * kpow[None, :, :]).reshape(M2 * M2, len(idx))
+
+
+def _newton_basis(a: np.ndarray, M1: int):
+    """psi_k(t_i) = [a_0..a_k] e^{a t_i} at M1 circle points, and W with psi = e^{t a} W.
+
+    psi_k(t) = sum_j h_j(a_0..a_k) t^{k+j}/(k+j)!, h_j the complete
+    homogeneous symmetric polynomial, h_j(a_0..a_k) = sum_{i<=k} a_i
+    h_{j-1}(a_0..a_i).  J = ceil(e rho) + 60 terms suffice, rho = max|a|:
+    |h_j| <= C(j+k, k) rho^j, so on |t| = 1 the j-th term is at most
+    rho^j/(j! k!) <= (e rho/j)^j/k! and the dropped tail below 2e-26/k!,
+    while max|psi_k| >= 1/k! (its t^k coefficient, by Cauchy's estimate).
+    W[i,k] = 1/prod_{j<=k, j!=i}(a_i - a_j) for i <= k, else 0.
+    """
+    K = len(a)
+    J = math.ceil(math.e * np.abs(a).max()) + 60
+    h = np.ones((J, K), dtype=np.complex128)
+    for j in range(1, J):
+        h[j] = np.cumsum(a * h[j - 1])
+    band = np.zeros((K + J - 1, K), dtype=np.complex128)
+    band[np.arange(J)[:, None] + np.arange(K), np.arange(K)] = h
+    t = np.exp(2j * np.pi * np.arange(M1) / M1)
+    m = np.arange(K + J - 1)
+    inv_fact = np.cumprod(np.concatenate([[1.0], 1.0 / m[1:]]))
+    psi = (t[np.outer(np.arange(M1), m) % M1] * inv_fact) @ band
+    D = a[:, None] - a[None, :] + np.eye(K)
+    return psi, np.triu(1 / np.cumprod(D, axis=1))
+
+
+def _lp_problem(n: int, alpha: AlphaParam, cfg: LPConfig, bits: int):
+    """Newton matrix Psi, columns scaled to max 1, and torus rows g = W^T m over the scales."""
+    psi, W = _newton_basis(_nodes_f64(n, alpha, bits), cfg.circle_points)
+    scale = np.abs(psi).max(axis=0)
+    if not (np.isfinite(scale) & (scale > 0)).all():
+        raise SolverGridError(f"the Newton basis leaves the float64 range at n = {n}")
+    return psi / scale, (_torus_monomials(n, cfg.torus_points) @ W) / scale
 
 
 def en_lp_estimate(
@@ -432,11 +438,11 @@ def en_lp_estimate(
     """ln of the discretized-LP maximum over torus candidates and phases."""
     _candidate_guard(n, cfg, max_degree)
     require_alpha(alpha)
-    E, mono = _lp_problem(n, alpha, cfg, bits)
+    psi, rows = _lp_problem(n, alpha, cfg, bits)
     S = cfg.polygon_sides
-    lp = _WorkingSetLP(E, S)
+    lp = _WorkingSetLP(psi, S)
     rotations = np.exp(1j * np.array(phase_residues(S, cfg.phase_samples)))[:, None]
-    bounds = _dual_bounds(E, S, mono)
+    bounds = _dual_bounds(psi, S, rows)
 
     # A candidate whose bound does not exceed the incumbent cannot be
     # accepted above it, and neither can any later one in this order.
@@ -444,7 +450,7 @@ def en_lp_estimate(
     for p in np.argsort(-bounds, kind="stable"):
         if bounds[p] <= best:
             break
-        for dm in mono[p] * rotations:
+        for dm in rows[p] * rotations:
             val = lp.maximize(np.concatenate([dm.real, -dm.imag]), abandon_below=best)
             if val is not None and val > best:
                 best = val
@@ -480,9 +486,10 @@ def en_random_search(
     require_alpha(alpha)
     idx = canonical_indices(n)
     ncoef = len(idx)
-    cfg = LPConfig(circle_points=_ORACLE_CIRCLE_POINTS, torus_points=grid_points)
-    E, mono = _lp_problem(n, alpha, cfg, bits)
     nodes = _nodes_f64(n, alpha, bits)
+    t = np.exp(2j * np.pi * np.arange(_ORACLE_CIRCLE_POINTS) / _ORACLE_CIRCLE_POINTS)
+    E = np.exp(np.outer(t, nodes))
+    mono = _torus_monomials(n, grid_points)
     deriv_weight = (np.pi / _ORACLE_CIRCLE_POINTS) * np.abs(nodes) * np.exp(np.abs(nodes))
 
     witness = build_witness(n, alpha, max(bits, required_witness_bits(n)))

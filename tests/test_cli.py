@@ -207,6 +207,7 @@ def test_witness_report_schema_and_known_coefficients(capsys):
     assert isinstance(report["max_residual"], str)
     assert float(report["max_residual"]) <= 1e-60
     assert isinstance(report["norm_K"]["grid_max"], str)
+    assert set(report["circle_sup"]) == {"grid_max"}
     assert float(report["norm_K"]["certified_upper"]) >= float(
         report["norm_K"]["grid_max"]
     )
@@ -289,14 +290,6 @@ def test_solve_grid_error_maps_to_remediation_exit(capsys, monkeypatch):
     )
     assert code == EXIT_SOLVER
     assert "remediation" in err and "--circle-points" in err
-
-
-def test_solve_ill_conditioned_degree_exits_remediation(capsys):
-    # the float64 LP basis fails at n = 4 on the default grid; this flips
-    # once a better-conditioned basis solves n = 4
-    code, _, err = run_cli(capsys, ["solve", "--n", "4", "--alpha", "0.0+0.5i"])
-    assert code == EXIT_SOLVER
-    assert "status 4" in err and "remediation" in err
 
 
 # ------------------------------------------------------------------ sweep

@@ -15,12 +15,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.optimize import linprog
-from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from bwexp import solver
-from bwexp.construct import required_witness_bits
-from bwexp.core import MultiIndex, Poly2, canonical_indices, make_alpha, space_dimension
+from bwexp.construct import divided_difference_weights, required_witness_bits
+from bwexp.core import (
+    MultiIndex,
+    Poly2,
+    canonical_indices,
+    make_alpha,
+    monomial_nodes,
+    space_dimension,
+)
 from bwexp.solver import (
     EnEstimate,
     LPConfig,
@@ -28,6 +35,7 @@ from bwexp.solver import (
     _dual_bounds,
     _dual_certificate,
     _lp_problem,
+    _newton_basis,
     _nodes_f64,
     _WorkingSetLP,
     en_bracket,
@@ -86,6 +94,11 @@ def test_lp_guard_errors():
                                         torus_points=8, phase_samples=8))
     with pytest.raises(ValueError):
         en_lp_estimate(1, make_alpha(0.5, 0.0), SMALL)
+    # the Newton table overflows at |alpha| = 60 and its scales underflow at n = 20
+    with pytest.raises(SolverGridError, match="float64 range"):
+        en_lp_estimate(3, make_alpha(0.0, 60.0), SMALL)
+    with pytest.raises(SolverGridError, match="float64 range"):
+        en_lp_estimate(20, A05, LPConfig(circle_points=1024), max_degree=20)
 
 
 def test_lp_small_config_frozen_value():
@@ -102,7 +115,7 @@ def test_lp_within_analytic_bracket():
 
 def test_lp_monotone_under_circle_doubling():
     # constraint grids nest (angles k/M), so doubling M1 only shrinks
-    for n in (1, 2):
+    for n in (1, 2, 4):
         coarse = en_lp_estimate(n, A05, SMALL)
         fine = en_lp_estimate(
             n, A05, LPConfig(circle_points=128, polygon_sides=16,
@@ -121,10 +134,76 @@ def test_lp_monotone_under_torus_doubling(alpha):
 
 
 def test_lp_solves_degree_four_on_a_coarse_grid():
-    # status 4 at n = 4 depends on the grid: at alpha = 0.9i the default
-    # grid fails but 64 circle points and 16 polygon sides solve
+    # a coarse grid at n = 4; the value was first pinned in the monomial
+    # basis exp(t * nodes), where this grid solved and the default did not
     val = en_lp_estimate(4, make_alpha(0.0, 0.9), LPConfig(circle_points=64, polygon_sides=16))
     assert val == pytest.approx(19.998292560750425, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_newton_weights_are_divided_difference_weights(n):
+    # W's last column is the divided difference over all nodes
+    for alpha in (A05, make_alpha(0.1, 0.1)):
+        _, W = _newton_basis(_nodes_f64(n, alpha, 256), 64)
+        ref = np.array([complex(w) for w in divided_difference_weights(
+            [e.value for e in monomial_nodes(n, alpha)])])
+        assert np.abs(W[:, -1] - ref).max() <= 1e-13 * np.abs(ref).max(), alpha
+
+
+@pytest.mark.parametrize("alpha", [(0.0, 0.5), (0.1, 0.1), (0.0, 0.9)])
+def test_newton_basis_at_degree_eight(alpha):
+    # the columns against E W in mpmath at 64 + 16N bits, where the
+    # cancellation of exp(t * nodes) is harmless; and the scaled matrix
+    # is well conditioned where exp(t * nodes) is singular in float64
+    a = make_alpha(*alpha)
+    N = space_dimension(8)
+    psi, _ = _newton_basis(_nodes_f64(8, a, 256), 512)
+    with mp.workprec(64 + 16 * N):
+        nodes = [e.value for e in monomial_nodes(8, a, 64 + 16 * N)]
+        ts = [mp.expjpi(mp.mpf(i) / 256) for i in range(0, 512, 64)]
+        for k in range(N + 1):
+            w = divided_difference_weights(nodes[:k + 1], 64 + 16 * N)
+            ref = np.array([complex(mp.fsum(c * mp.exp(x * t) for c, x in zip(w, nodes)))
+                            for t in ts])
+            err = np.abs(psi[::64, k] - ref).max()
+            assert err <= 1e-12 * np.abs(ref).max(), (k, err)
+    assert np.linalg.cond(psi / np.abs(psi).max(axis=0)) < 1e4
+
+
+def test_lp_solves_high_degrees_on_the_default_grid():
+    # values of an independent mpmath Newton-basis prototype
+    assert en_lp_estimate(4, A05) == pytest.approx(23.536547, abs=1e-6)
+    assert en_lp_estimate(8, A05) == pytest.approx(96.658499, abs=1e-6)
+
+
+def test_lp_solves_every_grid_at_a_small_alpha():
+    # n = 3 at 0.1+0.1i failed with status 4 on half of these grids in
+    # the monomial basis; doubling the circle grid only shrinks the value
+    a = make_alpha(0.1, 0.1)
+    vals = {
+        grid: en_lp_estimate(3, a, LPConfig(circle_points=grid[0], polygon_sides=grid[1]))
+        for grid in [(512, 64), (1024, 64), (256, 64), (256, 32), (128, 32), (64, 16)]
+    }
+    assert vals[1024, 64] <= vals[512, 64] + 1e-8
+    assert vals[512, 64] <= vals[256, 64] + 1e-8
+
+
+def test_highs_solves_per_degree_on_the_default_grid(monkeypatch):
+    # one HiGHS solve per working set: 17, 11 and 13 solves at n = 1, 2, 3
+    real = solver.linprog
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "linprog", counting)
+    counts = []
+    for n in (1, 2, 3):
+        calls.clear()
+        en_lp_estimate(n, A05)
+        counts.append(len(calls))
+    assert counts == [17, 11, 13]
 
 
 def _converged_values(n, alpha, cfg):
@@ -172,7 +251,7 @@ def test_dual_bounds_singular_basis_prunes_nothing(monkeypatch):
     near = E.copy()
     near[:, -1] = near[:, 0] + 1e-14 * near[:, 1]
     overflow = E.copy()
-    overflow[0, -1] = np.inf  # exp(t * nodes) overflows for |Im alpha| > 709
+    overflow[0, -1] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (singular, near, overflow):
@@ -242,13 +321,6 @@ def test_nonzero_status_raises_at_once(monkeypatch, status, k):
     assert len(calls) == k
 
 
-def test_status_map_matches_linprog():
-    # the local map gives linprog's code for every HiGHS model status
-    for status in solver._core.HighsModelStatus.__members__.values():
-        expected = _highs_to_scipy_status_message(status, "")[0]
-        assert solver._LINPROG_STATUS.get(status, 4) == expected, status
-
-
 def test_binding_is_scipys_own_when_bwexp_imported_first():
     # the order of a script that imports bwexp before SciPy: the extension
     # solver loaded from its file is the one scipy.optimize then imports,
@@ -271,7 +343,7 @@ def test_binding_is_scipys_own_when_bwexp_imported_first():
 def test_lp_conjugate_symmetry(alpha):
     # t -> conj t maps the curve for alpha onto the one for conj alpha
     a, conj = make_alpha(*alpha), make_alpha(alpha[0], -alpha[1])
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         assert en_lp_estimate(n, a, SMALL) == pytest.approx(
             en_lp_estimate(n, conj, SMALL), abs=1e-9
         ), f"n={n}"
