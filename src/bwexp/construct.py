@@ -192,7 +192,8 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
 
     Returns (witness, normK, circle_sup, lower_bound) with the K norm
     certified on a grid of `grid` points and the circle sup taken at
-    radius r (default N/n).
+    radius r (default N/n).  Both circles read one moment table of the
+    composed witness (norms keeps the latest table).
     """
     w = build_witness(n, alpha, bits)
     radius = w.r if r is None else r

@@ -13,7 +13,12 @@ D >= 1
 
 because the segment from t_i to t stays inside |u| <= r where every
 |f^(D)(u)| <= T_D.  Taking the grid max of each |f^(m)| and minimizing
-over D gives the certificate.  Depth 1 is the classical
+over D gives the certificate.  The adaptive ladder stops at the first D
+whose tail h^D/D! T_D is at most 2^-min(bits/2, 64) of the least bound
+so far, B.  Every deeper bound is at least the partial sum at D, which
+is at least B less that tail, so stopping raises the certificate by at
+most 2^-64 B over the minimum across all depths; it stays an upper
+bound.  Depth 1 is the classical
 grid_max + h * sum|c||a|e^{r|a|} bound; deeper levels matter when f has
 engineered cancellation (witness polynomials have K norms around
 e^{n}/N! while sum|c||a|e^{|a|} is astronomically larger, so the
@@ -28,10 +33,16 @@ out are evaluated at working precision.
 * With the moments mu_k = sum c a^k (formed once, at working precision)
   and w = e^{2 pi i/M}, f^(j)(t_i) = sum_m b_m w^{im} with
   b_m = mu_{m+j} r^m/m!: a length-M DFT of the Taylor coefficients,
-  folded mod M, evaluated as a float64 matrix-vector product.
-* The rest of a level's set-up is float arithmetic on a table filled
-  once per moment: each mu_k, sum |c||a|^k and r^m/m! is stored, when
-  it is formed, as a float64 mantissa of modulus at most 1 and a binary
+  folded mod M, evaluated as a float64 matrix-vector product.  Its
+  block w^{(im) mod M} is gathered once per grid, grown when a level
+  needs more columns, and sliced.
+* The moments do not depend on r, so one table per ExpSum and
+  precision holds them for every circle: mu_k, sum |c||a|^k and the
+  level coefficients c a^k.  The latest table is kept, so a witness's
+  K circle and its r = N/n circle form each moment once.
+* The rest of a level's set-up is float arithmetic on values stored
+  once each: each mu_k, sum |c||a|^k and r^m/m! is stored, when it is
+  formed, as a float64 mantissa of modulus at most 1 and a binary
   exponent from mp.mag.  L and a power-of-two scale 2^-S are picked
   from the table's log2 values, and each scaled coefficient is the
   product of the mantissas of mu_{m+j} and r^m/m!, shifted exactly by
@@ -148,41 +159,85 @@ def _split(x, kind):
     return m, e, e + math.log2(abs(m))
 
 
+class _Moments:
+    """The moments mu_k = sum c a^k of one ExpSum at one precision.
+
+    Holds, for every k formed so far, the level coefficients c a^k, the
+    float split of mu_k, sum |c||a|^k and its float log2.  None of it
+    depends on the circle, so every radius and grid of the ExpSum reads
+    one table.  Build and call inside mp.workprec(bits).
+    """
+
+    def __init__(self, terms, bits: int):
+        self.terms, self.bits = terms, bits
+        coeffs = [mp.mpc(c) for c, _ in terms]
+        self.exps = [mp.mpc(a) for _, a in terms]
+        self.abs_exps = [abs(a) for a in self.exps]
+        self.amax = max(self.abs_exps)
+        self.levels = [coeffs]  # c a^k, one list per k
+        self.abs_powers = [abs(c) for c in coeffs]  # |c||a|^k for the next moment k
+        self.abs_moments = []  # sum |c||a|^k
+        self.mu_f, self.abs_log = [], []  # _split of mu_k, log2 sum |c||a|^k
+
+    def extend(self, k: int):
+        """Make moments up to index k available."""
+        while len(self.mu_f) <= k:
+            powers = self.levels[-1]
+            s = mp.mpc(0)
+            for p in powers:
+                s += p
+            self.mu_f.append(_split(s, complex))
+            self.abs_moments.append(sum(self.abs_powers))
+            self.abs_log.append(_split(self.abs_moments[-1], float)[2])
+            self.levels.append([p * a for p, a in zip(powers, self.exps)])
+            self.abs_powers = [p * x for p, x in zip(self.abs_powers, self.abs_exps)]
+
+    def level(self, j: int):
+        """c a^j for every term: the coefficients of f^(j)."""
+        self.extend(j)
+        return self.levels[j]
+
+
+_last_moments = None  # the table of the latest circle estimate
+
+
+def _moment_table(f: ExpSum, bits: int) -> _Moments:
+    """f's moment table at bits, the latest one again when f.terms and bits match.
+
+    One entry is kept, so the circles of one ExpSum that are estimated in
+    a row (a witness's K circle and its r = N/n circle) share a table,
+    and no more than one table outlives its call.
+    """
+    global _last_moments
+    terms = tuple(f.terms)  # a copy if a caller passed a list it may change
+    if _last_moments is None or (_last_moments.terms, _last_moments.bits) != (terms, bits):
+        _last_moments = _Moments(terms, bits)
+    return _last_moments
+
+
 class _CircleGrid:
     """Level maxima max_i |f^(j)(t_i)| on the grid t_i = r e^{2 pi i i/M}.
 
     A float64 scan of the moments finds the candidates; only those are
     evaluated at working precision, exactly as a full scan would (see the
-    module docstring).  Build and call inside mp.workprec(bits).
+    module docstring).  Build and call inside mp.workprec(table.bits).
     """
 
-    def __init__(self, coeffs, exps, r, M: int, bits: int):
-        self.exps, self.r, self.M, self.bits = exps, r, M, bits
-        self.abs_exps = [abs(a) for a in exps]
-        self.xmax = r * max(self.abs_exps)  # r max|a|
-        self.powers = list(coeffs)  # c a^k for the next moment k
-        self.abs_powers = [abs(c) for c in coeffs]  # |c||a|^k
-        self.abs_moments = []  # sum |c||a|^k
+    def __init__(self, table: _Moments, r, M: int):
+        self.table, self.r, self.M = table, r, M
+        self.exps = table.exps
+        self.xmax = r * table.amax  # r max|a|
         self.rfac = [mp.mpf(1)]  # r^m / m!
-        # the float table: _split of mu_k = sum c a^k and of r^m/m!, log2 sum |c||a|^k
-        self.mu_f, self.rfac_f, self.abs_log = [], [_split(self.rfac[0], float)], []
-        self.tails = [abs(c) * mp.exp(r * x) for c, x in zip(coeffs, self.abs_exps)]  # |c||a|^j e^{r|a|}
+        self.rfac_f = [_split(self.rfac[0], float)]
+        self.tails = [abs(c) * mp.exp(r * x) for c, x in zip(table.levels[0], table.abs_exps)]  # |c||a|^j e^{r|a|}
         self.totals = [sum(self.tails)]  # T_j
         self.step = 2 * mp.pi / M
         self.twiddle = np.exp(2j * np.pi * np.arange(M) / M)
+        self.dft = np.empty((M, 0), dtype=np.complex128)  # twiddle[(i m) mod M], the columns gathered so far
         self.rows = {}  # grid index -> [e^{a t_i}]
 
-    def extend(self, k: int, m: int):
-        """Make moments up to index k and r^m/m! up to m available."""
-        while len(self.mu_f) <= k:
-            s = mp.mpc(0)
-            for p in self.powers:
-                s += p
-            self.mu_f.append(_split(s, complex))
-            self.abs_moments.append(sum(self.abs_powers))
-            self.abs_log.append(_split(self.abs_moments[-1], float)[2])
-            self.powers = [p * a for p, a in zip(self.powers, self.exps)]
-            self.abs_powers = [p * x for p, x in zip(self.abs_powers, self.abs_exps)]
+    def extend(self, m: int):
+        """Make r^m/m! up to index m available."""
         while len(self.rfac) <= m:
             self.rfac.append(self.rfac[-1] * self.r / len(self.rfac))
             self.rfac_f.append(_split(self.rfac[-1], float))
@@ -190,7 +245,7 @@ class _CircleGrid:
     def total(self, j: int):
         """T_j = sum |c||a|^j e^{r|a|}, one |a| factor per level on a running list."""
         while len(self.totals) <= j:
-            self.tails = [u * x for u, x in zip(self.tails, self.abs_exps)]
+            self.tails = [u * x for u, x in zip(self.tails, self.table.abs_exps)]
             self.totals.append(sum(self.tails))
         return self.totals[j]
 
@@ -207,22 +262,24 @@ class _CircleGrid:
         precision, enters the window.  S is the least integer with
         max|b_m| <= 2^S by the same log2 values.
         """
-        noise = mp.ldexp(self.total(j), -self.bits)
+        table = self.table
+        noise = mp.ldexp(self.total(j), -table.bits)
         log_noise = _split(noise, float)[2]
         xmax = float(self.xmax)
         log_bmax, m = -math.inf, 0
         while True:
-            self.extend(m + j + 1, m + 1)
-            log_bmax = max(log_bmax, self.mu_f[m + j][2] + self.rfac_f[m][2])
+            table.extend(m + j + 1)
+            self.extend(m + 1)
+            log_bmax = max(log_bmax, table.mu_f[m + j][2] + self.rfac_f[m][2])
             shrink = 1 - xmax / (m + 2)  # > 0 only if m + 2 > r max|a| exactly
             if shrink > 0:
-                log_tail = self.abs_log[m + j + 1] + self.rfac_f[m + 1][2] - math.log2(shrink)
+                log_tail = table.abs_log[m + j + 1] + self.rfac_f[m + 1][2] - math.log2(shrink)
                 if log_tail <= log_bmax - 53 or log_tail <= log_noise:
                     break
             m += 1
-        tail = self.abs_moments[m + j + 1] * self.rfac[m + 1] / (1 - self.xmax / (m + 2))
+        tail = table.abs_moments[m + j + 1] * self.rfac[m + 1] / (1 - self.xmax / (m + 2))
         S = math.ceil(log_bmax) if log_bmax > -math.inf else 0
-        mu, rf = self.mu_f[j : j + m + 1], self.rfac_f[: m + 1]
+        mu, rf = table.mu_f[j : j + m + 1], self.rfac_f[: m + 1]
         # Re and Im of each float moment times the float r^m/m!, scaled exactly
         mant = np.array([u for u, _, _ in mu]).view(np.float64) * np.repeat([v for v, _, _ in rf], 2)
         shift = np.repeat([e + g - S for (_, e, _), (_, g, _) in zip(mu, rf)], 2)
@@ -242,7 +299,9 @@ class _CircleGrid:
         folded = np.zeros(M, dtype=np.complex128)
         np.add.at(folded, np.arange(L + 1) % M, coef)
         q = min(L + 1, M)
-        vals = self.twiddle[np.outer(np.arange(M), np.arange(q)) % M] @ folded[:q]
+        if self.dft.shape[1] < q:
+            self.dft = self.twiddle[np.outer(np.arange(M), np.arange(q)) % M]
+        vals = self.dft[:, :q] @ folded[:q]
         # rounding of the moments (k + K + 2 roundings of terms up to
         # |c||a|^k), of r^m/m!, and of the direct evaluation, whose
         # exponent a t_i carries an error of order r|a| 2^-bits
@@ -279,7 +338,8 @@ def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth) -> NormEstimate:
 
     depth: 0 for grid max only, a positive integer for a fixed Taylor
     depth (1 = the one-step derivative bound), None for adaptive depth
-    (minimum over depths until the tail term stops mattering).
+    (minimum over depths until the tail term falls to
+    2^-min(bits/2, 64) of the best bound, see the module docstring).
     """
     if M < GRID_FLOOR:
         raise ValueError(f"grid needs at least {GRID_FLOOR} points, got {M}")
@@ -287,21 +347,19 @@ def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth) -> NormEstimate:
         rr = mp.mpf(r)
         if rr <= 0:
             raise ValueError(f"radius must be positive, got {mp.nstr(rr, 8)}")
-        coeffs = [mp.mpc(c) for c, _ in f.terms]
-        exps = [mp.mpc(a) for _, a in f.terms]
-        if not coeffs:
+        if not f.terms:
             zero = mp.mpf(0)
             return NormEstimate(zero, zero)
-        grid = _CircleGrid(coeffs, exps, rr, M, bits)
+        table = _moment_table(f, bits)
+        grid = _CircleGrid(table, rr, M)
 
-        grid_max = grid.level_max(0, coeffs)
+        grid_max = grid.level_max(0, table.level(0))
         if depth == 0:
             return NormEstimate(grid_max, None)
 
         h = mp.pi * rr / M
-        scaled = list(coeffs)
-        cap = depth if depth is not None else max(GRID_FLOOR, 2 * len(coeffs) + 16)
-        cutoff = mp.mpf(2) ** (-(bits // 2))
+        cap = depth if depth is not None else max(GRID_FLOOR, 2 * len(f.terms) + 16)
+        cutoff = mp.mpf(2) ** -min(bits // 2, 64)
         partial = mp.mpf(0)  # sum_{m<D} h^m/m! G_m
         hfac = mp.mpf(1)  # h^m / m!
         best = None
@@ -316,8 +374,7 @@ def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth) -> NormEstimate:
             if depth is None and tail <= cutoff * best:
                 break
             if m + 1 < cap:
-                scaled = [d * a for d, a in zip(scaled, exps)]
-                g = grid.level_max(m + 1, scaled)
+                g = grid.level_max(m + 1, table.level(m + 1))
         return NormEstimate(grid_max, best)
 
 
@@ -332,7 +389,17 @@ def norm_on_K(p: Poly2, alpha: AlphaParam, M: int = 512, bits: int = DEFAULT_BIT
 
 
 def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=None) -> NormEstimate:
-    """Sup of |f| on |t| = r with grid max and ladder certificate."""
+    """Sup of |f| on |t| = r with grid max and ladder certificate.
+
+    grid_max is the largest |f(t_i)| over the M grid points, an attained
+    value.  depth 0 skips the certificate, a positive depth fixes the
+    Taylor depth, and None (adaptive) stops the ladder once its tail is
+    2^-min(bits/2, 64) of the best bound: within 2^-64 of the least
+    bound over all depths, and still an upper bound.  f's moments come
+    from one table shared with the previous estimate of the same f at
+    the same bits, and each level's DFT block is gathered once per grid
+    (see the module docstring); neither changes a value.
+    """
     return _circle_estimate(f, r, M, bits, depth)
 
 

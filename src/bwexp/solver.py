@@ -406,15 +406,18 @@ def _newton_basis(a: np.ndarray, M1: int):
     """
     K = len(a)
     J = math.ceil(math.e * np.abs(a).max()) + 60
-    h = np.ones((J, K), dtype=np.complex128)
-    for j in range(1, J):
-        h[j] = np.cumsum(a * h[j - 1])
-    band = np.zeros((K + J - 1, K), dtype=np.complex128)
-    band[np.arange(J)[:, None] + np.arange(K), np.arange(K)] = h
     t = np.exp(2j * np.pi * np.arange(M1) / M1)
     m = np.arange(K + J - 1)
     inv_fact = np.cumprod(np.concatenate([[1.0], 1.0 / m[1:]]))
-    psi = (t[np.outer(np.arange(M1), m) % M1] * inv_fact) @ band
+    # past the float64 range the table and psi hold inf and nan quietly;
+    # _lp_problem's finiteness check raises SolverGridError on them
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.ones((J, K), dtype=np.complex128)
+        for j in range(1, J):
+            h[j] = np.cumsum(a * h[j - 1])
+        band = np.zeros((K + J - 1, K), dtype=np.complex128)
+        band[np.arange(J)[:, None] + np.arange(K), np.arange(K)] = h
+        psi = (t[np.outer(np.arange(M1), m) % M1] * inv_fact) @ band
     D = a[:, None] - a[None, :] + np.eye(K)
     return psi, np.triu(1 / np.cumprod(D, axis=1))
 

@@ -221,7 +221,12 @@ def suite_inequalities(level: str, bits: int) -> SuiteResult:
 
 
 def suite_witness(level: str, bits: int) -> SuiteResult:
-    """Witness vanishing order: residuals and the r^N growth law."""
+    """Witness vanishing order: residuals and the r^N growth law.
+
+    Each degree's K circle and its three radii read one moment table:
+    the K norm composes the same ExpSum as f, and norms keeps the latest
+    table.
+    """
     t0 = time.perf_counter()
     n_max = 6 if level == "full" else 3
     wbits = 512 if level == "full" else bits

@@ -21,7 +21,9 @@ from bwexp.construct import (
     witness_certificate,
     witness_lower_bound,
 )
+from bwexp import norms
 from bwexp.norms import norm_on_circle, norm_on_K
+from bwexp.suites import suite_witness
 
 SEED = 20240813
 BITS = 256
@@ -31,6 +33,15 @@ ALPHAS = [
     make_alpha(-0.2, 0.6),
     make_alpha(0.1, 0.1),
 ]
+# float(lower) of witness_certificate(n, 0.5i) for n = 1..5 at grid 512,
+# 256 bits, recorded when each circle still formed its own moments
+CERT_LOWER = (
+    -0.22386290795075245,
+    0.7341775690341715,
+    3.17103606777356,
+    7.321385901666317,
+    13.377201762648394,
+)
 
 
 def test_weights_hand_values():
@@ -189,3 +200,43 @@ def test_witness_lower_bound_scale_invariance():
         circ2 = norm_on_circle(f2, w.r, 512, depth=0)
         lower2 = witness_lower_bound(w, w.r, normk2, circ2)
         assert abs(lower - lower2) <= mp.mpf(2) ** (-(BITS // 2)) * (1 + abs(lower))
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The moment tables built during a test, none kept from before it."""
+    builds = []
+    init = norms._Moments.__init__
+
+    def counting_init(table, *args):
+        builds.append(table)
+        init(table, *args)
+
+    monkeypatch.setattr(norms._Moments, "__init__", counting_init)
+    monkeypatch.setattr(norms, "_last_moments", None)
+    return builds
+
+
+def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
+    # the K circle and the r = N/n circle read one moment table, built once
+    # per certificate, and report exactly what estimates with their own
+    # tables report
+    for alpha in ALPHAS[:2]:
+        for n in range(1, 6):
+            table_builds.clear()
+            w, normk, circle, lower = witness_certificate(n, alpha)
+            assert len(table_builds) == 1, f"n={n}"
+            f = compose_to_expsum(w.p, alpha, BITS)
+            monkeypatch.setattr(norms, "_last_moments", None)
+            assert norm_on_K(w.p, alpha, 512, BITS) == normk, f"n={n}"
+            monkeypatch.setattr(norms, "_last_moments", None)
+            assert norm_on_circle(f, w.r, 512, BITS, depth=0) == circle, f"n={n}"
+            if alpha is ALPHAS[0]:
+                assert float(lower) == CERT_LOWER[n - 1], f"n={n}"
+
+
+def test_suite_witness_reads_one_table_per_degree(table_builds):
+    # each degree's K circle and its three radii share one table
+    result = suite_witness("quick", BITS)
+    assert (result.cases, result.failures) == (12, 0)
+    assert len(table_builds) == 3

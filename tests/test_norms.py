@@ -9,7 +9,7 @@ import pytest
 from bwexp import ExpSum, MultiIndex, Poly2, canonical_indices, compose_to_expsum, eval_poly, make_alpha
 from bwexp.analytic_bounds import coeff_log_upper, theorem2_bounds
 from bwexp.construct import build_witness
-from bwexp.norms import _CircleGrid, _window, bw_envelope, norm_on_bidisk, norm_on_circle, norm_on_K
+from bwexp.norms import _CircleGrid, _Moments, _window, bw_envelope, norm_on_bidisk, norm_on_circle, norm_on_K
 
 SEED = 20240814
 BITS = 256
@@ -193,7 +193,7 @@ def test_float_scan_within_window():
             coeffs = [mp.mpc(c) for c, _ in f.terms]
             exps = [mp.mpc(a) for _, a in f.terms]
             for r in (1, 2):
-                grid = _CircleGrid(coeffs, exps, mp.mpf(r), 64, BITS)
+                grid = _CircleGrid(_Moments(f.terms, BITS), mp.mpf(r), 64)
                 scaled = coeffs
                 for j in range(4):
                     vals, n, size, extra, S = grid.scan(j)
@@ -204,6 +204,22 @@ def test_float_scan_within_window():
                             s += d * e
                         assert abs(mp.mpc(v) - s * mp.ldexp(1, -S)) <= E, f"{tag} r={r} j={j} i={i}"
                     scaled = [d * a for d, a in zip(scaled, exps)]
+
+
+def test_ladder_stop_within_its_bound():
+    # the adaptive ladder stops once the tail term is 2^-64 of the best
+    # bound, and deeper levels lower the certificate by at most that tail:
+    # against the ladder run to the depth cap, the certificate is at most
+    # 2^-64 higher and never lower
+    for re, im in STANDARD_ALPHAS[:2]:
+        alpha = make_alpha(re, im)
+        for n in range(1, 6):
+            p = build_witness(n, alpha, BITS).p
+            cap = max(8, 2 * len(compose_to_expsum(p, alpha, BITS).terms) + 16)
+            adaptive = norm_on_K(p, alpha, 512, BITS).certified_upper
+            full = norm_on_K(p, alpha, 512, BITS, depth=cap).certified_upper
+            with mp.workprec(BITS):
+                assert 0 <= adaptive - full <= mp.ldexp(full, -64), f"n={n} alpha={re}+{im}i"
 
 
 def _full_scan_bidisk(p, M):

@@ -94,11 +94,15 @@ def test_lp_guard_errors():
                                         torus_points=8, phase_samples=8))
     with pytest.raises(ValueError):
         en_lp_estimate(1, make_alpha(0.5, 0.0), SMALL)
-    # the Newton table overflows at |alpha| = 60 and its scales underflow at n = 20
-    with pytest.raises(SolverGridError, match="float64 range"):
-        en_lp_estimate(3, make_alpha(0.0, 60.0), SMALL)
-    with pytest.raises(SolverGridError, match="float64 range"):
-        en_lp_estimate(20, A05, LPConfig(circle_points=1024), max_degree=20)
+    # the Newton table overflows at |alpha| = 60 and its scales underflow at
+    # n = 20; the error is the only report, with no NumPy warning before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverGridError, match="float64 range"):
+            en_lp_estimate(3, make_alpha(0.0, 60.0), SMALL)
+        with pytest.raises(SolverGridError, match="float64 range"):
+            en_lp_estimate(20, A05, LPConfig(circle_points=1024), max_degree=20)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_lp_small_config_frozen_value():
