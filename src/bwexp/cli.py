@@ -332,8 +332,6 @@ def cmd_sweep(args) -> int:
         for n in sorted(ns)
         for re, im in sorted(alphas)
     ]
-    if not tasks:
-        raise ValueError("sweep grid is empty")
     if args.jobs > 1:
         from multiprocessing import Pool  # about 7 ms, paid only with --jobs > 1
 

@@ -22,9 +22,11 @@ the bracket's lower endpoint up to the n^2/4 slack of
 sum k ln k >= (n^2 ln n)/2 - n^2/4.
 
 The weights span about N orders of magnitude, so the construction
-enforces bits >= 64 + ceil(N log2(n+2)) and verifies the power-sum
-residuals after the fact; both failure modes raise with a message
-telling the caller to increase precision.
+enforces bits >= 64 + ceil(N log2(n+2)) and checks the power sums
+mu_0..mu_N of the normalized witness after the fact, on the
+norms.moment_table that witness_certificate's two circles then read;
+both failure modes raise with a message telling the caller to increase
+precision.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .core import (
     require_alpha,
     space_dimension,
 )
-from .norms import NormEstimate, norm_on_circle, norm_on_K
+from .norms import NormEstimate, moment_table, norm_on_circle, norm_on_K
 
 
 def required_witness_bits(n: int) -> int:
@@ -83,22 +85,17 @@ class WitnessResult:
     """A witness polynomial with verified vanishing order.
 
     p holds the witness normalized to max |coefficient| = 1;
-    max_residual is the largest |sum c a^m| over m < N relative to
-    max|c| * max(1, max|a|)^N, evaluated before normalization (the
-    ratio is scale invariant).
+    max_residual is the largest |mu_m| = |sum c a^m| over m < N of the
+    composed witness, relative to max(1, max|a|)^N, read from the
+    moment table its circle estimates share.
     """
 
     p: Poly2
     n: int
     order: int  # N, the vanishing order at t = 0
-    max_residual: object  # mp.mpf
+    max_residual: object  # mp.mpf, at most 2^-(bits//4)
     r: object  # mp.mpf, the evaluation radius N/n
     bits: int
-
-    @property
-    def ok(self) -> bool:
-        with mp.workprec(self.bits):
-            return self.max_residual <= mp.mpf(2) ** (-(self.bits // 4))
 
 
 def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> WitnessResult:
@@ -106,7 +103,9 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
 
     Coefficients are the divided-difference weights over the canonical
     exponent nodes, rescaled to max |coefficient| = 1.  Raises if the
-    precision floor is not met or the verified residual is too large.
+    precision floor is not met or a power sum mu_m of the composed
+    witness misses its value (0 for m < N, 1/max|weight| at m = N) by
+    more than 2^-(bits//4) in the relative terms of max_residual.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
@@ -119,40 +118,28 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
     N = space_dimension(n)
     with mp.workprec(bits):
         nodes = monomial_nodes(n, alpha, bits)
-        vals = [e.value for e in nodes]
-        weights = divided_difference_weights(vals, bits)
-
-        # residuals of the power-sum system, before normalization
+        weights = divided_difference_weights([e.value for e in nodes], bits)
         wmax = max(abs(w) for w in weights)
-        amax = max(mp.mpf(1), max(abs(a) for a in vals))
-        denom = wmax * amax**N
-        worst = mp.mpf(0)
-        powers = [mp.mpc(1)] * len(vals)
-        for m in range(N):
-            s = mp.mpc(0)
-            for i, w in enumerate(weights):
-                s += w * powers[i]
-                powers[i] *= vals[i]
-            worst = max(worst, abs(s) / denom)
-        top = mp.mpc(0)
-        for i, w in enumerate(weights):
-            top += w * powers[i]
-        if abs(top - 1) > mp.mpf(2) ** (-(bits // 4)):
+        p = Poly2(n, {e.index: w / wmax for e, w in zip(nodes, weights)})
+
+        # the power sums of the normalized weights, from the table that
+        # the witness's circle estimates read
+        table = moment_table(compose_to_expsum(p, alpha, bits), bits)
+        table.extend(N)
+        threshold = mp.mpf(2) ** (-(bits // 4))
+        top = table.mu[N] * wmax
+        if abs(top - 1) > threshold:
             raise ValueError(
                 f"normalization row failed at {bits} bits "
                 f"(|sum c a^N - 1| = {mp.nstr(abs(top - 1), 5)}); increase precision"
             )
-        threshold = mp.mpf(2) ** (-(bits // 4))
+        worst = max(abs(mu) for mu in table.mu[:N]) / max(mp.mpf(1), table.amax) ** N
         if worst > threshold:
             raise ValueError(
                 f"power-sum residual {mp.nstr(worst, 5)} exceeds 2^-{bits // 4} "
                 f"at {bits} bits; increase precision"
             )
-
-        coeffs = {
-            e.index: w / wmax for e, w in zip(nodes, weights)
-        }
-        return WitnessResult(Poly2(n, coeffs), n, N, worst, mp.mpf(N) / n, bits)
+        return WitnessResult(p, n, N, worst, mp.mpf(N) / n, bits)
 
 
 def witness_lower_bound(w: WitnessResult, r, normk: NormEstimate, circle_sup: NormEstimate):
@@ -192,8 +179,9 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
 
     Returns (witness, normK, circle_sup, lower_bound) with the K norm
     certified on a grid of `grid` points and the circle sup taken at
-    radius r (default N/n).  Both circles read one moment table of the
-    composed witness (norms keeps the latest table).
+    radius r (default N/n).  Both circles read the moment table that
+    build_witness checked the vanishing order on (norms keeps the latest
+    table).
     """
     w = build_witness(n, alpha, bits)
     radius = w.r if r is None else r

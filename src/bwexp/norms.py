@@ -39,7 +39,9 @@ out are evaluated at working precision.
 * The moments do not depend on r, so one table per ExpSum and
   precision holds them for every circle: mu_k, sum |c||a|^k and the
   level coefficients c a^k.  The latest table is kept, so a witness's
-  K circle and its r = N/n circle form each moment once.
+  vanishing check (construct.build_witness reads its mu_0..mu_N), its
+  K circle and its r = N/n circle share one table and form each moment
+  once.
 * The rest of a level's set-up is float arithmetic on values stored
   once each: each mu_k, sum |c||a|^k and r^m/m! is stored, when it is
   formed, as a float64 mantissa of modulus at most 1 and a binary
@@ -162,8 +164,8 @@ def _split(x, kind):
 class _Moments:
     """The moments mu_k = sum c a^k of one ExpSum at one precision.
 
-    Holds, for every k formed so far, the level coefficients c a^k, the
-    float split of mu_k, sum |c||a|^k and its float log2.  None of it
+    Holds, for every k formed so far, the level coefficients c a^k,
+    mu_k and its float split, sum |c||a|^k and its float log2.  None of it
     depends on the circle, so every radius and grid of the ExpSum reads
     one table.  Build and call inside mp.workprec(bits).
     """
@@ -177,7 +179,7 @@ class _Moments:
         self.levels = [coeffs]  # c a^k, one list per k
         self.abs_powers = [abs(c) for c in coeffs]  # |c||a|^k for the next moment k
         self.abs_moments = []  # sum |c||a|^k
-        self.mu_f, self.abs_log = [], []  # _split of mu_k, log2 sum |c||a|^k
+        self.mu, self.mu_f, self.abs_log = [], [], []  # mu_k, its _split, log2 sum |c||a|^k
 
     def extend(self, k: int):
         """Make moments up to index k available."""
@@ -186,6 +188,7 @@ class _Moments:
             s = mp.mpc(0)
             for p in powers:
                 s += p
+            self.mu.append(s)
             self.mu_f.append(_split(s, complex))
             self.abs_moments.append(sum(self.abs_powers))
             self.abs_log.append(_split(self.abs_moments[-1], float)[2])
@@ -198,15 +201,16 @@ class _Moments:
         return self.levels[j]
 
 
-_last_moments = None  # the table of the latest circle estimate
+_last_moments = None  # the latest table asked for
 
 
-def _moment_table(f: ExpSum, bits: int) -> _Moments:
+def moment_table(f: ExpSum, bits: int) -> _Moments:
     """f's moment table at bits, the latest one again when f.terms and bits match.
 
-    One entry is kept, so the circles of one ExpSum that are estimated in
-    a row (a witness's K circle and its r = N/n circle) share a table,
-    and no more than one table outlives its call.
+    One entry is kept, so the uses of one ExpSum that come in a row (a
+    witness's vanishing check, its K circle and its r = N/n circle)
+    share a table, and no more than one table outlives its call.  Call
+    inside mp.workprec(bits).
     """
     global _last_moments
     terms = tuple(f.terms)  # a copy if a caller passed a list it may change
@@ -350,7 +354,7 @@ def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth) -> NormEstimate:
         if not f.terms:
             zero = mp.mpf(0)
             return NormEstimate(zero, zero)
-        table = _moment_table(f, bits)
+        table = moment_table(f, bits)
         grid = _CircleGrid(table, rr, M)
 
         grid_max = grid.level_max(0, table.level(0))

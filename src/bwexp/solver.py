@@ -11,9 +11,12 @@ from both sides:
     outer polygon make this a relaxation of the candidate restriction,
     so refining the constraint grid can only shrink the value.
   * en_random_search scores random coefficient vectors (plus the
-    deterministic candidates z, w, and the witness) on the LP's circle
-    and torus grids by ln(bidisk grid max / first-order K bound), a
-    float64 lower estimate without a rounding allowance.
+    deterministic candidates z, w, and the witness) on the LP's torus
+    grid and a fixed circle grid of _ORACLE_CIRCLE_POINTS = 512 points
+    by ln(bidisk grid max / first-order K bound), a float64 lower
+    estimate without a rounding allowance.  That circle is the LP's
+    only at the default circle_points; a coarser LP (circle_points=128,
+    say) still scores the oracle on 512 points.
 
 The LP's variables are Newton coefficients d: f = Psi d and c = W d,
 where column k of Psi is psi_k(t) = [a_0..a_k] e^{a t} over the nodes,
@@ -477,10 +480,11 @@ def en_random_search(
     R^{2(N+1)}; the score is scale invariant, so their directions are
     uniform on the unit sphere.  The bidisk maximum is taken over the
     LP's torus grid with grid_points per axis, and ||P||_K is bounded by
-    grid_max + (pi/M) sum |c||a|e^{|a|} over the LP's circle grid of
-    M = _ORACLE_CIRCLE_POINTS points.  That K bound is first order and
-    evaluated in float64 with no rounding allowance, so the score is an
-    estimate of a lower bound on e_n(alpha), not a certified one.
+    grid_max + (pi/M) sum |c||a|e^{|a|} over a circle grid of the fixed
+    M = _ORACLE_CIRCLE_POINTS = 512 points, whatever the LP's
+    circle_points.  That K bound is first order and evaluated in float64
+    with no rounding allowance, so the score is an estimate of a lower
+    bound on e_n(alpha), not a certified one.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
@@ -525,6 +529,8 @@ def en_bracket(
 
     Invariant violations (a lower estimate exceeding an upper bound plus
     its stated allowance) are recorded in flags, never silently dropped.
+    The oracle rebuilds the certificate's witness at the same precision,
+    so its vanishing check reads the moment table the certificate left.
     """
     lo, up = theorem2_bounds(n, alpha, bits)
     wbits = max(bits, required_witness_bits(n))

@@ -223,9 +223,9 @@ def suite_inequalities(level: str, bits: int) -> SuiteResult:
 def suite_witness(level: str, bits: int) -> SuiteResult:
     """Witness vanishing order: residuals and the r^N growth law.
 
-    Each degree's K circle and its three radii read one moment table:
-    the K norm composes the same ExpSum as f, and norms keeps the latest
-    table.
+    Each degree's residual check, K circle and three radii read one
+    moment table: build_witness and the K norm compose the same ExpSum
+    as f, and norms keeps the latest table.
     """
     t0 = time.perf_counter()
     n_max = 6 if level == "full" else 3
@@ -235,12 +235,8 @@ def suite_witness(level: str, bits: int) -> SuiteResult:
     a = make_alpha(*STANDARD_ALPHAS[0])
     for n in range(1, n_max + 1):
         use_bits = max(wbits, required_witness_bits(n))
-        w = build_witness(n, a, use_bits)
+        w = build_witness(n, a, use_bits)  # raises unless the residuals pass
         cases += 1
-        if not w.ok:
-            failures += 1
-            first = first or f"n={n}: residual {mp.nstr(w.max_residual, 5)}"
-            continue
         N = space_dimension(n)
         f = compose_to_expsum(w.p, a, use_bits)
         base = norm_on_K(w.p, a, 512, use_bits)

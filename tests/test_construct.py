@@ -21,8 +21,9 @@ from bwexp.construct import (
     witness_certificate,
     witness_lower_bound,
 )
-from bwexp import norms
+from bwexp import construct, norms
 from bwexp.norms import norm_on_circle, norm_on_K
+from bwexp.solver import LPConfig, en_bracket
 from bwexp.suites import suite_witness
 
 SEED = 20240813
@@ -33,6 +34,7 @@ ALPHAS = [
     make_alpha(-0.2, 0.6),
     make_alpha(0.1, 0.1),
 ]
+SMALL_LP = LPConfig(circle_points=64, polygon_sides=16, torus_points=8, phase_samples=8)
 # float(lower) of witness_certificate(n, 0.5i) for n = 1..5 at grid 512,
 # 256 bits, recorded when each circle still formed its own moments
 CERT_LOWER = (
@@ -107,7 +109,7 @@ def test_witness_vanishes_to_order_n():
         for n in (1, 2, 3):
             for alpha in ALPHAS:
                 w = build_witness(n, alpha)
-                assert w.ok
+                assert w.max_residual <= mp.mpf(2) ** (-(BITS // 4))
                 f = compose_to_expsum(w.p, alpha, BITS)
                 N = space_dimension(n)
                 amax = max(1, max(abs(mp.mpc(a)) for _, a in f.terms))
@@ -118,6 +120,39 @@ def test_witness_vanishes_to_order_n():
                     )
                 dN = derivative_at_zero(f, N, BITS)
                 assert abs(dN) > mp.mpf(2) ** (-(BITS // 8))
+
+
+def _perturbed_weights(monkeypatch, at_zero_only):
+    """Scale the weight at node 0 (or every weight) by 1 + 2^-40."""
+    weights = construct.divided_difference_weights
+
+    def perturbed(nodes, bits):
+        with mp.workprec(bits):
+            scale = 1 + mp.mpf(2) ** -40
+            return [c * scale if a == 0 or not at_zero_only else c
+                    for c, a in zip(weights(nodes, bits), nodes)]
+
+    monkeypatch.setattr(construct, "divided_difference_weights", perturbed)
+
+
+def test_witness_rejects_power_sum_residual(monkeypatch):
+    # a^0 = 1 only at node 0, so only mu_0 moves: by 9e-13 to 6e-19 of
+    # max(1, max|a|)^N at n = 1..3, against 2^-64
+    _perturbed_weights(monkeypatch, at_zero_only=True)
+    for alpha in ALPHAS[:2]:
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError, match="power-sum residual"):
+                build_witness(n, alpha)
+
+
+def test_witness_rejects_normalization_row(monkeypatch):
+    # scaling every weight leaves the normalized witness and its residuals,
+    # but sum c a^N = 1 + 2^-40 before normalization
+    _perturbed_weights(monkeypatch, at_zero_only=False)
+    for alpha in ALPHAS[:2]:
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError, match="normalization row"):
+                build_witness(n, alpha)
 
 
 def test_witness_residual_at_512_bits():
@@ -218,9 +253,20 @@ def table_builds(monkeypatch):
 
 
 def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
-    # the K circle and the r = N/n circle read one moment table, built once
-    # per certificate, and report exactly what estimates with their own
-    # tables report
+    # the vanishing check, the K circle and the r = N/n circle read one
+    # moment table, built once per certificate, and report exactly what
+    # estimates with their own tables report
+    for n in (1, 2, 3):
+        table_builds.clear()
+        w = build_witness(n, ALPHAS[0])
+        assert len(table_builds) == 1, f"n={n}"
+        norm_on_K(w.p, ALPHAS[0], 64, BITS)
+        assert len(table_builds) == 1, f"n={n}"
+        # the oracle rebuilds the certificate's witness from its table
+        table_builds.clear()
+        monkeypatch.setattr(norms, "_last_moments", None)
+        en_bracket(n, ALPHAS[0], SMALL_LP, trials=10)
+        assert len(table_builds) == 1, f"n={n}"
     for alpha in ALPHAS[:2]:
         for n in range(1, 6):
             table_builds.clear()
