@@ -23,8 +23,9 @@ sum k ln k >= (n^2 ln n)/2 - n^2/4.
 
 The weights span about N orders of magnitude, so the construction
 enforces bits >= 64 + ceil(N log2(n+2)) and checks the power sums
-mu_0..mu_N of the normalized witness after the fact, on the
-norms.moment_table that witness_certificate's two circles then read;
+mu_0..mu_N of the normalized witness after the fact, from the exact
+integer sums of the norms.moment_table that witness_certificate's two
+circles then read;
 both failure modes raise with a message telling the caller to increase
 precision.
 """
@@ -125,15 +126,14 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
         # the power sums of the normalized weights, from the table that
         # the witness's circle estimates read
         table = moment_table(compose_to_expsum(p, alpha, bits), bits)
-        table.extend(N)
         threshold = mp.mpf(2) ** (-(bits // 4))
-        top = table.mu[N] * wmax
+        top = table.moment(N) * wmax
         if abs(top - 1) > threshold:
             raise ValueError(
                 f"normalization row failed at {bits} bits "
                 f"(|sum c a^N - 1| = {mp.nstr(abs(top - 1), 5)}); increase precision"
             )
-        worst = max(abs(mu) for mu in table.mu[:N]) / max(mp.mpf(1), table.amax) ** N
+        worst = max(abs(table.moment(m)) for m in range(N)) / max(mp.mpf(1), table.amax) ** N
         if worst > threshold:
             raise ValueError(
                 f"power-sum residual {mp.nstr(worst, 5)} exceeds 2^-{bits // 4} "

@@ -30,38 +30,48 @@ M K exponentials and M K multiply-adds per level (K terms), so each
 level is scanned in float64 first and only the candidates it cannot rule
 out are evaluated at working precision.
 
-* With the moments mu_k = sum c a^k (formed once, at working precision)
-  and w = e^{2 pi i/M}, f^(j)(t_i) = sum_m b_m w^{im} with
-  b_m = mu_{m+j} r^m/m!: a length-M DFT of the Taylor coefficients,
-  folded mod M, evaluated as a float64 matrix-vector product.  Its
-  block w^{(im) mod M} is gathered once per grid, grown when a level
-  needs more columns, and sliced.
+* With the moments mu_k = sum c a^k and w = e^{2 pi i/M},
+  f^(j)(t_i) = sum_m b_m w^{im} with b_m = mu_{m+j} r^m/m!: a length-M
+  DFT of the Taylor coefficients, folded mod M, evaluated as a float64
+  matrix-vector product.  Its block w^{(im) mod M} is gathered once per
+  grid, grown when a level needs more columns, and sliced.
 * The moments do not depend on r, so one table per ExpSum and
-  precision holds them for every circle: mu_k, sum |c||a|^k and the
-  level coefficients c a^k.  The latest table is kept, so a witness's
-  vanishing check (construct.build_witness reads its mu_0..mu_N), its
-  K circle and its r = N/n circle share one table and form each moment
-  once.
+  precision holds them for every circle.  Each mu_k is an exact sum of
+  Python integers: c and a are truncated once to multiples of 2^-F,
+  F = bits + _GUARD (after exact power-of-two scalings), each power
+  c a^{k+1} = (c a^k) a is floored back to that scale, and a running
+  integer bound on the truncation error of each level, at most
+  (k + K + 2) 2^-bits sum |c||a|^k on the witnesses and random sums
+  the tests check, is kept beside it.  So are integer upper bounds on
+  sum |c||a|^k, which cannot overflow.  The working-precision level
+  coefficients c a^j, which only the kept points' evaluation reads,
+  are formed when a level is asked for.  The latest table is kept, so
+  a witness's vanishing check (construct.build_witness reads its
+  mu_0..mu_N), its K circle and its r = N/n circle share one table and
+  form each moment once.
 * The rest of a level's set-up is float arithmetic on values stored
-  once each: each mu_k, sum |c||a|^k and r^m/m! is stored, when it is
-  formed, as a float64 mantissa of modulus at most 1 and a binary
-  exponent from mp.mag.  L and a power-of-two scale 2^-S are picked
-  from the table's log2 values, and each scaled coefficient is the
-  product of the mantissas of mu_{m+j} and r^m/m!, shifted exactly by
-  ldexp.
+  once each: each mu_k and r^m/m! is stored, when it is formed, as a
+  float64 mantissa of modulus below 1 and an exact binary exponent.
+  Both come from exact integers (mu_k's integer sum, and
+  r^m/m! = r_man^m 2^{m r_exp}/m! for r = r_man 2^r_exp), so each
+  mantissa part is one correctly rounded int / int division.  L and a
+  power-of-two scale 2^-S are picked from the table's log2 values, and
+  each scaled coefficient is the product of the mantissas of mu_{m+j}
+  and r^m/m!, shifted exactly by ldexp.
 * Cauchy's estimate gives |b_m| <= sup_{|t|=r} |f^(j)|, so no term of
   the float sum exceeds the level maximum and its rounding error is
   small relative to that maximum, even where the terms c e^{a t} of f
   cancel by many orders of magnitude.  The cancellation is paid once,
-  in the moments, at working precision.
+  in the exact integer sums.
 * A grid point is kept when its float modulus is within 2E of the float
   maximum, where E bounds |float value - working-precision value| at
   every grid point.  E adds the float rounding
   2 gamma_{2L+66} sum|b_m| (gamma_n = n u/(1 - n u)) with an underflow
   allowance, the closed-form truncation tail
-  sum |c||a|^j sum_{m>L} (r|a|)^m/m!, and the working-precision rounding
-  of the moments and of the direct evaluation, a multiple of 2^-bits T_j
-  with T_j = sum |c||a|^j e^{r|a|}, the running sum the ladder keeps.
+  sum |c||a|^j sum_{m>L} (r|a|)^m/m!, the moments' tracked error
+  sum_{m<=L} |mu_{m+j} - integer sum| r^m/m!, and the working-precision
+  rounding of the direct evaluation, a multiple of 2^-bits T_j with
+  T_j = sum |c||a|^j e^{r|a|}, the running sum the ladder keeps.
   The gamma count covers three roundings of each coefficient (the float
   mantissas of mu_{m+j} and of r^m/m!, and their product; the shifts
   are exact), the twiddle factors, folding and the dot product; a
@@ -147,57 +157,105 @@ def _near_max(vals, n: int, size: float, extra: float):
     return np.flatnonzero(mod >= top - 2 * _window(top, n, size, extra))
 
 
-def _split(x, kind):
-    """(m, e, log2|x|) with x = m 2^e, |m| <= 1, m rounded once to kind.
+def _log2(x) -> float:
+    """log2 x of a nonnegative mpf as a float, -inf at zero."""
+    man, exp = x.man_exp
+    return exp + math.log2(man) if man else -math.inf
 
-    e comes from mp.mag, so the scaling by 2^-e is exact and the
-    conversion of m to float or complex is the only rounding; zero
-    splits as (0, 0, -inf).
-    """
-    if not x:
-        return kind(0), 0, -math.inf
-    e = int(mp.mag(x))
-    m = kind(x * mp.ldexp(1, -e))
-    return m, e, e + math.log2(abs(m))
+
+_GUARD = 64  # bits the fixed-point moments carry below 2^-bits
 
 
 class _Moments:
     """The moments mu_k = sum c a^k of one ExpSum at one precision.
 
-    Holds, for every k formed so far, the level coefficients c a^k,
-    mu_k and its float split, sum |c||a|^k and its float log2.  None of it
-    depends on the circle, so every radius and grid of the ExpSum reads
-    one table.  Build and call inside mp.workprec(bits).
+    The moments are exact sums of Python integers.  With F = bits +
+    _GUARD, each c 2^-ec and a 2^-ea (powers of two that bring max|c|
+    into [1/2, 1) and max|a| into [1, 2)) is truncated once to an integer
+    C or A, a multiple of 2^-F, and each power c a^{k+1} is the product
+    of c a^k and A, floored back to that scale.  Level k's integers
+    carry the exact exponent e_k = ec + k ea - F, and mu_k below is the
+    exact moment of the working-precision c and a.  For every k formed
+    so far the table holds:
+
+    * sums[k], the integer sum (re, im) of the powers, and mu_f[k], its
+      float split (m, e, log2|mu_k|), each part of m rounded once;
+    * errors[k] >= |sums[k] - mu_k 2^-e_k|: truncating c errs by less
+      than 2 per term, and each step multiplies the bound by
+      (max floor|A| + 3) 2^-F and adds 2 sum U_k 2^-F for a's truncation
+      and 2 per term for the floor;
+    * abs_sums[k] = sum U_k >= sum |c||a|^k 2^-e_k, from the per-term
+      bounds U_0 = floor|C| + 3, U_{k+1} = ceil(U_k (floor|A| + 3) 2^-F);
+    * the float log2 values of errors[k] 2^e_k and abs_sums[k] 2^e_k.
+
+    errors and abs_sums only feed bounds, and being integers, they
+    cannot overflow.  The level coefficients c a^j that level_max
+    multiplies into its rows are mpmath products, c a^{j+1} = (c a^j) a,
+    formed when level(j) asks for them.  None of it depends on the
+    circle, so every radius and grid of the ExpSum reads one table.
+    Build and call inside mp.workprec(bits).
     """
 
     def __init__(self, terms, bits: int):
         self.terms, self.bits = terms, bits
-        coeffs = [mp.mpc(c) for c, _ in terms]
+        self.coeffs = [mp.mpc(c) for c, _ in terms]
         self.exps = [mp.mpc(a) for _, a in terms]
         self.abs_exps = [abs(a) for a in self.exps]
         self.amax = max(self.abs_exps)
-        self.levels = [coeffs]  # c a^k, one list per k
-        self.abs_powers = [abs(c) for c in coeffs]  # |c||a|^k for the next moment k
-        self.abs_moments = []  # sum |c||a|^k
-        self.mu, self.mu_f, self.abs_log = [], [], []  # mu_k, its _split, log2 sum |c||a|^k
+        self.levels = [self.coeffs]  # c a^j for j asked so far
+        self.F = F = bits + _GUARD
+        cmax = max(abs(c) for c in self.coeffs)
+        self.ec = int(mp.mag(cmax)) if cmax else 0
+        self.ea = int(mp.mag(self.amax)) - 1 if self.amax else 0
+        self.re = [int(mp.ldexp(c.real, F - self.ec)) for c in self.coeffs]  # the next level's powers
+        self.im = [int(mp.ldexp(c.imag, F - self.ec)) for c in self.coeffs]
+        self.a_re = [int(mp.ldexp(a.real, F - self.ea)) for a in self.exps]
+        self.a_im = [int(mp.ldexp(a.imag, F - self.ea)) for a in self.exps]
+        self.up = [math.isqrt(x * x + y * y) + 3 for x, y in zip(self.re, self.im)]  # U_k
+        self.a_up = [math.isqrt(x * x + y * y) + 3 for x, y in zip(self.a_re, self.a_im)]
+        self.error = 2 * len(terms)  # the next level's error bound
+        self.sums, self.mu_f, self.errors, self.abs_sums = [], [], [], []
+        self.err_log, self.abs_log = [], []  # log2 of errors[k] 2^e_k and abs_sums[k] 2^e_k
+
+    def scale(self, k: int) -> int:
+        """e_k, the binary exponent of level k's integers."""
+        return self.ec + k * self.ea - self.F
 
     def extend(self, k: int):
         """Make moments up to index k available."""
+        F = self.F
         while len(self.mu_f) <= k:
-            powers = self.levels[-1]
-            s = mp.mpc(0)
-            for p in powers:
-                s += p
-            self.mu.append(s)
-            self.mu_f.append(_split(s, complex))
-            self.abs_moments.append(sum(self.abs_powers))
-            self.abs_log.append(_split(self.abs_moments[-1], float)[2])
-            self.levels.append([p * a for p, a in zip(powers, self.exps)])
-            self.abs_powers = [p * x for p, x in zip(self.abs_powers, self.abs_exps)]
+            e = self.scale(len(self.mu_f))
+            re, im, up = sum(self.re), sum(self.im), sum(self.up)
+            b = max(re.bit_length(), im.bit_length()) + 1  # |re + i im| < 2^b
+            m = complex(re / (1 << b), im / (1 << b))  # int / int rounds once
+            self.sums.append((re, im))
+            self.mu_f.append((m, b + e, b + e + math.log2(abs(m)) if m else -math.inf))
+            self.errors.append(self.error)
+            self.err_log.append(e + math.log2(self.error))
+            self.abs_sums.append(up)
+            self.abs_log.append(e + math.log2(up))
+            self.error = -(-self.error * max(self.a_up) >> F) - (-2 * up >> F) + 2 * len(self.up)
+            pairs = list(zip(self.re, self.im, self.a_re, self.a_im))
+            self.re = [(x * u - y * v) >> F for x, y, u, v in pairs]
+            self.im = [(x * v + y * u) >> F for x, y, u, v in pairs]
+            self.up = [-(-x * u >> F) for x, u in zip(self.up, self.a_up)]
+
+    def moment(self, k: int):
+        """mu_k from the integer sum, rounded once to the working precision."""
+        self.extend(k)
+        (re, im), e = self.sums[k], self.scale(k)
+        return mp.mpc(mp.ldexp(re, e), mp.ldexp(im, e))
+
+    def abs_moment(self, k: int):
+        """An upper bound on sum |c||a|^k, rounded up to the working precision."""
+        self.extend(k)
+        return mp.ldexp(mp.mpf(self.abs_sums[k], rounding="c"), self.scale(k))
 
     def level(self, j: int):
         """c a^j for every term: the coefficients of f^(j)."""
-        self.extend(j)
+        while len(self.levels) <= j:
+            self.levels.append([p * a for p, a in zip(self.levels[-1], self.exps)])
         return self.levels[j]
 
 
@@ -231,9 +289,9 @@ class _CircleGrid:
         self.table, self.r, self.M = table, r, M
         self.exps = table.exps
         self.xmax = r * table.amax  # r max|a|
-        self.rfac = [mp.mpf(1)]  # r^m / m!
-        self.rfac_f = [_split(self.rfac[0], float)]
-        self.tails = [abs(c) * mp.exp(r * x) for c, x in zip(table.levels[0], table.abs_exps)]  # |c||a|^j e^{r|a|}
+        self.r_man, self.r_exp = r.man_exp  # r = r_man 2^r_exp exactly (r > 0)
+        self.rfac_f = []  # (u, e, log2 r^m/m!) with r^m/m! = u 2^e, |u| < 1
+        self.tails = [abs(c) * mp.exp(r * x) for c, x in zip(table.coeffs, table.abs_exps)]  # |c||a|^j e^{r|a|}
         self.totals = [sum(self.tails)]  # T_j
         self.step = 2 * mp.pi / M
         self.twiddle = np.exp(2j * np.pi * np.arange(M) / M)
@@ -241,10 +299,18 @@ class _CircleGrid:
         self.rows = {}  # grid index -> [e^{a t_i}]
 
     def extend(self, m: int):
-        """Make r^m/m! up to index m available."""
-        while len(self.rfac) <= m:
-            self.rfac.append(self.rfac[-1] * self.r / len(self.rfac))
-            self.rfac_f.append(_split(self.rfac[-1], float))
+        """Make r^m/m! up to index m available, each mantissa rounded once."""
+        while len(self.rfac_f) <= m:
+            k = len(self.rfac_f)
+            num, den = self.r_man**k, math.factorial(k)
+            shift = den.bit_length() - num.bit_length() - 1  # num 2^shift / den in (1/4, 1)
+            u = (num << shift) / den if shift >= 0 else num / (den << -shift)
+            e = k * self.r_exp - shift
+            self.rfac_f.append((u, e, e + math.log2(u)))
+
+    def rfac(self, m: int):
+        """r^m/m! at working precision."""
+        return mp.ldexp(mp.mpf(self.r_man**m) / math.factorial(m), m * self.r_exp)
 
     def total(self, j: int):
         """T_j = sum |c||a|^j e^{r|a|}, one |a| factor per level on a running list."""
@@ -254,7 +320,7 @@ class _CircleGrid:
         return self.totals[j]
 
     def taylor(self, j: int):
-        """Float 2^-S b_m, b_m = mu_{m+j} r^m/m! for m <= L; S, the tail past L, noise.
+        """Float 2^-S b_m, b_m = mu_{m+j} r^m/m! for m <= L; S, the tail past L, the moments' error, noise.
 
         The closed-form tail sum |c||a|^j sum_{m>L} (r|a|)^m/m! is at
         most r^{L+1}/(L+1)! sum |c||a|^{j+L+1} / (1 - r max|a|/(L+2)).
@@ -263,12 +329,15 @@ class _CircleGrid:
         rounding of the largest b_m or below noise = 2^-bits T_j, the
         scale of working-precision rounding at this level.  L only sets
         the work: the tail for the chosen L, formed once at working
-        precision, enters the window.  S is the least integer with
-        max|b_m| <= 2^S by the same log2 values.
+        precision from the table's upper bound on sum |c||a|^{j+L+1},
+        enters the window.  So does the moments' error, a bound on
+        sum_{m<=L} errors[m+j] 2^e_{m+j} r^m/m!: L + 1 times its largest
+        term by the float log2 values, doubled for their rounding.  S is
+        the least integer with max|b_m| <= 2^S by the same log2 values.
         """
         table = self.table
         noise = mp.ldexp(self.total(j), -table.bits)
-        log_noise = _split(noise, float)[2]
+        log_noise = _log2(noise)
         xmax = float(self.xmax)
         log_bmax, m = -math.inf, 0
         while True:
@@ -281,13 +350,15 @@ class _CircleGrid:
                 if log_tail <= log_bmax - 53 or log_tail <= log_noise:
                     break
             m += 1
-        tail = table.abs_moments[m + j + 1] * self.rfac[m + 1] / (1 - self.xmax / (m + 2))
+        tail = table.abs_moment(m + j + 1) * self.rfac(m + 1) / (1 - self.xmax / (m + 2))
+        log_err = max(table.err_log[i + j] + self.rfac_f[i][2] for i in range(m + 1))
+        error = mp.ldexp(m + 1, math.ceil(log_err) + 1)
         S = math.ceil(log_bmax) if log_bmax > -math.inf else 0
         mu, rf = table.mu_f[j : j + m + 1], self.rfac_f[: m + 1]
         # Re and Im of each float moment times the float r^m/m!, scaled exactly
         mant = np.array([u for u, _, _ in mu]).view(np.float64) * np.repeat([v for v, _, _ in rf], 2)
         shift = np.repeat([e + g - S for (_, e, _), (_, g, _) in zip(mu, rf)], 2)
-        return np.ldexp(mant, shift).view(np.complex128), S, tail, noise
+        return np.ldexp(mant, shift).view(np.complex128), S, tail, error, noise
 
     def scan(self, j: int):
         """Float values 2^-S f^(j)(t_i) at every grid point, and the window's inputs.
@@ -298,7 +369,7 @@ class _CircleGrid:
         precision as level_max does.
         """
         M = self.M
-        coef, S, tail, noise = self.taylor(j)
+        coef, S, tail, error, noise = self.taylor(j)
         L = len(coef) - 1
         folded = np.zeros(M, dtype=np.complex128)
         np.add.at(folded, np.arange(L + 1) % M, coef)
@@ -306,12 +377,12 @@ class _CircleGrid:
         if self.dft.shape[1] < q:
             self.dft = self.twiddle[np.outer(np.arange(M), np.arange(q)) % M]
         vals = self.dft[:, :q] @ folded[:q]
-        # rounding of the moments (k + K + 2 roundings of terms up to
-        # |c||a|^k), of r^m/m!, and of the direct evaluation, whose
-        # exponent a t_i carries an error of order r|a| 2^-bits
+        # rounding of the direct evaluation, whose exponent a t_i carries
+        # an error of order r|a| 2^-bits (the integer moments' own error
+        # is taylor's bound)
         work = 64 * (len(self.exps) + L + j + 8 + self.xmax) * noise
-        # float underflow; truncation and working precision
-        extra = (L + M + 8) * 2.0**-1060 + float(mp.ldexp(tail + work, -S))
+        # float underflow; truncation, moments and working precision
+        extra = (L + M + 8) * 2.0**-1060 + float(mp.ldexp(tail + error + work, -S))
         # each coefficient carries three roundings (float moment, float
         # r^m/m!, their product); then twiddles, folding and the dot product
         return vals, 2 * L + 66, float(np.abs(coef).sum()), extra, S

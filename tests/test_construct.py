@@ -281,6 +281,24 @@ def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
                 assert float(lower) == CERT_LOWER[n - 1], f"n={n}"
 
 
+def test_levels_formed_on_demand(table_builds, monkeypatch):
+    # the working-precision coefficients c a^j are formed only up to the
+    # deepest level a row reads, while the float scans read many more
+    # moments (the integer power sums)
+    asked = []
+    level = norms._Moments.level
+
+    def recording_level(table, j):
+        asked.append(j)
+        return level(table, j)
+
+    monkeypatch.setattr(norms._Moments, "level", recording_level)
+    witness_certificate(5, ALPHAS[0])
+    (table,) = table_builds
+    assert len(table.levels) == max(asked) + 1 == 14
+    assert len(table.mu_f) == 73
+
+
 def test_suite_witness_reads_one_table_per_degree(table_builds):
     # each degree's K circle and its three radii share one table
     result = suite_witness("quick", BITS)

@@ -83,3 +83,24 @@ def test_cli_solve_never_imports_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, cwd=PACKAGE.parent)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_set():
+    # a fresh `import bwexp.cli` loads, besides the standard library and
+    # bwexp, only numpy, mpmath, SciPy's HiGHS extension and the Cython
+    # runtime it needs, so that no new import reaches the start-up time
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bwexp.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, cwd=PACKAGE.parent)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    allowed = set(sys.stdlib_module_names) | {"bwexp", "numpy", "mpmath", "scipy", "cython_runtime"}
+    tops = {name.split(".")[0] for name in loaded}
+    assert not {top for top in tops if top not in allowed and not top.startswith("_cython_")}
+    highs = "scipy.optimize._highspy._core."
+    assert not [name for name in loaded if name.split(".")[0] == "scipy" and not name.startswith(highs)]

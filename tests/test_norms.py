@@ -1,12 +1,13 @@
 """Norm estimates: known values, one-sidedness, refinement, homogeneity."""
 
 import random
+import warnings
 
 from mpmath import mp
 import numpy as np
 import pytest
 
-from bwexp import ExpSum, MultiIndex, Poly2, canonical_indices, compose_to_expsum, eval_poly, make_alpha
+from bwexp import ExpSum, MultiIndex, Poly2, canonical_indices, compose_to_expsum, eval_poly, make_alpha, norms, space_dimension
 from bwexp.analytic_bounds import coeff_log_upper, theorem2_bounds
 from bwexp.construct import build_witness
 from bwexp.norms import _CircleGrid, _Moments, _window, bw_envelope, norm_on_bidisk, norm_on_circle, norm_on_K
@@ -204,6 +205,77 @@ def test_float_scan_within_window():
                             s += d * e
                         assert abs(mp.mpc(v) - s * mp.ldexp(1, -S)) <= E, f"{tag} r={r} j={j} i={i}"
                     scaled = [d * a for d, a in zip(scaled, exps)]
+
+
+def _reference_moments(terms, count):
+    """mu_k and sum |c||a|^k for k < count: the mpmath power-sum loop at
+    2 BITS on the BITS-rounded c and a, so its own rounding (of order
+    2^-(2 BITS)) is far below the integer sums' bound."""
+    with mp.workprec(BITS):
+        powers = [mp.mpc(c) for c, _ in terms]
+        exps = [mp.mpc(a) for _, a in terms]
+    with mp.workprec(2 * BITS):
+        abs_powers = [abs(c) for c in powers]
+        abs_exps = [abs(a) for a in exps]
+        mu, abs_mu = [], []
+        for _ in range(count):
+            s = mp.mpc(0)
+            for p in powers:
+                s += p
+            mu.append(s)
+            abs_mu.append(sum(abs_powers))
+            powers = [p * a for p, a in zip(powers, exps)]
+            abs_powers = [p * x for p, x in zip(abs_powers, abs_exps)]
+    return mu, abs_mu
+
+
+def test_integer_moments_within_their_bound(monkeypatch):
+    # each integer power sum is within its tracked bound of mu_k, and the
+    # bound is at most (k + K + 2) 2^-bits sum|c||a|^k, the rounding
+    # allowance of a working-precision power sum; the abs sums are upper
+    # bounds
+    sums = {}
+    for n in range(1, 7):
+        for re, im in STANDARD_ALPHAS[:2]:
+            alpha = make_alpha(re, im)
+            w = build_witness(n, alpha, BITS)
+            sums[f"witness n={n} alpha={re}+{im}i"] = (compose_to_expsum(w.p, alpha, BITS), w.r)
+    rng = random.Random(SEED + 7)
+    for trial in range(3):
+        n = rng.randint(1, 3)
+        alpha = make_alpha(rng.uniform(-0.7, 0.7), rng.uniform(0.1, 0.7))
+        sums[f"random {trial}"] = (compose_to_expsum(random_poly(rng, n), alpha, BITS), mp.mpf(space_dimension(n)) / n)
+    for tag, (f, r) in sums.items():
+        monkeypatch.setattr(norms, "_last_moments", None)
+        norm_on_circle(f, r, 512, BITS, depth=0)
+        table = norms._last_moments
+        count, K = len(table.mu_f), len(f.terms)
+        mu, abs_mu = _reference_moments(f.terms, count)
+        with mp.workprec(2 * BITS):
+            for k in range(count):
+                e = table.scale(k)
+                (re, im), bound = table.sums[k], mp.ldexp(table.errors[k], e)
+                assert abs(mp.mpc(mp.ldexp(re, e), mp.ldexp(im, e)) - mu[k]) <= bound, f"{tag} k={k}"
+                assert bound <= (k + K + 2) * mp.ldexp(abs_mu[k], -BITS), f"{tag} k={k}"
+                assert mp.ldexp(table.abs_sums[k], e) >= abs_mu[k], f"{tag} k={k}"
+
+
+def test_large_exponents_match_full_scan(monkeypatch):
+    # |a| = 150 and 400 put sum |c||a|^k far past the float64 range at the
+    # moments the r = 1 scan reads; the float preselection still reports
+    # the full scan's values, without a float overflow
+    sums = {
+        "cosh 150 t": ExpSum(((1, 150), (1, -150))),
+        "|a| = 400": ExpSum(((1, 400), (-1j, 400j), (mp.mpc(0.5, 0.5), mp.mpc(-240, 320)))),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fast = {tag: norm_on_circle(f, 1, 64, BITS) for tag, f in sums.items()}
+    monkeypatch.setattr(_CircleGrid, "level_max", _full_scan_level_max)
+    for tag, f in sums.items():
+        slow = norm_on_circle(f, 1, 64, BITS)
+        assert fast[tag].grid_max == slow.grid_max, tag
+        assert fast[tag].certified_upper == slow.certified_upper, tag
 
 
 def test_ladder_stop_within_its_bound():
