@@ -58,6 +58,11 @@ _BRACKET_FIELDS = {
     "seed": "seed",
 }
 SWEEP_COLUMNS = tuple(_BRACKET_FIELDS)
+_KEY_COLUMNS = ("n", "alpha_re", "alpha_im")
+# the bracket's values: every column that is neither a key nor a run setting
+_VALUE_COLUMNS = tuple(
+    c for c in SWEEP_COLUMNS if c not in _KEY_COLUMNS + ("precision_bits", "seed")
+)
 
 # The LPConfig field behind each grid flag.
 _GRID_FLAGS = (
@@ -290,7 +295,7 @@ def cmd_solve(args) -> int:
         _emit_json({
             "n": est.n,
             "alpha": {"re": a.re, "im": a.im},
-            **{col: row[col] for col in SWEEP_COLUMNS[3:9]},
+            **{col: row[col] for col in _VALUE_COLUMNS + ("precision_bits",)},
             "cfg": dataclasses.asdict(cfg),
             "trials": est.trials,
             "seed": est.seed,
@@ -395,7 +400,7 @@ def _read_sweep_rows(path: str):
         try:
             rows.append({
                 "n": int(raw["n"]),
-                **{key: float(raw[key]) for key in SWEEP_COLUMNS[1:8]},
+                **{key: float(raw[key]) for key in ("alpha_re", "alpha_im") + _VALUE_COLUMNS},
             })
         except (KeyError, TypeError, ValueError) as ex:
             raise ValueError(f"malformed sweep row {raw!r}") from ex
@@ -508,7 +513,7 @@ def _svg_document(rows, kind: str) -> str:
 def _plot_csv(rows, kind: str) -> str:
     edges, names, _, series = _PLOT_KINDS[kind]
     table = [{**r, **{name: r[key] for name, key in zip(names, edges)}} for r in rows]
-    return _csv_text(SWEEP_COLUMNS[:3] + names + series, table)
+    return _csv_text(_KEY_COLUMNS + names + series, table)
 
 
 def cmd_plot(args) -> int:

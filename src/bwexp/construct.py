@@ -13,13 +13,14 @@ difference of t^N).  Node distinctness (Im(alpha) != 0) is exactly the
 invertibility of the Vandermonde matrix, so it is checked directly.
 
 With h(t) = f(t)/t^N entire, the maximum principle gives
-sup_{|t|=r} |f| >= r^N sup_{|t|=1} |f| >= r^N ||P||_K for r >= 1, hence
+sup_{|t|=r} |f| >= r^N sup_{|t|=1} |f| >= r^N ||P||_K for r >= 1.  On
+|t| = r every monomial has |z^j w^k| <= e^{n r max(1, |alpha|)}, hence
 
-    e_n(alpha) >= ln sup_{|t|=r}|f| - ln ||P||_K - n r >= N ln r - n r,
+    e_n(alpha) >= ln sup_{|t|=r}|f| - ln ||P||_K - n r max(1, |alpha|),
 
-and the choice r = N/n yields the floor N ln(N/n) - N, which matches
-the bracket's lower endpoint up to the n^2/4 slack of
-sum k ln k >= (n^2 ln n)/2 - n^2/4.
+which for |alpha| <= 1 is at least N ln r - n r; the choice r = N/n
+yields the floor N ln(N/n) - N, which matches the bracket's lower
+endpoint up to the n^2/4 slack of sum k ln k >= (n^2 ln n)/2 - n^2/4.
 
 The weights span about N orders of magnitude, so the construction
 enforces bits >= 64 + ceil(N log2(n+2)) and checks the power sums
@@ -88,7 +89,8 @@ class WitnessResult:
     p holds the witness normalized to max |coefficient| = 1;
     max_residual is the largest |mu_m| = |sum c a^m| over m < N of the
     composed witness, relative to max(1, max|a|)^N, read from the
-    moment table its circle estimates share.
+    moment table its circle estimates share; alpha is the curve
+    parameter it was built for.
     """
 
     p: Poly2
@@ -97,6 +99,7 @@ class WitnessResult:
     max_residual: object  # mp.mpf, at most 2^-(bits//4)
     r: object  # mp.mpf, the evaluation radius N/n
     bits: int
+    alpha: AlphaParam
 
 
 def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> WitnessResult:
@@ -139,16 +142,17 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
                 f"power-sum residual {mp.nstr(worst, 5)} exceeds 2^-{bits // 4} "
                 f"at {bits} bits; increase precision"
             )
-        return WitnessResult(p, n, N, worst, mp.mpf(N) / n, bits)
+        return WitnessResult(p, n, N, worst, mp.mpf(N) / n, bits, alpha)
 
 
 def witness_lower_bound(w: WitnessResult, r, normk: NormEstimate, circle_sup: NormEstimate):
     """Certified lower bound on e_n(alpha) from the witness ratio.
 
-    Returns ln(circle grid max) - ln(certified K upper) - n*r.  The
-    circle factor under-reports the sup and the K factor over-reports
-    it, so the result is a true lower bound given the one-sided norm
-    inputs.
+    Returns ln(circle grid max) - ln(certified K upper)
+    - n r max(1, |alpha|): on |t| = r each monomial of degree <= n is at
+    most e^{n r max(1, |alpha|)}.  The circle factor under-reports the
+    sup and the K factor over-reports it, so the result is a true lower
+    bound given the one-sided norm inputs, for any alpha.
     """
     with mp.workprec(w.bits):
         rr = mp.mpf(r)
@@ -161,7 +165,7 @@ def witness_lower_bound(w: WitnessResult, r, normk: NormEstimate, circle_sup: No
         return (
             mp.log(circle_sup.grid_max)
             - mp.log(normk.certified_upper)
-            - w.n * rr
+            - w.n * rr * max(1, abs(w.alpha.value(w.bits)))
         )
 
 

@@ -408,13 +408,27 @@ class _CircleGrid:
         return best
 
 
-def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth) -> NormEstimate:
-    """Grid max and ladder certificate for an ExpSum on |t| = r.
+def norm_on_K(p: Poly2, alpha: AlphaParam, M: int = 512, bits: int = DEFAULT_BITS, depth=None) -> NormEstimate:
+    """Sup of |P| on the curve piece {(e^t, e^{alpha t}) : |t| <= 1}.
 
-    depth: 0 for grid max only, a positive integer for a fixed Taylor
-    depth (1 = the one-step derivative bound), None for adaptive depth
-    (minimum over depths until the tail term falls to
-    2^-min(bits/2, 64) of the best bound, see the module docstring).
+    The composed f is entire, so the sup over the disk is attained on
+    |t| = 1; the grid scans that circle.  depth as in norm_on_circle.
+    """
+    return norm_on_circle(compose_to_expsum(p, alpha, bits), 1, M, bits, depth)
+
+
+def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=None) -> NormEstimate:
+    """Sup of |f| on |t| = r with grid max and ladder certificate.
+
+    grid_max is the largest |f(t_i)| over the M grid points, an attained
+    value.  depth 0 skips the certificate, a positive depth fixes the
+    Taylor depth (1 = the one-step derivative bound), and None (adaptive)
+    stops the ladder once its tail is 2^-min(bits/2, 64) of the best
+    bound: within 2^-64 of the least bound over all depths, and still an
+    upper bound.  f's moments come from one table shared with the
+    previous estimate of the same f at the same bits, and each level's
+    DFT block is gathered once per grid (see the module docstring);
+    neither changes a value.
     """
     if M < GRID_FLOOR:
         raise ValueError(f"grid needs at least {GRID_FLOOR} points, got {M}")
@@ -451,31 +465,6 @@ def _circle_estimate(f: ExpSum, r, M: int, bits: int, depth) -> NormEstimate:
             if m + 1 < cap:
                 g = grid.level_max(m + 1, table.level(m + 1))
         return NormEstimate(grid_max, best)
-
-
-def norm_on_K(p: Poly2, alpha: AlphaParam, M: int = 512, bits: int = DEFAULT_BITS, depth=None) -> NormEstimate:
-    """Sup of |P| on the curve piece {(e^t, e^{alpha t}) : |t| <= 1}.
-
-    The composed f is entire, so the sup over the disk is attained on
-    |t| = 1; the grid scans that circle.  depth as in norm_on_circle.
-    """
-    f = compose_to_expsum(p, alpha, bits)
-    return _circle_estimate(f, 1, M, bits, depth)
-
-
-def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=None) -> NormEstimate:
-    """Sup of |f| on |t| = r with grid max and ladder certificate.
-
-    grid_max is the largest |f(t_i)| over the M grid points, an attained
-    value.  depth 0 skips the certificate, a positive depth fixes the
-    Taylor depth, and None (adaptive) stops the ladder once its tail is
-    2^-min(bits/2, 64) of the best bound: within 2^-64 of the least
-    bound over all depths, and still an upper bound.  f's moments come
-    from one table shared with the previous estimate of the same f at
-    the same bits, and each level's DFT block is gathered once per grid
-    (see the module docstring); neither changes a value.
-    """
-    return _circle_estimate(f, r, M, bits, depth)
 
 
 def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEstimate:

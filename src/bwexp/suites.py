@@ -1,8 +1,12 @@
 """Verification batteries: every module invariant as a pass/fail suite.
 
 Each suite re-checks one family of identities or inequalities on a
-deterministic case set (randomized cases use a fixed seed).  Suites
-return counts instead of raising, so a batch run reports every family
+deterministic case set (randomized cases use a fixed seed).  A suite is
+a generator suite_x(level, bits) that yields one verdict per case: a
+message naming the case and what failed, or None when it passes.
+SUITES registers it under the name `bwexp verify` prints; run_suites
+alone counts the verdicts, keeps each suite's first failure and times
+it.  A failed case never raises, so a batch run reports every family
 before deciding the exit status.  Budgets: the quick level finishes in
 seconds; the full level scales the case counts up (10^4 randomized
 interval products, witnesses to degree 6 at 512 bits).
@@ -11,6 +15,7 @@ interval products, witnesses to degree 6 at 512 bits).
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +40,6 @@ from .core import (
     canonical_indices,
     compose_to_expsum,
     make_alpha,
-    space_dimension,
 )
 from .norms import norm_on_K, norm_on_circle
 
@@ -82,37 +86,23 @@ def _random_poly(n: int, rng, bits: int) -> Poly2:
     return Poly2(n, coeffs)
 
 
-def suite_endpoint_formulas(level: str, bits: int) -> SuiteResult:
+def suite_endpoint_formulas(level: str, bits: int) -> Iterator[str | None]:
     """theorem2_bounds against a doubled-precision re-evaluation."""
-    t0 = time.perf_counter()
-    cases = failures = 0
-    first = None
     for n in range(1, 6):
         for re, im in STANDARD_ALPHAS:
             a = make_alpha(re, im)
             lo, up = theorem2_bounds(n, a, bits)
             lo2, up2 = theorem2_bounds(n, a, 2 * bits)
-            cases += 1
             with mp.workprec(2 * bits):
-                scale = max(1, abs(lo2)) + max(1, abs(up2))
-                bad = abs(lo - lo2) > mp.mpf("1e-12") * scale or abs(
-                    up - up2
-                ) > mp.mpf("1e-12") * scale
-            if bad:
-                failures += 1
-                first = first or f"n={n} alpha={a}: endpoint drift beyond 1e-12"
-    return SuiteResult(
-        "endpoint-formulas", cases, failures, first, time.perf_counter() - t0
-    )
+                tol = mp.mpf("1e-12") * (max(1, abs(lo2)) + max(1, abs(up2)))
+                bad = abs(lo - lo2) > tol or abs(up - up2) > tol
+            yield f"n={n} alpha={a}: endpoint drift beyond 1e-12" if bad else None
 
 
-def suite_interval_product(level: str, bits: int) -> SuiteResult:
+def suite_interval_product(level: str, bits: int) -> Iterator[str | None]:
     """Randomized exact-product >= closed-form-lower-bound checks."""
-    t0 = time.perf_counter()
     count = 10_000 if level == "full" else 100
     rng = np.random.default_rng(_SUITE_SEED)
-    failures = 0
-    first = None
     with mp.workprec(bits):
         tiny = mp.mpf(2) ** (-bits // 2)
     for _ in range(count):
@@ -123,143 +113,110 @@ def suite_interval_product(level: str, bits: int) -> SuiteResult:
         exact = lemma_product_exact(x, y, k, a, bits)
         lower = lemma_product_lower(x, y, k, a, bits)
         with mp.workprec(bits):
-            if exact < lower * (1 - tiny):
-                failures += 1
-                first = first or (
-                    f"x={x} y={y} k={k} alpha={a}: exact {mp.nstr(exact, 10)} "
-                    f"< bound {mp.nstr(lower, 10)}"
-                )
-    return SuiteResult(
-        "interval-product-lemma", count, failures, first, time.perf_counter() - t0
-    )
+            bad = exact < lower * (1 - tiny)
+        yield (
+            f"x={x} y={y} k={k} alpha={a}: exact {mp.nstr(exact, 10)} "
+            f"< bound {mp.nstr(lower, 10)}"
+        ) if bad else None
 
 
-def suite_stirling(level: str, bits: int) -> SuiteResult:
+def suite_stirling(level: str, bits: int) -> Iterator[str | None]:
     """Stirling ratio window and half-integer product identity."""
-    t0 = time.perf_counter()
     m_max = 1000 if level == "full" else 200
     h_max = 500 if level == "full" else 100
-    cases = failures = 0
-    first = None
     with mp.workprec(bits):
-        lo_win = mp.exp(mp.mpf(7) / 8)
-        hi_win = mp.e
-        for m in range(1, m_max + 1):
-            cases += 1
-            ratio = stirling_ratio(m, bits)
-            with mp.workprec(bits):
-                if ratio < lo_win * (1 - mp.mpf(2) ** (-bits // 2)) or ratio > hi_win:
-                    failures += 1
-                    first = first or f"m={m}: Stirling ratio {mp.nstr(ratio, 10)}"
-        for m in range(1, h_max + 1):
-            cases += 1
-            prod = half_integer_product(m, bits)
-            with mp.workprec(bits):
-                direct = mp.factorial(2 * m) / (mp.mpf(2) ** (2 * m) * mp.factorial(m))
-                floor = (mp.mpf(m) / mp.e) ** m
-                tiny = mp.mpf(2) ** (-bits // 2) * direct
-                if abs(prod - direct) > tiny or prod < floor * (1 - mp.mpf(2) ** (-bits // 2)):
-                    failures += 1
-                    first = first or f"m={m}: half-integer product off"
-    return SuiteResult("stirling-bounds", cases, failures, first, time.perf_counter() - t0)
+        lo_win = mp.exp(mp.mpf(7) / 8) * (1 - mp.mpf(2) ** (-bits // 2))
+    for m in range(1, m_max + 1):
+        ratio = stirling_ratio(m, bits)
+        with mp.workprec(bits):
+            bad = ratio < lo_win or ratio > mp.e
+        yield f"m={m}: Stirling ratio {mp.nstr(ratio, 10)}" if bad else None
+    for m in range(1, h_max + 1):
+        prod = half_integer_product(m, bits)
+        with mp.workprec(bits):
+            direct = mp.factorial(2 * m) / (mp.mpf(2) ** (2 * m) * mp.factorial(m))
+            floor = (mp.mpf(m) / mp.e) ** m
+            tiny = mp.mpf(2) ** (-bits // 2) * direct
+            bad = abs(prod - direct) > tiny or prod < floor * (1 - mp.mpf(2) ** (-bits // 2))
+        yield f"m={m}: half-integer product off" if bad else None
 
 
-def suite_annihilator(level: str, bits: int) -> SuiteResult:
+def suite_annihilator(level: str, bits: int) -> Iterator[str | None]:
     """Annihilator isolation identity and the |beta| floor."""
-    t0 = time.perf_counter()
     n_max = 5 if level == "full" else 2
     per = 20 if level == "full" else 5
     rng = np.random.default_rng(_SUITE_SEED + 1)
-    cases = failures = 0
-    first = None
     alphas = [make_alpha(re, im) for re, im in STANDARD_ALPHAS[:2]]
     for n in range(1, n_max + 1):
         for a in alphas:
             idx = canonical_indices(n)
             anns = {(jk.j, jk.k): annihilator(jk.j, jk.k, n, a, bits) for jk in idx}
             for (l, m), data in anns.items():
-                cases += 1
                 logb = beta_log_lower(l, m, n, a, bits)
                 with mp.workprec(bits):
-                    if mp.log(abs(data.beta)) < logb - mp.mpf(2) ** (-bits // 2):
-                        failures += 1
-                        first = first or f"n={n} (l,m)=({l},{m}) alpha={a}: beta floor"
+                    bad = mp.log(abs(data.beta)) < logb - mp.mpf(2) ** (-bits // 2)
+                yield f"n={n} (l,m)=({l},{m}) alpha={a}: beta floor" if bad else None
             for _ in range(per):
                 p = _random_poly(n, rng, bits)
                 f = compose_to_expsum(p, a, bits)
                 jk = idx[int(rng.integers(0, len(idx)))]
                 data = anns[(jk.j, jk.k)]
                 got = apply_annihilator(data, f, bits)
-                cases += 1
                 with mp.workprec(bits):
                     want = mp.mpc(p.coefficient(jk.j, jk.k)) * data.beta
                     tol = mp.mpf(2) ** (-min(128, bits // 2)) * abs(want)
-                    if abs(got - want) > tol:
-                        failures += 1
-                        first = first or (
-                            f"n={n} target=({jk.j},{jk.k}) alpha={a}: "
-                            f"isolation residual {mp.nstr(abs(got - want), 5)}"
-                        )
-    return SuiteResult(
-        "annihilator-identity", cases, failures, first, time.perf_counter() - t0
-    )
+                    miss = abs(got - want)
+                yield (
+                    f"n={n} target=({jk.j},{jk.k}) alpha={a}: "
+                    f"isolation residual {mp.nstr(miss, 5)}"
+                ) if miss > tol else None
 
 
-def suite_inequalities(level: str, bits: int) -> SuiteResult:
-    """Closed-form inequality scan (the n^2 ln n bookkeeping chain)."""
-    t0 = time.perf_counter()
+def suite_inequalities(level: str, bits: int) -> Iterator[str | None]:
+    """Closed-form inequality scan (the n^2 ln n bookkeeping chain).
+
+    One case per n scanned; the scan stops at its first violation.
+    """
     n_max = 10_000 if level == "full" else 1000
     report = numeric_inequality_suite(n_max, bits)
-    failures = 0 if report.ok else 1
-    first = None
-    if not report.ok:
-        n_bad, name = report.violation
-        first = f"n={n_bad}: {name}"
-    return SuiteResult(
-        "closed-form-inequalities", n_max, failures, first, time.perf_counter() - t0
-    )
+    n_bad, name = report.violation or (None, None)
+    for n in range(1, (n_bad or n_max) + 1):
+        yield f"n={n}: {name}" if n == n_bad else None
 
 
-def suite_witness(level: str, bits: int) -> SuiteResult:
+def suite_witness(level: str, bits: int) -> Iterator[str | None]:
     """Witness vanishing order: residuals and the r^N growth law.
 
-    Each degree's residual check, K circle and three radii read one
-    moment table: build_witness and the K norm compose the same ExpSum
-    as f, and norms keeps the latest table.
+    A degree is one residual case (build_witness raises on a miss, and
+    then the degree has no growth cases) and one case per radius.  Its
+    residual check, K circle and radii read one moment table: they
+    compose the same ExpSum, and norms keeps the latest table.
     """
-    t0 = time.perf_counter()
     n_max = 6 if level == "full" else 3
     wbits = 512 if level == "full" else bits
-    cases = failures = 0
-    first = None
     a = make_alpha(*STANDARD_ALPHAS[0])
     for n in range(1, n_max + 1):
         use_bits = max(wbits, required_witness_bits(n))
-        w = build_witness(n, a, use_bits)  # raises unless the residuals pass
-        cases += 1
-        N = space_dimension(n)
+        try:
+            w = build_witness(n, a, use_bits)
+        except ValueError as ex:
+            yield f"n={n}: {ex}"
+            continue
+        yield None
+        N = w.order
         f = compose_to_expsum(w.p, a, use_bits)
         base = norm_on_K(w.p, a, 512, use_bits)
         for r in (1.5, 2.0, N / n):
-            cases += 1
             circ = norm_on_circle(f, r, 512, use_bits, depth=0)
             with mp.workprec(use_bits):
                 gain = mp.log(circ.grid_max) - mp.log(base.certified_upper)
                 need = N * mp.log(r) - mp.mpf("1e-6")
-                if gain < need:
-                    failures += 1
-                    first = first or (
-                        f"n={n} r={r}: growth {mp.nstr(gain, 10)} < N ln r"
-                    )
-    return SuiteResult("witness-vanishing", cases, failures, first, time.perf_counter() - t0)
+            yield f"n={n} r={r}: growth {mp.nstr(gain, 10)} < N ln r" if gain < need else None
 
 
-def suite_norm_refinement(level: str, bits: int) -> SuiteResult:
+def suite_norm_refinement(level: str, bits: int) -> Iterator[str | None]:
     """Grid max grows and stays below the certificate under refinement."""
-    t0 = time.perf_counter()
     n_max = 3 if level == "full" else 2
-    cases = failures = 0
-    first = None
     rng = np.random.default_rng(_SUITE_SEED + 2)
     a = make_alpha(*STANDARD_ALPHAS[1])
     for n in range(1, n_max + 1):
@@ -267,29 +224,25 @@ def suite_norm_refinement(level: str, bits: int) -> SuiteResult:
             p = _random_poly(n, rng, bits)
             prev = None
             for M in (64, 128, 256):
-                cases += 1
                 est = norm_on_K(p, a, M, bits)
                 with mp.workprec(bits):
                     tiny = mp.mpf(2) ** (-bits // 2) * est.certified_upper
-                    if est.grid_max > est.certified_upper + tiny:
-                        failures += 1
-                        first = first or f"n={n} M={M}: grid above certificate"
-                    if prev is not None and est.grid_max < prev - tiny:
-                        failures += 1
-                        first = first or f"n={n} M={M}: grid max shrank"
-                    prev = est.grid_max
-    return SuiteResult("norm-refinement", cases, failures, first, time.perf_counter() - t0)
+                    above = est.grid_max > est.certified_upper + tiny
+                    shrank = prev is not None and est.grid_max < prev - tiny
+                prev = est.grid_max
+                yield (
+                    f"n={n} M={M}: grid above certificate" if above
+                    else f"n={n} M={M}: grid max shrank" if shrank
+                    else None
+                )
 
 
-def suite_envelope(level: str, bits: int) -> SuiteResult:
-    """Growth envelope |P| <= ||P||_K e^{upper} e^{n log+ max(|z|,|w|)}."""
-    t0 = time.perf_counter()
+def suite_envelope(level: str, bits: int) -> Iterator[str | None]:
+    """Growth envelope |P| <= ||P||_K e^{upper} e^{n log+ max(|z|,|w|)} at each point."""
     n_max = 3
     per_poly = 300 if level == "full" else 50
     pts = 300 if level == "full" else 50
     rng = np.random.default_rng(_SUITE_SEED + 3)
-    cases = failures = 0
-    first = None
     a = make_alpha(*STANDARD_ALPHAS[0])
     for n in range(1, n_max + 1):
         idx = canonical_indices(n)
@@ -297,11 +250,8 @@ def suite_envelope(level: str, bits: int) -> SuiteResult:
         upper = float(up)
         for _ in range(max(1, per_poly // 50)):
             c = rng.uniform(-1, 1, len(idx)) + 1j * rng.uniform(-1, 1, len(idx))
-            coeffs = {}
             with mp.workprec(bits):
-                for jk, cv in zip(idx, c):
-                    coeffs[(jk.j, jk.k)] = mp.mpc(cv.real, cv.imag)
-            p = Poly2(n, coeffs)
+                p = Poly2(n, {(jk.j, jk.k): mp.mpc(cv.real, cv.imag) for jk, cv in zip(idx, c)})
             normk = float(norm_on_K(p, a, 512, bits).certified_upper)
             z = rng.uniform(-3, 3, pts) + 1j * rng.uniform(-3, 3, pts)
             w = rng.uniform(-3, 3, pts) + 1j * rng.uniform(-3, 3, pts)
@@ -310,32 +260,41 @@ def suite_envelope(level: str, bits: int) -> SuiteResult:
                 vals += cv * z**jk.j * w**jk.k
             mx = np.maximum(np.maximum(np.abs(z), np.abs(w)), 1.0)
             bound = normk * np.exp(upper) * mx ** n
-            cases += pts
-            bad = np.flatnonzero(np.abs(vals) > bound * (1 + 1e-12))
-            if bad.size:
-                failures += int(bad.size)
-                i = int(bad[0])
-                first = first or (
+            over = np.abs(vals) > bound * (1 + 1e-12)
+            for i in range(pts):
+                yield (
                     f"n={n} z={z[i]:.3f} w={w[i]:.3f}: "
                     f"|P|={abs(vals[i]):.3e} > {bound[i]:.3e}"
-                )
-    return SuiteResult("envelope-domination", cases, failures, first, time.perf_counter() - t0)
+                ) if over[i] else None
 
 
-_SUITES = (
-    suite_endpoint_formulas,
-    suite_interval_product,
-    suite_stirling,
-    suite_annihilator,
-    suite_inequalities,
-    suite_witness,
-    suite_norm_refinement,
-    suite_envelope,
-)
+# Every suite under the name `bwexp verify` prints, in the order it runs.
+SUITES = {
+    "endpoint-formulas": suite_endpoint_formulas,
+    "interval-product-lemma": suite_interval_product,
+    "stirling-bounds": suite_stirling,
+    "annihilator-identity": suite_annihilator,
+    "closed-form-inequalities": suite_inequalities,
+    "witness-vanishing": suite_witness,
+    "norm-refinement": suite_norm_refinement,
+    "envelope-domination": suite_envelope,
+}
 
 
 def run_suites(level: str = "quick", bits: int = DEFAULT_BITS) -> list[SuiteResult]:
-    """Run every verification suite at the given level; never raises."""
+    """Run every suite in SUITES at the given level: count its verdicts,
+    keep its first failure message and time it."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    return [s(level, bits) for s in _SUITES]
+    results = []
+    for name, suite in SUITES.items():
+        t0 = time.perf_counter()
+        cases = failures = 0
+        first = None
+        for verdict in suite(level, bits):
+            cases += 1
+            if verdict is not None:
+                failures += 1
+                first = verdict if first is None else first
+        results.append(SuiteResult(name, cases, failures, first, time.perf_counter() - t0))
+    return results

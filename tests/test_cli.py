@@ -396,20 +396,20 @@ def test_verify_quick_reports_every_suite(capsys):
 
 
 def test_verify_failure_exits_four(capsys, monkeypatch):
-    from bwexp.suites import SuiteResult
+    # the real runner counts the verdicts of registered fake suites
+    def passing(level, bits):
+        yield from (None,) * 10
 
-    def fake_suites(level, bits):
-        return [
-            SuiteResult("endpoint_formulas", 10, 0, None, 0.1),
-            SuiteResult("interval_product", 100, 3,
-                        "exact 0.98 < bound 1.00", 0.2),
-        ]
+    def failing(level, bits):
+        yield from (None, "x=1: exact 0.98 < bound 1.00", None, "x=3: second")
 
-    monkeypatch.setattr("bwexp.cli.run_suites", fake_suites)
+    monkeypatch.setattr("bwexp.suites.SUITES", {"passing": passing, "failing": failing})
     code, out, err = run_cli(capsys, ["verify"])
     assert code == EXIT_VERIFY
-    assert "FAIL" in out
-    assert "interval_product" in err and "0.98" in err
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
+        ("passing", "10", "0", "ok"), ("failing", "4", "2", "FAIL")]
+    assert err == "first failure: failing: x=1: exact 0.98 < bound 1.00\n"
 
 
 def test_verify_rejects_unknown_level(capsys):

@@ -23,7 +23,7 @@ from bwexp.construct import (
 )
 from bwexp import construct, norms
 from bwexp.norms import norm_on_circle, norm_on_K
-from bwexp.solver import LPConfig, en_bracket
+from bwexp.solver import LPConfig, en_bracket, en_lp_estimate
 from bwexp.suites import suite_witness
 
 SEED = 20240813
@@ -207,6 +207,21 @@ def test_witness_lower_bound_and_floor():
                 assert lower >= lo - mp.mpf("0.7")
 
 
+def test_witness_lower_bound_beyond_the_unit_disk():
+    # on |t| = r, |P| <= sum|c| e^{n r max(1, |alpha|)}, so the bound can
+    # never exceed ln sum|c| - ln ||P||_K; subtracting n r alone broke
+    # that at alpha = 3i (1.154, 4.656, 10.696 at n = 1..3), above even
+    # the LP values there
+    alpha = make_alpha(0.0, 3.0)
+    for n in (1, 2, 3):
+        w, normk, _, lower = witness_certificate(n, alpha)
+        with mp.workprec(BITS):
+            coeff_sum = mp.fsum(abs(mp.mpc(c)) for c in w.p.coeffs.values())
+            cap = mp.log(coeff_sum) - mp.log(normk.certified_upper)
+        assert lower <= cap, f"n={n}: {mp.nstr(lower, 8)} > {mp.nstr(cap, 8)}"
+        assert lower < en_lp_estimate(n, alpha), f"n={n}"
+
+
 def test_witness_lower_bound_validation():
     alpha = make_alpha(0.0, 0.5)
     w = build_witness(1, alpha)
@@ -301,6 +316,6 @@ def test_levels_formed_on_demand(table_builds, monkeypatch):
 
 def test_suite_witness_reads_one_table_per_degree(table_builds):
     # each degree's K circle and its three radii share one table
-    result = suite_witness("quick", BITS)
-    assert (result.cases, result.failures) == (12, 0)
+    verdicts = list(suite_witness("quick", BITS))
+    assert (len(verdicts), sum(v is not None for v in verdicts)) == (12, 0)
     assert len(table_builds) == 3

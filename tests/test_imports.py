@@ -1,5 +1,5 @@
-"""Every import in the package is used, and durations use a monotonic clock
-(a stdlib stand-in for a linter)."""
+"""Every import in the package is used, durations use a monotonic clock,
+and every verify suite is registered (a stdlib stand-in for a linter)."""
 
 import ast
 import subprocess
@@ -104,3 +104,17 @@ def test_cli_import_set():
     assert not {top for top in tops if top not in allowed and not top.startswith("_cython_")}
     highs = "scipy.optimize._highspy._core."
     assert not [name for name in loaded if name.split(".")[0] == "scipy" and not name.startswith(highs)]
+
+
+def test_every_suite_is_registered_and_reported():
+    # a suite_* function missing from SUITES would never run under verify
+    from bwexp.suites import SUITES
+
+    tree = ast.parse((PACKAGE / "suites.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("suite_")}
+    assert defined == {suite.__name__ for suite in SUITES.values()}
+    proc = subprocess.run([sys.executable, "-m", "bwexp.cli", "verify", "--level", "quick"],
+                          capture_output=True, text=True, timeout=300, cwd=PACKAGE.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()[1:]] == list(SUITES)

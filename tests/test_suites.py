@@ -1,0 +1,72 @@
+"""The verify harness: suites yield one verdict per case, run_suites counts."""
+
+import pytest
+from mpmath import mp
+
+from bwexp import suites
+from bwexp.analytic_bounds import INEQUALITY_CHECKS, InequalityReport
+from bwexp.norms import NormEstimate
+
+BITS = 256
+
+
+def test_run_suites_counts_verdicts(monkeypatch):
+    calls = []
+
+    def passing(level, bits):
+        calls.append((level, bits))
+        yield from (None, None)
+
+    def failing(level, bits):
+        yield from (None, "case 2: first", None, "case 4: second")
+
+    monkeypatch.setattr(suites, "SUITES", {"passing": passing, "failing": failing})
+    results = suites.run_suites("full", 128)
+    assert calls == [("full", 128)]
+    assert [(r.name, r.cases, r.failures, r.first_failure, r.ok) for r in results] == [
+        ("passing", 2, 0, None, True),
+        ("failing", 4, 2, "case 2: first", False),
+    ]
+    assert all(r.seconds >= 0 for r in results)
+    with pytest.raises(ValueError, match="level"):
+        suites.run_suites("exhaustive")
+
+
+def test_suite_witness_reports_a_failed_build(monkeypatch):
+    # a witness that misses its residual check is one failed case, and the
+    # next degree still runs
+    build = suites.build_witness
+
+    def failing_at_two(n, alpha, bits):
+        if n == 2:
+            raise ValueError("power-sum residual too large; increase precision")
+        return build(n, alpha, bits)
+
+    monkeypatch.setattr(suites, "build_witness", failing_at_two)
+    verdicts = list(suites.suite_witness("quick", BITS))
+    assert len(verdicts) == 9  # n = 1 and 3: a residual case and three radii each
+    assert [v for v in verdicts if v is not None] == [
+        "n=2: power-sum residual too large; increase precision"
+    ]
+
+
+def test_norm_refinement_fails_a_case_once(monkeypatch):
+    # at M = 128 the grid max lies above its certificate and below the
+    # M = 64 grid max: two broken checks, one failed case
+    one, half, quarter = mp.mpf(1), mp.mpf("0.5"), mp.mpf("0.25")
+    fake = {64: NormEstimate(one, one), 128: NormEstimate(half, quarter), 256: NormEstimate(one, one)}
+    monkeypatch.setattr(suites, "norm_on_K", lambda p, alpha, M, bits: fake[M])
+    verdicts = list(suites.suite_norm_refinement("quick", BITS))
+    failed = [v for v in verdicts if v is not None]
+    assert len(verdicts) == 18
+    assert len(failed) == 6  # n = 1, 2 with three polynomials each
+    assert all(v.endswith("M=128: grid above certificate") for v in failed)
+
+
+def test_inequality_scan_counts_the_n_it_scanned(monkeypatch):
+    # the scan stops at its first violation, so the n past it are not cases
+    check = INEQUALITY_CHECKS[2]
+    monkeypatch.setattr(suites, "numeric_inequality_suite",
+                        lambda n_max, bits: InequalityReport(n_max, INEQUALITY_CHECKS, (7, check)))
+    verdicts = list(suites.suite_inequalities("quick", BITS))
+    assert verdicts == [None] * 6 + [f"n=7: {check}"]
