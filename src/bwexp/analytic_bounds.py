@@ -45,11 +45,13 @@ from .core import (
     MultiIndex,
     monomial_nodes,
     require_alpha,
+    require_degree,
     space_dimension,
 )
 
 
 def _require_target(l: int, m: int, n: int) -> None:
+    require_degree(n)
     if l < 0 or m < 0 or l + m > n:
         raise ValueError(f"target ({l},{m}) outside total degree {n}")
 
@@ -59,8 +61,7 @@ def theorem2_bounds(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS):
 
     lower = (n^2 ln n)/2 - n^2, upper = (n^2 ln n)/2 + 8 n^2 - n ln|alpha2|.
     """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+    require_degree(n)
     require_alpha(alpha, theorem=True)
     with mp.workprec(bits):
         n2 = mp.mpf(n) ** 2
@@ -230,22 +231,18 @@ def a1_a2_products(l: int, m: int, n: int, alpha: AlphaParam, bits: int = DEFAUL
     """
     _require_target(l, m, n)
     with mp.workprec(bits):
-        a = mp.mpc(alpha.re, alpha.im)
         a1 = mp.mpf(1)
         for k in range(1, m + 1):
-            for j in range(-l, n - l - m + k + 1):
-                a1 *= abs(j - k * a)
+            a1 *= lemma_product_exact(-l, n - l - m + k, k, alpha, bits)
         a2 = mp.mpf(1)
         for k in range(1, n - m + 1):
-            for j in range(l + m + k - n, l + 1):
-                a2 *= abs(j - k * a)
+            a2 *= lemma_product_exact(l + m + k - n, l, k, alpha, bits)
         return a1, a2
 
 
 def vieta_majorant(n: int, bits: int = DEFAULT_BITS):
     """(N + n)^N, dominating sum_t |a_t| N^t for every annihilator."""
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+    require_degree(n)
     with mp.workprec(bits):
         N = space_dimension(n)
         return mp.mpf(N + n) ** N
@@ -255,8 +252,7 @@ def coeff_log_upper(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS):
     """Coefficient ceiling: (n^2/2) ln n + 5.95 n^2 - n ln|alpha2|,
     valid for any P with curve sup norm at most 1.
     """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+    require_degree(n)
     require_alpha(alpha, theorem=True)
     with mp.workprec(bits):
         n2 = mp.mpf(n) ** 2
@@ -276,23 +272,24 @@ class InequalityReport:
         return self.violation is None
 
 
-INEQUALITY_CHECKS = (
-    "N*ln(N+n) <= n^2*ln(n) + 3.7*n^2",
-    "ln(N+1) <= N",
-    "N <= 2*n^2",
-    "N*ln(N/n) - N >= (n^2/2)*ln(n) - n^2",
-    "sum k*ln(k) >= (n^2*ln(n))/2 - n^2/4",
+# (name, holds(n, N, n^2, ln n, sum_{k<=n} k ln k)) per inequality, in scan order
+_INEQUALITIES = (
+    ("N*ln(N+n) <= n^2*ln(n) + 3.7*n^2",
+     lambda n, N, n2, lnn, klogk: N * mp.log(N + n) <= n2 * lnn + mp.mpf("3.7") * n2),
+    ("ln(N+1) <= N",
+     lambda n, N, n2, lnn, klogk: mp.log(N + 1) <= N),
+    ("N <= 2*n^2",
+     lambda n, N, n2, lnn, klogk: N <= 2 * n2),
+    ("N*ln(N/n) - N >= (n^2/2)*ln(n) - n^2",
+     lambda n, N, n2, lnn, klogk: N * mp.log(N / n) - N >= n2 * lnn / 2 - n2),
+    ("sum k*ln(k) >= (n^2*ln(n))/2 - n^2/4",
+     lambda n, N, n2, lnn, klogk: klogk >= n2 * lnn / 2 - n2 / 4),
 )
+INEQUALITY_CHECKS = tuple(name for name, _ in _INEQUALITIES)
 
 
 def numeric_inequality_suite(n_max: int, bits: int = DEFAULT_BITS) -> InequalityReport:
-    """Scan the closed-form inequalities for n = 1..n_max.
-
-    Checks, in order: N ln(N+n) <= n^2 ln n + 3.7 n^2; ln(N+1) <= N;
-    N <= 2 n^2; N ln(N/n) - N >= (n^2/2) ln n - n^2; and
-    sum_{k=1}^{n} k ln k >= (n^2 ln n)/2 - n^2/4.  Returns the first
-    violation if any.
-    """
+    """Scan INEQUALITY_CHECKS in table order for n = 1..n_max; report the first violation."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     with mp.workprec(bits):
@@ -302,16 +299,9 @@ def numeric_inequality_suite(n_max: int, bits: int = DEFAULT_BITS) -> Inequality
             n2 = mp.mpf(n) ** 2
             lnn = mp.log(n)
             klogk += n * lnn
-            if N * mp.log(N + n) > n2 * lnn + mp.mpf("3.7") * n2:
-                return InequalityReport(n_max, INEQUALITY_CHECKS, (n, INEQUALITY_CHECKS[0]))
-            if mp.log(N + 1) > N:
-                return InequalityReport(n_max, INEQUALITY_CHECKS, (n, INEQUALITY_CHECKS[1]))
-            if N > 2 * n2:
-                return InequalityReport(n_max, INEQUALITY_CHECKS, (n, INEQUALITY_CHECKS[2]))
-            if N * mp.log(N / n) - N < n2 * lnn / 2 - n2:
-                return InequalityReport(n_max, INEQUALITY_CHECKS, (n, INEQUALITY_CHECKS[3]))
-            if klogk < n2 * lnn / 2 - n2 / 4:
-                return InequalityReport(n_max, INEQUALITY_CHECKS, (n, INEQUALITY_CHECKS[4]))
+            for name, holds in _INEQUALITIES:
+                if not holds(n, N, n2, lnn, klogk):
+                    return InequalityReport(n_max, INEQUALITY_CHECKS, (n, name))
         return InequalityReport(n_max, INEQUALITY_CHECKS, None)
 
 

@@ -337,10 +337,11 @@ def cmd_sweep(args) -> int:
         for n in sorted(ns)
         for re, im in sorted(alphas)
     ]
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:
         from multiprocessing import Pool  # about 7 ms, paid only with --jobs > 1
 
-        with Pool(processes=args.jobs) as pool:
+        with Pool(processes=jobs) as pool:
             rows = pool.map(_sweep_worker, tasks)
     else:
         rows = [_sweep_worker(t) for t in tasks]

@@ -41,10 +41,12 @@ from mpmath import mp
 from .core import (
     DEFAULT_BITS,
     AlphaParam,
+    ExpSum,
     Poly2,
     compose_to_expsum,
     monomial_nodes,
     require_alpha,
+    require_degree,
     space_dimension,
 )
 from .norms import NormEstimate, moment_table, norm_on_circle, norm_on_K
@@ -111,8 +113,7 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
     witness misses its value (0 for m < N, 1/max|weight| at m = N) by
     more than 2^-(bits//4) in the relative terms of max_residual.
     """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+    require_degree(n)
     require_alpha(alpha)
     floor = required_witness_bits(n)
     if bits < floor:
@@ -126,9 +127,9 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
         wmax = max(abs(w) for w in weights)
         p = Poly2(n, {e.index: w / wmax for e, w in zip(nodes, weights)})
 
-        # the power sums of the normalized weights, from the table that
-        # the witness's circle estimates read
-        table = moment_table(compose_to_expsum(p, alpha, bits), bits)
+        # the power sums of the normalized weights, from the table that the
+        # witness's circle estimates read (the terms of compose_to_expsum(p))
+        table = moment_table(ExpSum(tuple((p.coeffs[e.index], e.value) for e in nodes)), bits)
         threshold = mp.mpf(2) ** (-(bits // 4))
         top = table.moment(N) * wmax
         if abs(top - 1) > threshold:
@@ -145,6 +146,14 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
         return WitnessResult(p, n, N, worst, mp.mpf(N) / n, bits, alpha)
 
 
+def _checked_radius(r):
+    """r as an mp.mpf, or raise unless r >= 1 (NaN fails too)."""
+    rr = mp.mpf(r)
+    if not rr >= 1:
+        raise ValueError(f"radius must be >= 1, got {mp.nstr(rr, 8)}")
+    return rr
+
+
 def witness_lower_bound(w: WitnessResult, r, normk: NormEstimate, circle_sup: NormEstimate):
     """Certified lower bound on e_n(alpha) from the witness ratio.
 
@@ -155,9 +164,7 @@ def witness_lower_bound(w: WitnessResult, r, normk: NormEstimate, circle_sup: No
     bound given the one-sided norm inputs, for any alpha.
     """
     with mp.workprec(w.bits):
-        rr = mp.mpf(r)
-        if rr < 1:
-            raise ValueError(f"radius must be >= 1, got {mp.nstr(rr, 8)}")
+        rr = _checked_radius(r)
         if normk.certified_upper is None:
             raise ValueError("K-norm estimate must carry a certified upper bound")
         if not (normk.certified_upper > 0 and circle_sup.grid_max > 0):
@@ -171,8 +178,7 @@ def witness_lower_bound(w: WitnessResult, r, normk: NormEstimate, circle_sup: No
 
 def proof_lower_bound(n: int, bits: int = DEFAULT_BITS):
     """The closed-form floor N ln(N/n) - N at r = N/n."""
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+    require_degree(n)
     with mp.workprec(bits):
         N = mp.mpf(space_dimension(n))
         return N * mp.log(N / n) - N
@@ -187,10 +193,10 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
     build_witness checked the vanishing order on (norms keeps the latest
     table).
     """
-    w = build_witness(n, alpha, bits)
-    radius = w.r if r is None else r
     with mp.workprec(bits):
-        radius = mp.mpf(radius)
+        radius = None if r is None else _checked_radius(r)
+    w = build_witness(n, alpha, bits)
+    radius = w.r if radius is None else radius
     normk = norm_on_K(w.p, alpha, grid, bits)
     f = compose_to_expsum(w.p, alpha, bits)
     circle = norm_on_circle(f, radius, grid, bits, depth=0)

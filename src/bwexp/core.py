@@ -34,6 +34,12 @@ def require_bits(bits: int) -> None:
         raise ValueError(f"precision must be >= {MIN_BITS} bits, got {bits}")
 
 
+def require_degree(n: int) -> None:
+    """Raise unless n >= 1, the degrees the bracket is stated for."""
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class AlphaParam:
     """Curve parameter alpha = re + i*im for {(e^t, e^{alpha t})}."""
@@ -100,8 +106,7 @@ class Poly2:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        require_degree(self.degree)
         for jk in self.coeffs:
             j, k = jk
             if j < 0 or k < 0 or j + k > self.degree:
@@ -138,8 +143,7 @@ def canonical_indices(n: int) -> list[MultiIndex]:
     descends (equivalently the power of w ascends), so the order starts
     (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ...
     """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+    require_degree(n)
     out = []
     for d in range(n + 1):
         for k in range(d + 1):
@@ -159,26 +163,17 @@ def monomial_nodes(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> list[
 
 
 def compose_to_expsum(p: Poly2, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> ExpSum:
-    """Restrict P to the curve: term (c_jk, j + alpha*k) per coefficient.
+    """Restrict P to the curve: term (c_jk, monomial node j + alpha*k) per coefficient.
 
-    Terms with equal exponents merge (possible only when Im(alpha) = 0).
+    Terms with equal nodes merge (possible only when Im(alpha) = 0).
     """
     with mp.workprec(bits):
-        a = mp.mpc(alpha.re, alpha.im)
-        order = []
         acc = {}
-        for jk in canonical_indices(p.degree):
-            c = p.coeffs.get(jk)
-            if c is None:
-                continue
-            node = jk.j + a * jk.k
-            key = (mp.nstr(node.real, 40), mp.nstr(node.imag, 40))
-            if key in acc:
-                acc[key] = (acc[key][0] + mp.mpc(c), node)
-            else:
-                acc[key] = (mp.mpc(c), node)
-                order.append(key)
-        return ExpSum(tuple(acc[key] for key in order))
+        for e in monomial_nodes(p.degree, alpha, bits):
+            c = p.coeffs.get(e.index)
+            if c is not None:
+                acc[e.value] = acc.get(e.value, 0) + mp.mpc(c)
+        return ExpSum(tuple((c, a) for a, c in acc.items()))
 
 
 def eval_poly(p: Poly2, z, w, bits: int = DEFAULT_BITS):

@@ -434,8 +434,8 @@ def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=N
         raise ValueError(f"grid needs at least {GRID_FLOOR} points, got {M}")
     with mp.workprec(bits):
         rr = mp.mpf(r)
-        if rr <= 0:
-            raise ValueError(f"radius must be positive, got {mp.nstr(rr, 8)}")
+        if not (rr > 0 and mp.isfinite(rr)):
+            raise ValueError(f"radius must be positive and finite, got {mp.nstr(rr, 8)}")
         if not f.terms:
             zero = mp.mpf(0)
             return NormEstimate(zero, zero)

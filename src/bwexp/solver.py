@@ -101,6 +101,7 @@ from .core import (
     canonical_indices,
     monomial_nodes,
     require_alpha,
+    require_degree,
     space_dimension,
 )
 
@@ -209,8 +210,7 @@ def phase_residues(polygon_sides: int, phase_samples: int):
 
 
 def _candidate_guard(n: int, cfg: LPConfig, max_degree: int) -> None:
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+    require_degree(n)
     if n > max_degree:
         raise ValueError(
             f"n={n} exceeds the LP size guard ({max_degree}); "
@@ -486,8 +486,7 @@ def en_random_search(
     with no rounding allowance, so the score is an estimate of a lower
     bound on e_n(alpha), not a certified one.
     """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+    require_degree(n)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     require_alpha(alpha)

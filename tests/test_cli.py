@@ -86,6 +86,7 @@ def test_domain_errors_name_the_hypothesis(capsys):
         capsys, ["bounds", "--n", "0", "--alpha", "0.0+0.5i"]
     )
     assert code == EXIT_DOMAIN
+    assert "degree must be >= 1, got 0" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -223,6 +224,16 @@ def test_witness_precision_floor_is_a_domain_error(capsys):
     assert "298" in err and "256" in err
 
 
+@pytest.mark.parametrize("r", ["nan", "inf"])
+def test_witness_radius_outside_the_hypothesis_is_a_domain_error(capsys, r):
+    code, out, err = run_cli(
+        capsys, ["witness", "--n", "1", "--alpha", "0.0+0.5i", "--r", r]
+    )
+    assert code == EXIT_DOMAIN
+    assert "radius" in err
+    assert out == ""
+
+
 # ------------------------------------------------------------------ solve
 
 
@@ -324,6 +335,35 @@ def test_sweep_csv_contract_and_parallel_byte_identity(tmp_path, capsys):
         assert wit <= up + 1e-6 and orc <= up + 1e-6
         assert orc <= lp + 0.05
     assert keys == sorted(keys)
+
+
+def test_sweep_starts_no_more_workers_than_rows(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class RecordingPool:
+        # records the process count and maps in this process, starting nothing
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    serial = tmp_path / "serial.csv"
+    pooled = tmp_path / "pooled.csv"
+    assert run_cli(capsys, sweep_argv(serial, jobs=1))[0] == EXIT_OK
+    assert started == []
+    assert run_cli(capsys, sweep_argv(pooled, jobs=64))[0] == EXIT_OK
+    assert started == [2]  # two rows
+    assert serial.read_bytes() == pooled.read_bytes()
 
 
 def test_sweep_partial_failure_adds_error_column(tmp_path, capsys):

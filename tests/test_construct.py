@@ -222,17 +222,23 @@ def test_witness_lower_bound_beyond_the_unit_disk():
         assert lower < en_lp_estimate(n, alpha), f"n={n}"
 
 
-def test_witness_lower_bound_validation():
+def test_witness_lower_bound_validation(monkeypatch):
     alpha = make_alpha(0.0, 0.5)
     w = build_witness(1, alpha)
     normk = norm_on_K(w.p, alpha, 64)
     f = compose_to_expsum(w.p, alpha)
     circ = norm_on_circle(f, 2, 64, depth=0)
-    with pytest.raises(ValueError):
-        witness_lower_bound(w, 0.5, normk, circ)
+    for r in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            witness_lower_bound(w, r, normk, circ)
     grid_only = norm_on_K(w.p, alpha, 64, depth=0)
     with pytest.raises(ValueError):
         witness_lower_bound(w, 2, grid_only, circ)
+    # the certificate rejects its radius before it builds the witness
+    monkeypatch.setattr(construct, "build_witness", None)
+    for r in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            witness_certificate(1, alpha, r=r)
 
 
 def test_witness_lower_bound_scale_invariance():

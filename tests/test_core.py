@@ -19,6 +19,7 @@ from bwexp import (
     coeff_log_upper,
     compose_to_expsum,
     derivative_at_zero,
+    en_bracket,
     en_lp_estimate,
     en_random_search,
     eval_expsum,
@@ -26,10 +27,14 @@ from bwexp import (
     lemma_product_lower,
     make_alpha,
     monomial_nodes,
+    proof_lower_bound,
     require_bits,
     space_dimension,
     theorem2_bounds,
+    vieta_majorant,
+    witness_certificate,
 )
+from bwexp.analytic_bounds import a1_a2_products
 from bwexp.cli import _checked_alpha
 
 SEED = 20240811
@@ -86,6 +91,35 @@ def test_entry_points_share_one_alpha_check(name):
             call(outside)
     else:
         call(outside)
+
+
+A05 = make_alpha(0.0, 0.5)
+TINY_LP = LPConfig(circle_points=64, polygon_sides=16, torus_points=8, phase_samples=8)
+
+# every entry point that takes a degree, called at n = 0
+DEGREE_ENTRY_POINTS = {
+    "Poly2": lambda: Poly2(0),
+    "canonical_indices": lambda: canonical_indices(0),
+    "monomial_nodes": lambda: monomial_nodes(0, A05),
+    "theorem2_bounds": lambda: theorem2_bounds(0, A05),
+    "vieta_majorant": lambda: vieta_majorant(0),
+    "coeff_log_upper": lambda: coeff_log_upper(0, A05),
+    "beta_log_lower": lambda: beta_log_lower(0, 0, 0, A05),
+    "a1_a2_products": lambda: a1_a2_products(0, 0, 0, A05),
+    "annihilator": lambda: annihilator(0, 0, 0, A05),
+    "build_witness": lambda: build_witness(0, A05),
+    "proof_lower_bound": lambda: proof_lower_bound(0),
+    "witness_certificate": lambda: witness_certificate(0, A05),
+    "en_lp_estimate": lambda: en_lp_estimate(0, A05, TINY_LP),
+    "en_random_search": lambda: en_random_search(0, A05, 10, seed=0, grid_points=8),
+    "en_bracket": lambda: en_bracket(0, A05, TINY_LP, trials=10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_ENTRY_POINTS))
+def test_entry_points_share_one_degree_check(name):
+    with pytest.raises(ValueError, match=r"degree must be >= 1, got 0"):
+        DEGREE_ENTRY_POINTS[name]()
 
 
 def test_space_dimension_formula():
@@ -168,6 +202,13 @@ def test_compose_merges_coincident_nodes():
     assert c == 0 and a == 1
     for m in range(5):
         assert derivative_at_zero(f, m) == 0
+    # binary64 alpha = 1/3: w^3 owns the node 3*alpha, which agrees with
+    # z's node 1 to 16 digits but is not equal, so the terms stay apart
+    p = Poly2(3, {MultiIndex(1, 0): 1, MultiIndex(0, 3): -1})
+    f = compose_to_expsum(p, make_alpha(1 / 3, 0.0))
+    assert len(f.terms) == 2
+    assert [c for c, _ in f.terms] == [1, -1]
+    assert 0 < abs(f.terms[0][1] - f.terms[1][1]) < mp.mpf(10) ** -16
 
 
 def test_eval_poly_examples():

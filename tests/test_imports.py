@@ -1,5 +1,6 @@
 """Every import in the package is used, durations use a monotonic clock,
-and every verify suite is registered (a stdlib stand-in for a linter)."""
+every verify suite is registered, and each shared input check is stated
+once (a stdlib stand-in for a linter)."""
 
 import ast
 import subprocess
@@ -118,3 +119,40 @@ def test_every_suite_is_registered_and_reported():
                           capture_output=True, text=True, timeout=300, cwd=PACKAGE.parent)
     assert proc.returncode == 0, proc.stderr
     assert [line.split()[0] for line in proc.stdout.splitlines()[1:]] == list(SUITES)
+
+
+def raised_messages(source: str, functions) -> list:
+    """The literal text before the first substitution of each message that
+    the named functions raise, sorted."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            for raise_ in ast.walk(node):
+                if isinstance(raise_, ast.Raise) and isinstance(raise_.exc, ast.Call):
+                    message = raise_.exc.args[0]
+                    head = message.values[0] if isinstance(message, ast.JoinedStr) else message
+                    out.append(head.value)
+    return sorted(out)
+
+
+def test_detector_sees_raised_messages():
+    source = (
+        "def check(x):\n    if x:\n        raise ValueError(f'x must be 0, got {x}')\n"
+        "    raise ValueError('plain')\n"
+        "def other():\n    raise ValueError('not read')\n"
+    )
+    assert raised_messages(source, {"check"}) == ["plain", "x must be 0, got "]
+
+
+def test_shared_checks_are_stated_once():
+    # a copy of a core check elsewhere in the package drifts from it
+    checks = {"require_degree", "require_alpha", "require_bits"}
+    messages = raised_messages((PACKAGE / "core.py").read_text(), checks)
+    assert len(messages) == 4
+    copies = {
+        path.name: [m for m in messages if m in path.read_text()]
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"
+    }
+    assert not {name: found for name, found in copies.items() if found}
+    core = (PACKAGE / "core.py").read_text()
+    assert all(core.count(m) == 1 for m in messages)

@@ -61,8 +61,9 @@ def test_norm_on_circle_known_values():
         est = norm_on_circle(ExpSum(((1, 0),)), 3.5, 64)
         assert est.grid_max == 1
         assert est.certified_upper == 1
-    with pytest.raises(ValueError):
-        norm_on_circle(ExpSum(((1, 1),)), 0, 64)
+    for r in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius"):
+            norm_on_circle(ExpSum(((1, 1),)), r, 64)
     with pytest.raises(ValueError):
         norm_on_circle(ExpSum(((1, 1),)), 1, 4)
 
