@@ -10,7 +10,6 @@ semi-infinite LP estimating the constant itself.
 
 from .analytic_bounds import (
     AnnihilatorData,
-    InequalityReport,
     annihilator,
     apply_annihilator,
     beta_log_lower,
@@ -18,7 +17,6 @@ from .analytic_bounds import (
     half_integer_product,
     lemma_product_exact,
     lemma_product_lower,
-    numeric_inequality_suite,
     stirling_ratio,
     theorem2_bounds,
     vieta_majorant,
@@ -77,7 +75,6 @@ __all__ = [
     "EnEstimate",
     "ExponentNode",
     "ExpSum",
-    "InequalityReport",
     "LPConfig",
     "MultiIndex",
     "NormEstimate",
@@ -107,7 +104,6 @@ __all__ = [
     "norm_on_K",
     "norm_on_bidisk",
     "norm_on_circle",
-    "numeric_inequality_suite",
     "proof_lower_bound",
     "require_alpha",
     "require_bits",

@@ -259,21 +259,8 @@ def coeff_log_upper(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS):
         return n2 * mp.log(n) / 2 + mp.mpf("5.95") * n2 - n * mp.log(abs(mp.mpf(alpha.im)))
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """Result of the closed-form inequality scan over n = 1..n_max."""
-
-    n_max: int
-    checks: tuple
-    violation: object  # None, or (n, check_name)
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-
-# (name, holds(n, N, n^2, ln n, sum_{k<=n} k ln k)) per inequality, in scan order
-_INEQUALITIES = (
+# (name, holds(n, N, n^2, ln n, sum_{k<=n} k ln k)) per inequality, in the verify suite's scan order
+INEQUALITIES = (
     ("N*ln(N+n) <= n^2*ln(n) + 3.7*n^2",
      lambda n, N, n2, lnn, klogk: N * mp.log(N + n) <= n2 * lnn + mp.mpf("3.7") * n2),
     ("ln(N+1) <= N",
@@ -285,24 +272,6 @@ _INEQUALITIES = (
     ("sum k*ln(k) >= (n^2*ln(n))/2 - n^2/4",
      lambda n, N, n2, lnn, klogk: klogk >= n2 * lnn / 2 - n2 / 4),
 )
-INEQUALITY_CHECKS = tuple(name for name, _ in _INEQUALITIES)
-
-
-def numeric_inequality_suite(n_max: int, bits: int = DEFAULT_BITS) -> InequalityReport:
-    """Scan INEQUALITY_CHECKS in table order for n = 1..n_max; report the first violation."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    with mp.workprec(bits):
-        klogk = mp.mpf(0)
-        for n in range(1, n_max + 1):
-            N = mp.mpf(space_dimension(n))
-            n2 = mp.mpf(n) ** 2
-            lnn = mp.log(n)
-            klogk += n * lnn
-            for name, holds in _INEQUALITIES:
-                if not holds(n, N, n2, lnn, klogk):
-                    return InequalityReport(n_max, INEQUALITY_CHECKS, (n, name))
-        return InequalityReport(n_max, INEQUALITY_CHECKS, None)
 
 
 def expanded_vieta_sum(data: AnnihilatorData, bits: int = DEFAULT_BITS):

@@ -43,7 +43,6 @@ from .core import (
     AlphaParam,
     ExpSum,
     Poly2,
-    compose_to_expsum,
     monomial_nodes,
     require_alpha,
     require_degree,
@@ -92,7 +91,8 @@ class WitnessResult:
     max_residual is the largest |mu_m| = |sum c a^m| over m < N of the
     composed witness, relative to max(1, max|a|)^N, read from the
     moment table its circle estimates share; alpha is the curve
-    parameter it was built for.
+    parameter it was built for, and f = compose_to_expsum(p, alpha), the
+    ExpSum whose power sums were checked.
     """
 
     p: Poly2
@@ -102,6 +102,7 @@ class WitnessResult:
     r: object  # mp.mpf, the evaluation radius N/n
     bits: int
     alpha: AlphaParam
+    f: ExpSum
 
 
 def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> WitnessResult:
@@ -127,9 +128,9 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
         wmax = max(abs(w) for w in weights)
         p = Poly2(n, {e.index: w / wmax for e, w in zip(nodes, weights)})
 
-        # the power sums of the normalized weights, from the table that the
-        # witness's circle estimates read (the terms of compose_to_expsum(p))
-        table = moment_table(ExpSum(tuple((p.coeffs[e.index], e.value) for e in nodes)), bits)
+        # f's power sums, from the table that its circle estimates read
+        f = ExpSum(tuple((p.coeffs[e.index], e.value) for e in nodes))
+        table = moment_table(f, bits)
         threshold = mp.mpf(2) ** (-(bits // 4))
         top = table.moment(N) * wmax
         if abs(top - 1) > threshold:
@@ -143,14 +144,14 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
                 f"power-sum residual {mp.nstr(worst, 5)} exceeds 2^-{bits // 4} "
                 f"at {bits} bits; increase precision"
             )
-        return WitnessResult(p, n, N, worst, mp.mpf(N) / n, bits, alpha)
+        return WitnessResult(p, n, N, worst, mp.mpf(N) / n, bits, alpha, f)
 
 
 def _checked_radius(r):
-    """r as an mp.mpf, or raise unless r >= 1 (NaN fails too)."""
+    """r as an mp.mpf, or raise unless r >= 1 and finite (NaN fails too)."""
     rr = mp.mpf(r)
-    if not rr >= 1:
-        raise ValueError(f"radius must be >= 1, got {mp.nstr(rr, 8)}")
+    if not (rr >= 1 and mp.isfinite(rr)):
+        raise ValueError(f"radius must be >= 1 and finite, got {mp.nstr(rr, 8)}")
     return rr
 
 
@@ -189,16 +190,15 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
 
     Returns (witness, normK, circle_sup, lower_bound) with the K norm
     certified on a grid of `grid` points and the circle sup taken at
-    radius r (default N/n).  Both circles read the moment table that
-    build_witness checked the vanishing order on (norms keeps the latest
-    table).
+    radius r (default N/n), on the witness's own ExpSum w.f.  Both
+    circles read the moment table that build_witness checked the
+    vanishing order on (norms keeps the latest table).
     """
     with mp.workprec(bits):
         radius = None if r is None else _checked_radius(r)
     w = build_witness(n, alpha, bits)
     radius = w.r if radius is None else radius
     normk = norm_on_K(w.p, alpha, grid, bits)
-    f = compose_to_expsum(w.p, alpha, bits)
-    circle = norm_on_circle(f, radius, grid, bits, depth=0)
+    circle = norm_on_circle(w.f, radius, grid, bits, depth=0)
     lower = witness_lower_bound(w, radius, normk, circle)
     return w, normk, circle, lower

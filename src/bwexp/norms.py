@@ -86,10 +86,10 @@ out are evaluated at working precision.
   L + 2 > r max|a|.
 * The working-precision maximizer has a float modulus within 2E of the
   float maximum, so it is always kept, and so are exact ties such as
-  mirror-image points.  Kept points are evaluated exactly as a full scan
-  evaluates them (same t_i, exponentials and summation order), so each
-  G_j, and with it grid_max and the ladder certificate, is the value a
-  full working-precision scan of the grid reports: an attained value.
+  mirror-image points.  One loop, _largest, evaluates the kept points
+  exactly as a full scan would (same t_i, exponentials and summation
+  order), so each G_j, and with it grid_max and the ladder certificate,
+  is the value a full working-precision scan reports: an attained value.
 
 Bidisk sup norms of polynomials are attained on the torus
 |z| = |w| = 1 (maximum principle in each variable separately), so the
@@ -108,9 +108,9 @@ moments or ladder.
   degree below M, Parseval on the grid gives max |P| >= sum|c|/sqrt(T),
   so the window is narrow relative to the maximum.
 * Each distinct tuple of phase indices (aj+bk) mod M among the kept
-  points, which fixes the working-precision value, is evaluated once:
-  exact ties collapse (the M^2 points of z w share M tuples).  The
-  working-precision maximizer is always kept, so grid_max is the
+  points, which fixes the working-precision value, is evaluated once by
+  _largest: exact ties collapse (the M^2 points of z w share M tuples).
+  The working-precision maximizer is always kept, so grid_max is the
   maximum of a full working-precision scan: an attained value.
 """
 
@@ -155,6 +155,21 @@ def _near_max(vals, n: int, size: float, extra: float):
     mod = np.abs(vals)
     top = float(mod.max())
     return np.flatnonzero(mod >= top - 2 * _window(top, n, size, extra))
+
+
+def _largest(coeffs, rows):
+    """max |sum c_k x_k| over the rows x, at the working precision.
+
+    The one loop that evaluates kept points: each row is summed in term
+    order, s += c_k x_k from s = 0, as a full scan of the grid sums it.
+    """
+    best = mp.mpf(0)
+    for row in rows:
+        s = mp.mpc(0)
+        for c, x in zip(coeffs, row):
+            s += c * x
+        best = max(best, abs(s))
+    return best
 
 
 def _log2(x) -> float:
@@ -397,15 +412,7 @@ class _CircleGrid:
     def level_max(self, j: int, scaled):
         """Grid max of |f^(j)| = |sum scaled_k e^{a_k t}|, scaled_k = c_k a_k^j."""
         vals, n, size, extra, _ = self.scan(j)
-        best = mp.mpf(0)
-        for i in _near_max(vals, n, size, extra).tolist():
-            s = mp.mpc(0)
-            for d, e in zip(scaled, self.row(i)):
-                s += d * e
-            v = abs(s)
-            if v > best:
-                best = v
-        return best
+        return _largest(scaled, map(self.row, _near_max(vals, n, size, extra).tolist()))
 
 
 def norm_on_K(p: Poly2, alpha: AlphaParam, M: int = 512, bits: int = DEFAULT_BITS, depth=None) -> NormEstimate:
@@ -500,15 +507,8 @@ def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEsti
         a, b = np.divmod(_near_max(vals, T + 64, float(csum * scale), extra), M)
         keys = (np.outer(a, jk[:, 0]) + np.outer(b, jk[:, 1])) % M
         keys = keys[np.lexsort(keys.T)]  # equal keys adjacent, evaluated once
-        best = mp.mpf(0)
-        for key in keys[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]].tolist():
-            s = mp.mpc(0)
-            for c, m in zip(coeffs, key):
-                s += c * roots[m]
-            v = abs(s)
-            if v > best:
-                best = v
-        return NormEstimate(best, csum)
+        distinct = keys[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]].tolist()
+        return NormEstimate(_largest(coeffs, ([roots[m] for m in key] for key in distinct)), csum)
 
 
 def bw_envelope(z, w, normk, en, n: int, bits: int = DEFAULT_BITS):

@@ -489,6 +489,8 @@ def en_random_search(
     require_degree(n)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     require_alpha(alpha)
     idx = canonical_indices(n)
     ncoef = len(idx)
@@ -528,16 +530,16 @@ def en_bracket(
 
     Invariant violations (a lower estimate exceeding an upper bound plus
     its stated allowance) are recorded in flags, never silently dropped.
-    The oracle rebuilds the certificate's witness at the same precision,
-    so its vanishing check reads the moment table the certificate left.
+    The oracle runs first, so a bad trials or seed fails before the LP;
+    the certificate's witness reads the moment table the oracle's left.
     """
     lo, up = theorem2_bounds(n, alpha, bits)
-    wbits = max(bits, required_witness_bits(n))
-    _, _, _, wlower = witness_certificate(n, alpha, bits=wbits)
-    lp_val = en_lp_estimate(n, alpha, cfg, bits, max_degree)
     oracle_val = en_random_search(
         n, alpha, trials, seed, grid_points=cfg.torus_points, bits=bits
     )
+    lp_val = en_lp_estimate(n, alpha, cfg, bits, max_degree)
+    wbits = max(bits, required_witness_bits(n))
+    _, _, _, wlower = witness_certificate(n, alpha, bits=wbits)
     analytic_lower, analytic_upper = float(lo), float(up)
     witness_log = float(wlower)
 

@@ -22,13 +22,13 @@ import numpy as np
 from mpmath import mp
 
 from .analytic_bounds import (
+    INEQUALITIES,
     annihilator,
     apply_annihilator,
     beta_log_lower,
     half_integer_product,
     lemma_product_exact,
     lemma_product_lower,
-    numeric_inequality_suite,
     stirling_ratio,
     theorem2_bounds,
 )
@@ -40,6 +40,7 @@ from .core import (
     canonical_indices,
     compose_to_expsum,
     make_alpha,
+    space_dimension,
 )
 from .norms import norm_on_K, norm_on_circle
 
@@ -175,13 +176,21 @@ def suite_annihilator(level: str, bits: int) -> Iterator[str | None]:
 def suite_inequalities(level: str, bits: int) -> Iterator[str | None]:
     """Closed-form inequality scan (the n^2 ln n bookkeeping chain).
 
-    One case per n scanned; the scan stops at its first violation.
+    One case per n, failed by the first row of INEQUALITIES that fails;
+    the scan stops there.  No precision context is held over a yield.
     """
     n_max = 10_000 if level == "full" else 1000
-    report = numeric_inequality_suite(n_max, bits)
-    n_bad, name = report.violation or (None, None)
-    for n in range(1, (n_bad or n_max) + 1):
-        yield f"n={n}: {name}" if n == n_bad else None
+    klogk = mp.mpf(0)  # sum_{k<=n} k ln k
+    for n in range(1, n_max + 1):
+        with mp.workprec(bits):
+            N = mp.mpf(space_dimension(n))
+            n2 = mp.mpf(n) ** 2
+            lnn = mp.log(n)
+            klogk += n * lnn
+            failed = [name for name, holds in INEQUALITIES if not holds(n, N, n2, lnn, klogk)]
+        yield f"n={n}: {failed[0]}" if failed else None
+        if failed:
+            return
 
 
 def suite_witness(level: str, bits: int) -> Iterator[str | None]:
@@ -189,8 +198,8 @@ def suite_witness(level: str, bits: int) -> Iterator[str | None]:
 
     A degree is one residual case (build_witness raises on a miss, and
     then the degree has no growth cases) and one case per radius.  Its
-    residual check, K circle and radii read one moment table: they
-    compose the same ExpSum, and norms keeps the latest table.
+    residual check, K circle and radii read one moment table: the radii
+    read w.f, the K circle composes its terms, and norms keeps the table.
     """
     n_max = 6 if level == "full" else 3
     wbits = 512 if level == "full" else bits
@@ -204,10 +213,9 @@ def suite_witness(level: str, bits: int) -> Iterator[str | None]:
             continue
         yield None
         N = w.order
-        f = compose_to_expsum(w.p, a, use_bits)
         base = norm_on_K(w.p, a, 512, use_bits)
         for r in (1.5, 2.0, N / n):
-            circ = norm_on_circle(f, r, 512, use_bits, depth=0)
+            circ = norm_on_circle(w.f, r, 512, use_bits, depth=0)
             with mp.workprec(use_bits):
                 gain = mp.log(circ.grid_max) - mp.log(base.certified_upper)
                 need = N * mp.log(r) - mp.mpf("1e-6")

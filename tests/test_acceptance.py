@@ -23,7 +23,6 @@ from bwexp.analytic_bounds import (
     half_integer_product,
     lemma_product_exact,
     lemma_product_lower,
-    numeric_inequality_suite,
     stirling_ratio,
     theorem2_bounds,
 )
@@ -38,6 +37,7 @@ from bwexp.core import (
 )
 from bwexp.norms import norm_on_circle
 from bwexp.solver import LPConfig, en_bracket, en_lp_estimate
+from bwexp.suites import suite_inequalities
 
 STANDARD_ALPHAS = ((0.0, 0.5), (0.3, 0.4), (-0.2, 0.6), (0.1, 0.1))
 A05 = make_alpha(0.0, 0.5)
@@ -169,8 +169,8 @@ def test_06_closed_form_inequality_scan():
     sums = np.cumsum(ns * logn)
     assert np.all(sums >= 0.5 * ns**2 * logn - 0.25 * ns**2)
     # the library's own scan agrees (shared forms, extended precision)
-    report = numeric_inequality_suite(10_000, 64)
-    assert report.ok, report.violation
+    failures = [v for v in suite_inequalities("full", 64) if v is not None]
+    assert not failures, failures
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"inequality scan took {elapsed:.2f}s"
 

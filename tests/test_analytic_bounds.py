@@ -17,11 +17,11 @@ from bwexp.analytic_bounds import (
     lemma_product_exact,
     lemma_product_lower,
     nearest_integer,
-    numeric_inequality_suite,
     stirling_ratio,
     theorem2_bounds,
     vieta_majorant,
 )
+from bwexp.suites import suite_inequalities
 
 SEED = 20240812
 BITS = 256
@@ -344,13 +344,11 @@ def test_coeff_log_upper_values():
         coeff_log_upper(2, make_alpha(0.0, 0.0))
 
 
-def test_numeric_inequality_suite():
+def test_closed_form_inequalities_hold():
     with mp.workprec(BITS):
         # n=1 spot checks: N=2
         assert 2 * mp.log(3) <= mp.mpf("3.7")
         assert mp.log(3) <= 2
         assert 2 * mp.log(2) - 2 >= -1
-    report = numeric_inequality_suite(200)
-    assert report.ok
-    assert report.violation is None
-    assert report.n_max == 200
+    verdicts = list(suite_inequalities("quick", BITS))
+    assert verdicts == [None] * 1000

@@ -88,6 +88,12 @@ def test_domain_errors_name_the_hypothesis(capsys):
     assert code == EXIT_DOMAIN
     assert "degree must be >= 1, got 0" in err
 
+    code, _, err = run_cli(
+        capsys, ["solve", "--n", "1", "--alpha", "0.0+0.5i", "--seed", "-1"]
+    )
+    assert code == EXIT_DOMAIN
+    assert "seed must be >= 0, got -1" in err
+
 
 @pytest.mark.parametrize("argv", [
     ["bounds", "--n", "3", "--alpha", "0.0+0.5i"],

@@ -228,7 +228,7 @@ def test_witness_lower_bound_validation(monkeypatch):
     normk = norm_on_K(w.p, alpha, 64)
     f = compose_to_expsum(w.p, alpha)
     circ = norm_on_circle(f, 2, 64, depth=0)
-    for r in (0.5, float("nan")):
+    for r in (0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="radius must be >= 1"):
             witness_lower_bound(w, r, normk, circ)
     grid_only = norm_on_K(w.p, alpha, 64, depth=0)
@@ -236,7 +236,7 @@ def test_witness_lower_bound_validation(monkeypatch):
         witness_lower_bound(w, 2, grid_only, circ)
     # the certificate rejects its radius before it builds the witness
     monkeypatch.setattr(construct, "build_witness", None)
-    for r in (0.5, float("nan")):
+    for r in (0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="radius must be >= 1"):
             witness_certificate(1, alpha, r=r)
 

@@ -1,6 +1,6 @@
-"""Every import in the package is used, durations use a monotonic clock,
-every verify suite is registered, and each shared input check is stated
-once (a stdlib stand-in for a linter)."""
+"""Every import in the package is used, every public name resolves,
+durations use a monotonic clock, every verify suite is registered, and
+each shared input check is stated once (a stdlib stand-in for a linter)."""
 
 import ast
 import subprocess
@@ -40,6 +40,13 @@ def test_package_has_no_unused_imports():
     assert paths
     unused = {path.name: unused_imports(path.read_text()) for path in paths}
     assert not {name: names for name, names in unused.items() if names}
+
+
+def test_public_names_resolve():
+    # unused_imports reads __all__ as a use, so a name whose import is gone
+    # would pass it; `from bwexp import *` would then fail
+    assert len(bwexp.__all__) == len(set(bwexp.__all__))
+    assert [name for name in bwexp.__all__ if not hasattr(bwexp, name)] == []
 
 
 def wall_clock_reads(source: str) -> list:

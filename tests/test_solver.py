@@ -389,6 +389,18 @@ def test_oracle_validation():
         en_random_search(1, A05, -1, seed=0)
     with pytest.raises(ValueError):
         en_random_search(1, make_alpha(0.5, 0.0), 10, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        en_random_search(1, A05, 10, seed=-1)
+
+
+def test_bracket_rejects_trials_and_seed_before_the_lp(monkeypatch):
+    # the oracle checks its inputs before the LP and the certificate run
+    monkeypatch.setattr(solver, "en_lp_estimate", None)
+    monkeypatch.setattr(solver, "witness_certificate", None)
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        solver.en_bracket(8, A05, trials=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        solver.en_bracket(8, A05, seed=-1)
 
 
 def _reference_random_search(n, alpha, trials, seed, grid_points, bits=256):

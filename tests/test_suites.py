@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp
 
 from bwexp import suites
-from bwexp.analytic_bounds import INEQUALITY_CHECKS, InequalityReport
+from bwexp.analytic_bounds import INEQUALITIES
 from bwexp.norms import NormEstimate
 
 BITS = 256
@@ -64,9 +64,15 @@ def test_norm_refinement_fails_a_case_once(monkeypatch):
 
 
 def test_inequality_scan_counts_the_n_it_scanned(monkeypatch):
-    # the scan stops at its first violation, so the n past it are not cases
-    check = INEQUALITY_CHECKS[2]
-    monkeypatch.setattr(suites, "numeric_inequality_suite",
-                        lambda n_max, bits: InequalityReport(n_max, INEQUALITY_CHECKS, (7, check)))
+    # the scan stops at its first violation, so the n past it are not cases;
+    # each n reports the first row of the table that fails there
+    check = "n < 7"
+    monkeypatch.setattr(suites, "INEQUALITIES",
+                        INEQUALITIES[:2] + ((check, lambda n, *_: n < 7),) + INEQUALITIES[2:])
     verdicts = list(suites.suite_inequalities("quick", BITS))
     assert verdicts == [None] * 6 + [f"n=7: {check}"]
+    # no working-precision context is held while the scan is suspended
+    prec = mp.prec
+    scan = suites.suite_inequalities("quick", prec + 64)
+    next(scan)
+    assert mp.prec == prec
