@@ -25,10 +25,14 @@ endpoint up to the n^2/4 slack of sum k ln k >= (n^2 ln n)/2 - n^2/4.
 The weights span about N orders of magnitude, so the construction
 enforces bits >= 64 + ceil(N log2(n+2)) and checks the power sums
 mu_0..mu_N of the normalized witness after the fact, from the exact
-integer sums of the norms.moment_table that witness_certificate's two
-circles then read;
-both failure modes raise with a message telling the caller to increase
-precision.
+integer sums of the norms.moment_table that witness_certificate's
+r = N/n circle then reads at working precision; both failure modes
+raise with a message telling the caller to increase precision.  On the
+curve the witness is the Newton function [a_0..a_N] e^{a t} over wmax,
+so witness_certificate certifies its K norm (the unit circle) in
+float64 from that form (norms.newton_norm_on_K).  The precision floor
+still matters there: the rounding of the stored coefficients is one of
+that certificate's allowances, and the coefficients cancel.
 """
 
 from __future__ import annotations
@@ -48,7 +52,27 @@ from .core import (
     require_degree,
     space_dimension,
 )
-from .norms import NormEstimate, moment_table, norm_on_circle, norm_on_K
+from .norms import (
+    NormEstimate,
+    moment_table,
+    newton_norm_on_K,
+    norm_on_circle,
+    norm_on_K,
+    require_grid,
+)
+
+# norm_on_K is re-exported, unused here: the benchmark's tracer
+# (perfbench/tracing.py) wraps construct.norm_on_K
+__all__ = [
+    "WitnessResult",
+    "build_witness",
+    "divided_difference_weights",
+    "norm_on_K",
+    "proof_lower_bound",
+    "required_witness_bits",
+    "witness_certificate",
+    "witness_lower_bound",
+]
 
 
 def required_witness_bits(n: int) -> int:
@@ -91,8 +115,9 @@ class WitnessResult:
     max_residual is the largest |mu_m| = |sum c a^m| over m < N of the
     composed witness, relative to max(1, max|a|)^N, read from the
     moment table its circle estimates share; alpha is the curve
-    parameter it was built for, and f = compose_to_expsum(p, alpha), the
-    ExpSum whose power sums were checked.
+    parameter it was built for, f = compose_to_expsum(p, alpha), the
+    ExpSum whose power sums were checked, and wmax the largest |weight|
+    the coefficients were divided by.
     """
 
     p: Poly2
@@ -103,6 +128,7 @@ class WitnessResult:
     bits: int
     alpha: AlphaParam
     f: ExpSum
+    wmax: object  # mp.mpf
 
 
 def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> WitnessResult:
@@ -144,7 +170,7 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
                 f"power-sum residual {mp.nstr(worst, 5)} exceeds 2^-{bits // 4} "
                 f"at {bits} bits; increase precision"
             )
-        return WitnessResult(p, n, N, worst, mp.mpf(N) / n, bits, alpha, f)
+        return WitnessResult(p, n, N, worst, mp.mpf(N) / n, bits, alpha, f, wmax)
 
 
 def _checked_radius(r):
@@ -188,17 +214,21 @@ def proof_lower_bound(n: int, bits: int = DEFAULT_BITS):
 def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits: int = DEFAULT_BITS):
     """Build the witness and evaluate its certified lower bound.
 
-    Returns (witness, normK, circle_sup, lower_bound) with the K norm
-    certified on a grid of `grid` points and the circle sup taken at
-    radius r (default N/n), on the witness's own ExpSum w.f.  Both
-    circles read the moment table that build_witness checked the
-    vanishing order on (norms keeps the latest table).
+    Returns (witness, normK, circle_sup, lower_bound).  The K norm is
+    certified in float64 Newton form on a grid of `grid` points
+    (norms.newton_norm_on_K, from the witness's nodes and wmax); the
+    circle sup is the working-precision grid maximum at radius r
+    (default N/n) of the witness's own ExpSum w.f, read from the moment
+    table build_witness checked the vanishing order on (norms keeps the
+    latest table).  The grid and the radius are checked before the
+    witness is built.
     """
+    require_grid(grid)
     with mp.workprec(bits):
         radius = None if r is None else _checked_radius(r)
     w = build_witness(n, alpha, bits)
     radius = w.r if radius is None else radius
-    normk = norm_on_K(w.p, alpha, grid, bits)
+    normk = newton_norm_on_K(w.f, w.wmax, grid, bits)
     circle = norm_on_circle(w.f, radius, grid, bits, depth=0)
     lower = witness_lower_bound(w, radius, normk, circle)
     return w, normk, circle, lower

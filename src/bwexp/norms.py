@@ -91,6 +91,16 @@ out are evaluated at working precision.
   order), so each G_j, and with it grid_max and the ladder certificate,
   is the value a full working-precision scan reports: an attained value.
 
+A witness's K norm has a cheaper certificate: on the curve the witness
+is the Newton function [a_0..a_N] e^{a t} over wmax, whose Taylor
+coefficients h_j(a)/(N+j)! carry no cancellation, so newton_norm_on_K
+runs the same ladder on the unit circle in float64 from one table of
+complete homogeneous sums (homogeneous_sums, shared with the LP's
+Newton basis), with four stated allowances and no working-precision
+point; its docstring holds the proof.  The circles at other radii, such
+as the witness's r = N/n circle, and every general f stay on the
+working-precision moment table above.
+
 Bidisk sup norms of polynomials are attained on the torus
 |z| = |w| = 1 (maximum principle in each variable separately), so the
 grid scans the torus points (w^a, w^b), w = e^{2 pi i/M}, only.  The
@@ -122,9 +132,15 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .core import DEFAULT_BITS, AlphaParam, ExpSum, Poly2, compose_to_expsum
+from .core import DEFAULT_BITS, AlphaParam, ExpSum, Poly2, compose_to_expsum, require_bits
 
 GRID_FLOOR = 8
+
+
+def require_grid(M: int) -> None:
+    """Raise unless a circle or torus grid has at least GRID_FLOOR points."""
+    if M < GRID_FLOOR:
+        raise ValueError(f"grid needs at least {GRID_FLOOR} points, got {M}")
 
 
 @dataclass(frozen=True)
@@ -437,8 +453,7 @@ def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=N
     DFT block is gathered once per grid (see the module docstring);
     neither changes a value.
     """
-    if M < GRID_FLOOR:
-        raise ValueError(f"grid needs at least {GRID_FLOOR} points, got {M}")
+    require_grid(M)
     with mp.workprec(bits):
         rr = mp.mpf(r)
         if not (rr > 0 and mp.isfinite(rr)):
@@ -474,6 +489,230 @@ def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=N
         return NormEstimate(grid_max, best)
 
 
+def homogeneous_sums(a: np.ndarray, J: int) -> np.ndarray:
+    """h[j, ..., i] = h_j(a_0..a_i), the complete homogeneous sums, for j < J.
+
+    a is an array of nodes, the last axis running over i; h_0 = 1 and
+    h_j(a_0..a_i) = sum_{l<=i} a_l h_{j-1}(a_0..a_l), one product and one
+    np.cumsum per row (cumsum accumulates in index order).  Past the
+    float64 range the table holds inf and nan quietly; callers check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.ones((J,) + a.shape, dtype=np.result_type(a, np.float64))
+        for j in range(1, J):
+            h[j] = np.cumsum(a * h[j - 1], axis=-1)
+    return h
+
+
+class _NewtonLevels:
+    """Float64 levels N! psi^(m)(t_i) of psi = [a_0..a_N] e^{a t} on t_i = e^{2 pi i i/M}.
+
+    See newton_norm_on_K for the series, the allowances and their proof.
+    """
+
+    def __init__(self, a: np.ndarray, M: int):
+        self.M = M
+        self.N = N = len(a) - 1
+        self.abs_a = np.abs(a)
+        self.rho = float(self.abs_a.max()) * (1 + 2.0**-50)  # >= every |a_i| and |float a_i|
+        self.J = J = math.ceil(math.e * self.rho) + 60
+        h = homogeneous_sums(np.stack([a, self.abs_a.astype(a.dtype)]), J)[:, :, -1]
+        self.h, self.h_abs = h[:, 0], h[:, 1].real
+        fact = [1]
+        for k in range(1, N + J):
+            fact.append(fact[-1] * k)
+        # N!/k!, each a correctly rounded int / int; inf for the small k
+        # (k < N, deep levels only) where it overflows
+        self.ratio = np.array([fact[N] / f if f.bit_length() > fact[N].bit_length() - 1020
+                               else math.inf for f in fact])
+        if not (np.isfinite(self.h_abs).all() and self.ratio[-1] >= 2.0**-1022):
+            raise ValueError(
+                f"the Newton form leaves the float64 range at N = {N}: "
+                f"h_j(|a|) or N!/k! for k < N + {J} is not a normal float64"
+            )
+        self.q = q = min(M, N + J)  # DFT columns
+        self.folds = (N + J - 1) // M  # terms each folded coefficient adds
+        idx = np.multiply.outer(np.arange(M, dtype=np.int64), np.arange(q, dtype=np.int64)) % M
+        self.dft = np.exp(2j * np.pi * np.arange(M) / M)[idx]
+        # per term j: recurrence 4j + N, two roundings into the coefficient,
+        # folding, twiddle 32, product 3, the dot product's q - 1 sums,
+        # the modulus 2 and 4 spare
+        self.count = 4 * np.arange(J) + N + self.folds + q + 42
+        if float(self.count[-1]) * _UNIT > 2.0**-41:
+            raise ValueError(f"the Newton form leaves the float64 range at N = {N}: rounding counts too large")
+
+    def _terms(self, m: int):
+        """j >= max(0, m - N), their powers k = j + N - m and the ratios N!/k!."""
+        j = np.arange(max(0, m - self.N), self.J)
+        k = j + self.N - m
+        return j, k, self.ratio[k]
+
+    def tail(self, m: int) -> float:
+        """An upper bound on sum_{j>=J} h_j(|a|) N!/(j+N-m)!, or inf.
+
+        h_j(|a|) <= C(j+N, N) rho^j, and the ratio of consecutive bounds,
+        (j+N+1) rho/((j+1)(j+N-m+1)), falls with j; the tail is at most
+        the j = J bound over 1 - that ratio at J, doubled for the float
+        logarithms.
+        """
+        N, J, rho = self.N, self.J, self.rho
+        if J + N - m < 0:
+            return math.inf
+        shrink = 1 - (J + N + 1) * rho / ((J + 1) * (J + N - m + 1))
+        log2 = math.log2(math.comb(J + N, N)) + J * math.log2(rho)
+        log2 += math.log2(math.factorial(N)) - math.log2(math.factorial(J + N - m))
+        if shrink <= 0 or log2 > 1000:
+            return math.inf
+        return 2 * 2.0**log2 / shrink + 2.0**-1060
+
+    def bound(self, m: int) -> float:
+        """T_m >= sup_{|t|<=1} |N! psi^(m)|: the positive series sum h_j(|a|) N!/k!, or inf."""
+        j, _, ratio = self._terms(m)
+        return float(self.h_abs[j] @ ratio) * (1 + 2.0**-38) + self.tail(m)
+
+    def level(self, m: int):
+        """Float values N! psi^(m)(t_i) at every grid point, and E >= every error.
+
+        Both are inf where an N!/k! of the level overflows.
+        """
+        j, k, ratio = self._terms(m)
+        if not np.isfinite(ratio).all():
+            return np.full(self.M, np.inf, dtype=np.complex128), math.inf
+        folded = np.zeros(self.q, dtype=np.complex128)
+        np.add.at(folded, k % self.M, self.h[j] * ratio)
+        vals = self.dft @ folded
+        weighted = float((self.count[j] * self.h_abs[j]) @ ratio)
+        err = 1.0001 * _UNIT * weighted + self.tail(m) + (self.q + self.M + 8) * 2.0**-1060
+        return vals, err
+
+
+def newton_norm_on_K(f: ExpSum, wmax, M: int = 512, bits: int = DEFAULT_BITS) -> NormEstimate:
+    """Sup of |f| on |t| = 1 for a witness sum, certified in float64 Newton form.
+
+    f = sum c_i e^{a_i t} is a witness as construct.build_witness stores
+    it (bits >= 64): a_i the monomial nodes j + alpha k rounded once to
+    bits (alpha k is exact there), c_i = w_i/wmax rounded, with w_i the
+    divided-difference weights construct.divided_difference_weights
+    computes at bits and wmax the stored maximum |w_i|.  With exact
+    nodes a*_i and exact weights w*_i, sum w*_i e^{a*_i t} is the Newton
+    function psi* = [a*_0..a*_N] e^{a* t}, so
+
+        f(t) = psi*(t)/wmax + sum_i (c_i - w*_i/wmax) e^{a*_i t}.
+
+    psi = [a_0..a_N] e^{a t} over the float64 nodes a_i has the Taylor
+    series sum_j h_j(a) t^{N+j}/(N+j)!, h_j the complete homogeneous sums
+    (homogeneous_sums), so psi^(m) has the coefficients h_{k+m-N}/k! at
+    t^k.  Levels are scaled by N!: level m at the grid points is the
+    length-M DFT of h_j N!/k! (k = j + N - m, folded mod M) over j < J,
+    J = ceil(e rho) + 60, rho >= max|a|.  They carry no cancellation:
+    |h_j(a)| <= h_j(|a|), and Cauchy's estimate gives
+    sup_{|t|=1} |N! psi| >= 1.  grid_max and certified_upper are then
+    the grid maximum and the Taylor ladder of norm_on_circle on these
+    levels (the tail T_D = sum_j h_j(|a|) N!/(j+N-D)!, the positive
+    series), with four allowances, each stated at its size on N! psi:
+
+    1. Float rounding.  The path of a monomial of h_j(a_0..a_N) through
+       the recurrence takes j complex products (at most gamma_3 each;
+       Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+       Lemma 3.5) and at most N + j running sums, so the float h_j is
+       within gamma_{4j+N} h_j(|a|) of h_j(a) (Lemma 3.1 and 3.3), and
+       the float h_j(|a|) within a relative gamma_{4j+N} of h_j(|a|)
+       (each |a_i| is rounded once).  Term j of a level then takes two
+       more roundings into its coefficient (N!/k!, a correctly rounded
+       int / int, and the product), the folding, a twiddle factor
+       (within 32 u of e^{2 pi i i k/M}), a complex product, at most q - 1
+       sums of the dot product over q columns, and the modulus: E is
+       u sum_j count_j h_j(|a|) N!/k!, count_j = 4j + N + folds + q + 42,
+       times 1.0001 for the second-order terms (count_j u <= 2^-41) and
+       the float evaluation of that positive sum.  Terms past J add the
+       tail bound C(j+N, N) rho^j N!/k! summed geometrically, and float
+       underflow adds (q + M + 8) 2^-1060.  A ladder candidate plus
+       allowance 2 is a float sum of positive terms, each at most
+       3 cap + 5 roundings from exact (cap >= 8), so the factor 1 + 5 cap u
+       covers them.
+    2. Node rounding.  |a*_i - a_i| <= 2^-52 |a_i| (one rounding to bits,
+       one to float64), and by the Hermite-Genocchi formula
+       d psi/d a_i = [a_0..a_N, a_i] e^{a t} is at most e^{rho}/(N+1)! on
+       |t| <= 1 along the segment between the node sets, so
+       |N! psi* - N! psi| <= e^{rho} 2^-52 sum|a_i|/(N+1) on |t| <= 1.
+    3. Rounding of wmax.  The float bounds are divided by N! wmax, the
+       stored wmax, at bits: a few roundings of 2^{1-bits} each, covered
+       by the outward factors 1 -+ 2^{3-bits}.
+    4. The stored coefficients.  Each node difference a_i - a_j is
+       rounded once from nodes within u_b |a*| of exact (u_b = 2^{1-bits}),
+       each w_i takes N products and a reciprocal, and c_i one division
+       by wmax.  So c_i = (w*_i/wmax)(1 + theta_i), |theta_i| <= 2 u_b
+       sigma_i, sigma_i = sum_{j!=i} (2(|a_i| + |a_j|)/d_ij + 2) + 2N + 6,
+       d_ij a lower bound on |a*_i - a*_j| from the float nodes; and
+       |c_i - w*_i/wmax| <= 4 u_b sigma_i |c_i| while u_b sigma_i <= 1/4.
+       The allowance sum_i 4 u_b sigma_i |c_i| e^{|a_i|} is what needs
+       the precision construct.required_witness_bits asks for: the
+       coefficients cancel to ||f||_K from sum |c_i| e^{|a_i|}.
+
+    grid_max is (the float maximum - E_0 - allowance 2)/(N! wmax) -
+    allowance 4, so it stays a true lower bound on the grid maximum of
+    |f|; certified_upper is (ladder + allowance 2)/(N! wmax) +
+    allowance 4.  N!/k! is inf where it would overflow (k well below N,
+    read only by deep levels, and such a level ends the ladder).  Past
+    the float64 range (an h_j(|a|) not finite or the least N!/k! not a
+    normal float, as at n = 24) it raises ValueError; there is no
+    fallback.
+    """
+    require_grid(M)
+    require_bits(bits)
+    with mp.workprec(bits):
+        coeffs = [abs(mp.mpc(c)) for c, _ in f.terms]
+        a = np.array([complex(mp.mpc(x)) for _, x in f.terms])
+        lev = _NewtonLevels(a, M)
+        N, abs_a = lev.N, lev.abs_a
+
+        # allowance 4, in units of u_b = 2^(1-bits)
+        diff = np.abs(a[:, None] - a[None, :]) * (1 - 2.0**-50)
+        pair = abs_a[:, None] + abs_a[None, :]
+        low = diff - 2.0**-51 * pair
+        np.fill_diagonal(low, 1.0)
+        if not (low > 0).all():
+            raise ValueError("witness nodes too close for the float64 Newton form")
+        np.fill_diagonal(pair, 0.0)
+        sigma = (2 * pair / low + 2).sum(axis=1) - 2 + 2 * N + 6
+        if float(sigma.max()) * 2.0 ** (1 - bits) > 0.25:
+            raise ValueError(f"coefficient rounding too large at {bits} bits; increase precision")
+        with np.errstate(over="ignore"):
+            spread = float(np.dot(np.array([float(c) for c in coeffs]) * sigma,
+                                  np.exp(abs_a * (1 + 2.0**-50))))
+        coeff_err = mp.ldexp(mp.mpf(4 * spread * (1 + 2.0**-30)), 1 - bits)
+        # allowance 2, on N! psi
+        node_err = math.exp(lev.rho) * 2.0**-52 * float(abs_a.sum()) / (N + 1) * (1 + 2.0**-30)
+
+        vals, err = lev.level(0)
+        top = float(np.abs(vals).max())
+        low_max = max(0.0, (top - err - node_err) * (1 - 2.0**-50))
+
+        h = math.pi / M * (1 + 2.0**-50)
+        cap = max(GRID_FLOOR, 2 * len(a) + 16)
+        cutoff = 2.0 ** -min(bits // 2, 64)
+        partial, hfac, best, g = 0.0, 1.0, math.inf, top + err
+        for m in range(cap):
+            partial += hfac * g
+            hfac *= h / (m + 1)
+            tail = hfac * lev.bound(m + 1)  # h^D/D! T_D at D = m+1
+            best = min(best, partial + tail)
+            if tail <= cutoff * best or m + 1 == cap:
+                break
+            vals, err = lev.level(m + 1)
+            g = float(np.abs(vals).max()) + err
+            if not math.isfinite(g):
+                break
+        upper = (best + node_err) * (1 + 5 * cap * _UNIT)
+        if not math.isfinite(upper):
+            raise ValueError(f"the Newton form leaves the float64 range at N = {N}: no finite ladder")
+
+        scale = math.factorial(N) * mp.mpf(wmax)
+        grid_max = max(mp.mpf(0), mp.mpf(low_max) / scale * (1 - mp.ldexp(1, 3 - bits)) - coeff_err)
+        certified = mp.mpf(upper) / scale * (1 + mp.ldexp(1, 3 - bits)) + coeff_err
+        return NormEstimate(grid_max, certified)
+
+
 def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEstimate:
     """Sup of |P| over the closed bidisk, scanned on the M x M torus.
 
@@ -483,8 +722,7 @@ def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEsti
     proven error window (see the module docstring), so it is attained.
     certified_upper is the coefficient sum.
     """
-    if M < GRID_FLOOR:
-        raise ValueError(f"grid needs at least {GRID_FLOOR} points, got {M}")
+    require_grid(M)
     items = sorted(p.coeffs.items())
     with mp.workprec(bits):
         coeffs = [mp.mpc(c) for _, c in items]

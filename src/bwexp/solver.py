@@ -104,6 +104,7 @@ from .core import (
     require_degree,
     space_dimension,
 )
+from .norms import homogeneous_sums
 
 
 def _load_highs_core():
@@ -400,11 +401,12 @@ def _newton_basis(a: np.ndarray, M1: int):
     """psi_k(t_i) = [a_0..a_k] e^{a t_i} at M1 circle points, and W with psi = e^{t a} W.
 
     psi_k(t) = sum_j h_j(a_0..a_k) t^{k+j}/(k+j)!, h_j the complete
-    homogeneous symmetric polynomial, h_j(a_0..a_k) = sum_{i<=k} a_i
-    h_{j-1}(a_0..a_i).  J = ceil(e rho) + 60 terms suffice, rho = max|a|:
-    |h_j| <= C(j+k, k) rho^j, so on |t| = 1 the j-th term is at most
-    rho^j/(j! k!) <= (e rho/j)^j/k! and the dropped tail below 2e-26/k!,
-    while max|psi_k| >= 1/k! (its t^k coefficient, by Cauchy's estimate).
+    homogeneous symmetric polynomial, from norms.homogeneous_sums (whose
+    table the witness's K certificate reads too).  J = ceil(e rho) + 60
+    terms suffice, rho = max|a|: |h_j| <= C(j+k, k) rho^j, so on |t| = 1
+    the j-th term is at most rho^j/(j! k!) <= (e rho/j)^j/k! and the
+    dropped tail below 2e-26/k!, while max|psi_k| >= 1/k! (its t^k
+    coefficient, by Cauchy's estimate).
     W[i,k] = 1/prod_{j<=k, j!=i}(a_i - a_j) for i <= k, else 0.
     """
     K = len(a)
@@ -412,12 +414,10 @@ def _newton_basis(a: np.ndarray, M1: int):
     t = np.exp(2j * np.pi * np.arange(M1) / M1)
     m = np.arange(K + J - 1)
     inv_fact = np.cumprod(np.concatenate([[1.0], 1.0 / m[1:]]))
+    h = homogeneous_sums(a, J)
     # past the float64 range the table and psi hold inf and nan quietly;
     # _lp_problem's finiteness check raises SolverGridError on them
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.ones((J, K), dtype=np.complex128)
-        for j in range(1, J):
-            h[j] = np.cumsum(a * h[j - 1])
         band = np.zeros((K + J - 1, K), dtype=np.complex128)
         band[np.arange(J)[:, None] + np.arange(K), np.arange(K)] = h
         psi = (t[np.outer(np.arange(M1), m) % M1] * inv_fact) @ band

@@ -42,7 +42,7 @@ from .core import (
     make_alpha,
     space_dimension,
 )
-from .norms import norm_on_K, norm_on_circle
+from .norms import newton_norm_on_K, norm_on_K, norm_on_circle
 
 _SUITE_SEED = 20240815
 STANDARD_ALPHAS = (
@@ -194,12 +194,16 @@ def suite_inequalities(level: str, bits: int) -> Iterator[str | None]:
 
 
 def suite_witness(level: str, bits: int) -> Iterator[str | None]:
-    """Witness vanishing order: residuals and the r^N growth law.
+    """Witness vanishing order: residuals, the K certificate and the r^N growth law.
 
     A degree is one residual case (build_witness raises on a miss, and
-    then the degree has no growth cases) and one case per radius.  Its
-    residual check, K circle and radii read one moment table: the radii
-    read w.f, the K circle composes its terms, and norms keeps the table.
+    then the degree has no further cases), one cross-check of the float64
+    Newton K certificate against the working-precision norm_on_K on the
+    same grid (at least its grid maximum, at most its certificate
+    times 1 + 2^-40), and one case per radius, whose growth is measured
+    against the Newton certificate.  The residual check, norm_on_K and
+    the radii read one moment table: the radii read w.f, norm_on_K
+    composes its terms, and norms keeps the table.
     """
     n_max = 6 if level == "full" else 3
     wbits = 512 if level == "full" else bits
@@ -213,7 +217,15 @@ def suite_witness(level: str, bits: int) -> Iterator[str | None]:
             continue
         yield None
         N = w.order
-        base = norm_on_K(w.p, a, 512, use_bits)
+        base = newton_norm_on_K(w.f, w.wmax, 512, use_bits)
+        wide = norm_on_K(w.p, a, 512, use_bits)
+        with mp.workprec(use_bits):
+            cap = wide.certified_upper * (1 + mp.mpf(2) ** -40)
+            inside = wide.grid_max <= base.certified_upper <= cap
+        yield None if inside else (
+            f"n={n}: Newton K certificate {mp.nstr(base.certified_upper, 17)} outside "
+            f"[{mp.nstr(wide.grid_max, 17)}, {mp.nstr(cap, 17)}]"
+        )
         for r in (1.5, 2.0, N / n):
             circ = norm_on_circle(w.f, r, 512, use_bits, depth=0)
             with mp.workprec(use_bits):

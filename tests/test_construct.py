@@ -36,13 +36,14 @@ ALPHAS = [
 ]
 SMALL_LP = LPConfig(circle_points=64, polygon_sides=16, torus_points=8, phase_samples=8)
 # float(lower) of witness_certificate(n, 0.5i) for n = 1..5 at grid 512,
-# 256 bits, recorded when each circle still formed its own moments
+# 256 bits, with the K norm certified in float64 Newton form; each lies
+# within 7e-14 of the value the working-precision K ladder gave
 CERT_LOWER = (
-    -0.22386290795075245,
-    0.7341775690341715,
-    3.17103606777356,
-    7.321385901666317,
-    13.377201762648394,
+    -0.2238629079507793,
+    0.7341775690341382,
+    3.1710360677735183,
+    7.321385901666265,
+    13.377201762648326,
 )
 
 
@@ -241,6 +242,13 @@ def test_witness_lower_bound_validation(monkeypatch):
             witness_certificate(1, alpha, r=r)
 
 
+def test_certificate_rejects_a_coarse_grid_first(monkeypatch):
+    # the grid floor is checked before the witness is built, as the radius is
+    monkeypatch.setattr(construct, "build_witness", None)
+    with pytest.raises(ValueError, match=f"grid needs at least {norms.GRID_FLOOR} points, got 4"):
+        witness_certificate(3, make_alpha(0.0, 0.5), grid=4)
+
+
 def test_witness_lower_bound_scale_invariance():
     # the bound is a ratio; rescaling the polynomial leaves it unchanged
     from bwexp import Poly2
@@ -248,7 +256,9 @@ def test_witness_lower_bound_scale_invariance():
     alpha = make_alpha(0.3, 0.4)
     w = build_witness(2, alpha)
     with mp.workprec(BITS):
-        _, normk, circ, lower = witness_certificate(2, alpha)
+        normk = norm_on_K(w.p, alpha, 512)
+        circ = norm_on_circle(w.f, w.r, 512, depth=0)
+        lower = witness_lower_bound(w, w.r, normk, circ)
         s = mp.mpc(3, -4)
         scaled = Poly2(2, {jk: s * mp.mpc(c) for jk, c in w.p.coeffs.items()})
         normk2 = norm_on_K(scaled, alpha, 512)
@@ -274,9 +284,12 @@ def table_builds(monkeypatch):
 
 
 def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
-    # the vanishing check, the K circle and the r = N/n circle read one
-    # moment table, built once per certificate, and report exactly what
-    # estimates with their own tables report
+    # the vanishing check and the r = N/n circle read one moment table,
+    # built once per certificate, and the circle reports exactly what an
+    # estimate with its own table reports; the float64 Newton K
+    # certificate lies between the working-precision grid maximum and
+    # certificate (1 + 2^-40) of norm_on_K on the same grid, and its grid
+    # maximum stays below that grid maximum
     for n in (1, 2, 3):
         table_builds.clear()
         w = build_witness(n, ALPHAS[0])
@@ -295,7 +308,10 @@ def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
             assert len(table_builds) == 1, f"n={n}"
             f = compose_to_expsum(w.p, alpha, BITS)
             monkeypatch.setattr(norms, "_last_moments", None)
-            assert norm_on_K(w.p, alpha, 512, BITS) == normk, f"n={n}"
+            wide = norm_on_K(w.p, alpha, 512, BITS)
+            with mp.workprec(BITS):
+                assert normk.grid_max <= wide.grid_max <= normk.certified_upper, f"n={n}"
+                assert normk.certified_upper <= wide.certified_upper * (1 + mp.mpf(2) ** -40), f"n={n}"
             monkeypatch.setattr(norms, "_last_moments", None)
             assert norm_on_circle(f, w.r, 512, BITS, depth=0) == circle, f"n={n}"
             if alpha is ALPHAS[0]:
@@ -303,9 +319,9 @@ def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
 
 
 def test_levels_formed_on_demand(table_builds, monkeypatch):
-    # the working-precision coefficients c a^j are formed only up to the
-    # deepest level a row reads, while the float scans read many more
-    # moments (the integer power sums)
+    # the certificate's one working-precision scan, the r = N/n circle at
+    # depth 0, forms only the level-0 coefficients c, while its float scan
+    # reads many more moments (the integer power sums)
     asked = []
     level = norms._Moments.level
 
@@ -316,12 +332,13 @@ def test_levels_formed_on_demand(table_builds, monkeypatch):
     monkeypatch.setattr(norms._Moments, "level", recording_level)
     witness_certificate(5, ALPHAS[0])
     (table,) = table_builds
-    assert len(table.levels) == max(asked) + 1 == 14
+    assert len(table.levels) == max(asked) + 1 == 1
     assert len(table.mu_f) == 73
 
 
 def test_suite_witness_reads_one_table_per_degree(table_builds):
-    # each degree's K circle and its three radii share one table
+    # each degree's residual check, working-precision K cross-check and
+    # three radii share one table: five cases per degree
     verdicts = list(suite_witness("quick", BITS))
-    assert (len(verdicts), sum(v is not None for v in verdicts)) == (12, 0)
+    assert (len(verdicts), sum(v is not None for v in verdicts)) == (15, 0)
     assert len(table_builds) == 3

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from operator import mul
 
 from mpmath import mp
 import numpy as np
@@ -9,8 +10,18 @@ import pytest
 
 from bwexp import ExpSum, MultiIndex, Poly2, canonical_indices, compose_to_expsum, eval_poly, make_alpha, norms, space_dimension
 from bwexp.analytic_bounds import coeff_log_upper, theorem2_bounds
-from bwexp.construct import build_witness
-from bwexp.norms import _CircleGrid, _Moments, _window, bw_envelope, norm_on_bidisk, norm_on_circle, norm_on_K
+from bwexp.construct import build_witness, divided_difference_weights, required_witness_bits
+from bwexp.norms import (
+    _CircleGrid,
+    _Moments,
+    _NewtonLevels,
+    _window,
+    bw_envelope,
+    newton_norm_on_K,
+    norm_on_bidisk,
+    norm_on_circle,
+    norm_on_K,
+)
 
 SEED = 20240814
 BITS = 256
@@ -206,6 +217,94 @@ def test_float_scan_within_window():
                             s += d * e
                         assert abs(mp.mpc(v) - s * mp.ldexp(1, -S)) <= E, f"{tag} r={r} j={j} i={i}"
                     scaled = [d * a for d, a in zip(scaled, exps)]
+
+
+NEWTON_CASES = [(n, make_alpha(re, im)) for re, im in STANDARD_ALPHAS for n in range(1, 9)]
+NEWTON_CASES += [(n, make_alpha(0.0, 3.0)) for n in (1, 2, 3)]
+
+
+def _fixed(values, P):
+    """Re and Im parts of mp complex values as integers at scale 2^-P."""
+    return ([int(mp.nint(mp.ldexp(z.real, P))) for z in values],
+            [int(mp.nint(mp.ldexp(z.imag, P))) for z in values])
+
+
+def test_newton_levels_within_their_allowance(monkeypatch):
+    # every level the Newton K ladder scans holds float values of
+    # N! psi^(m)(t_i), psi = [a_0..a_N] e^{a t} over the float64 nodes,
+    # within the level's stated allowance E of the working-precision
+    # values at the same grid points, and so does the level's float
+    # maximum.  The reference sums N! w_i a_i^m e^{a_i t_i} with weights
+    # and exponentials at 64 bits beyond the witness floor, each rounded
+    # to an integer at that precision, so its rounding is far below E.
+    M = 64
+    seen = []
+    level = _NewtonLevels.level
+
+    def recording(lev, m):
+        vals, err = level(lev, m)
+        seen.append((m, vals, err))
+        return vals, err
+
+    monkeypatch.setattr(_NewtonLevels, "level", recording)
+    for n, alpha in NEWTON_CASES:
+        bits = max(BITS, required_witness_bits(n))
+        w = build_witness(n, alpha, bits)
+        seen.clear()
+        newton_norm_on_K(w.f, w.wmax, M, bits)
+        assert [m for m, _, _ in seen] == list(range(len(seen))) and len(seen) > 1
+        wp = required_witness_bits(n) + 64
+        with mp.workprec(wp):
+            nodes = [mp.mpc(complex(mp.mpc(a))) for _, a in w.f.terms]
+            coeffs = [mp.factorial(len(nodes) - 1) * c for c in divided_difference_weights(nodes, wp)]
+            rows = [_fixed([mp.exp(a * mp.expjpi(mp.mpf(2 * i) / M)) for a in nodes], wp) for i in range(M)]
+            for m, vals, err in seen:
+                P = wp - int(mp.mag(max(abs(c) for c in coeffs)))
+                cr, ci = _fixed(coeffs, P)
+                ref = [
+                    mp.mpc(mp.ldexp(sum(map(mul, cr, rr)) - sum(map(mul, ci, ri)), -P - wp),
+                           mp.ldexp(sum(map(mul, cr, ri)) + sum(map(mul, ci, rr)), -P - wp))
+                    for rr, ri in rows
+                ]
+                E = mp.mpf(err)
+                for i, (v, s) in enumerate(zip(vals.tolist(), ref)):
+                    assert abs(mp.mpc(v) - s) <= E, f"n={n} alpha={alpha} m={m} i={i}"
+                top = max(abs(s) for s in ref)
+                assert abs(mp.mpf(float(np.abs(vals).max())) - top) <= E, f"n={n} alpha={alpha} m={m}"
+                coeffs = [c * a for c, a in zip(coeffs, nodes)]
+
+
+def test_newton_certificate_above_a_finer_grid():
+    # the certificate on 512 points bounds the sup, so it is at least
+    # the working-precision grid maximum on 4096 points
+    for re, im in STANDARD_ALPHAS:
+        alpha = make_alpha(re, im)
+        for n in range(1, 5):
+            w = build_witness(n, alpha, BITS)
+            est = newton_norm_on_K(w.f, w.wmax, 512, BITS)
+            fine = norm_on_K(w.p, alpha, 4096, BITS, depth=0)
+            with mp.workprec(BITS):
+                assert est.certified_upper >= fine.grid_max >= est.grid_max > 0, f"n={n} alpha={alpha}"
+
+
+def test_newton_form_stays_in_the_float64_range():
+    # at n = 12 (N = 90, 407 bits) the certificate is finite or the range
+    # error names float64; at n = 24 (N = 324) h_j(|a|) overflows
+    n, alpha = 12, make_alpha(0.0, 0.5)
+    bits = required_witness_bits(n)
+    w = build_witness(n, alpha, bits)
+    try:
+        est = newton_norm_on_K(w.f, w.wmax, 512, bits)
+    except ValueError as ex:
+        assert "float64 range" in str(ex)
+    else:
+        with mp.workprec(bits):
+            assert mp.isfinite(est.certified_upper) and est.certified_upper >= est.grid_max > 0
+    nodes = np.array([j + 0.5j * k for j in range(25) for k in range(25 - j)])
+    with pytest.raises(ValueError, match="float64 range at N = 324"):
+        _NewtonLevels(nodes, 64)
+    with pytest.raises(ValueError, match="grid needs at least"):
+        newton_norm_on_K(w.f, w.wmax, 4, bits)
 
 
 def _reference_moments(terms, count):

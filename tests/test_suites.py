@@ -44,7 +44,7 @@ def test_suite_witness_reports_a_failed_build(monkeypatch):
 
     monkeypatch.setattr(suites, "build_witness", failing_at_two)
     verdicts = list(suites.suite_witness("quick", BITS))
-    assert len(verdicts) == 9  # n = 1 and 3: a residual case and three radii each
+    assert len(verdicts) == 11  # n = 1 and 3: a residual case, the K cross-check and three radii each
     assert [v for v in verdicts if v is not None] == [
         "n=2: power-sum residual too large; increase precision"
     ]
