@@ -114,7 +114,7 @@ class WitnessResult:
     p holds the witness normalized to max |coefficient| = 1;
     max_residual is the largest |mu_m| = |sum c a^m| over m < N of the
     composed witness, relative to max(1, max|a|)^N, read from the
-    moment table its circle estimates share; alpha is the curve
+    moment table its r = N/n circle then reads; alpha is the curve
     parameter it was built for, f = compose_to_expsum(p, alpha), the
     ExpSum whose power sums were checked, and wmax the largest |weight|
     the coefficients were divided by.
@@ -154,7 +154,7 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
         wmax = max(abs(w) for w in weights)
         p = Poly2(n, {e.index: w / wmax for e, w in zip(nodes, weights)})
 
-        # f's power sums, from the table that its circle estimates read
+        # f's power sums, from the table that its r = N/n circle reads
         f = ExpSum(tuple((p.coeffs[e.index], e.value) for e in nodes))
         table = moment_table(f, bits)
         threshold = mp.mpf(2) ** (-(bits // 4))
@@ -216,7 +216,7 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
 
     Returns (witness, normK, circle_sup, lower_bound).  The K norm is
     certified in float64 Newton form on a grid of `grid` points
-    (norms.newton_norm_on_K, from the witness's nodes and wmax); the
+    (norms.newton_norm_on_K reads the witness's f, wmax and bits); the
     circle sup is the working-precision grid maximum at radius r
     (default N/n) of the witness's own ExpSum w.f, read from the moment
     table build_witness checked the vanishing order on (norms keeps the
@@ -228,7 +228,7 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
         radius = None if r is None else _checked_radius(r)
     w = build_witness(n, alpha, bits)
     radius = w.r if radius is None else radius
-    normk = newton_norm_on_K(w.f, w.wmax, grid, bits)
+    normk = newton_norm_on_K(w, grid)
     circle = norm_on_circle(w.f, radius, grid, bits, depth=0)
     lower = witness_lower_bound(w, radius, normk, circle)
     return w, normk, circle, lower

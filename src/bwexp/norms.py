@@ -18,11 +18,12 @@ whose tail h^D/D! T_D is at most 2^-min(bits/2, 64) of the least bound
 so far, B.  Every deeper bound is at least the partial sum at D, which
 is at least B less that tail, so stopping raises the certificate by at
 most 2^-64 B over the minimum across all depths; it stays an upper
-bound.  Depth 1 is the classical
-grid_max + h * sum|c||a|e^{r|a|} bound; deeper levels matter when f has
-engineered cancellation (witness polynomials have K norms around
-e^{n}/N! while sum|c||a|e^{|a|} is astronomically larger, so the
-one-step bound is useless there and the ladder is not).
+bound.  One loop, _ladder, runs it for both circle certificates below,
+from a level source whose level(m) is an upper bound on G_m.  Depth 1
+is the classical grid_max + h * sum|c||a|e^{r|a|} bound; deeper levels
+matter when f has engineered cancellation (witness polynomials have K
+norms around e^{n}/N! while sum|c||a|e^{|a|} is astronomically larger,
+so the one-step bound is useless there and the ladder is not).
 
 Each level needs the grid maximum G_j = max_i |f^(j)(t_i)| over
 t_i = r e^{2 pi i i/M}.  A working-precision scan of the whole grid costs
@@ -47,8 +48,8 @@ out are evaluated at working precision.
   coefficients c a^j, which only the kept points' evaluation reads,
   are formed when a level is asked for.  The latest table is kept, so
   a witness's vanishing check (construct.build_witness reads its
-  mu_0..mu_N), its K circle and its r = N/n circle share one table and
-  form each moment once.
+  mu_0..mu_N) and its r = N/n circle share one table and form each
+  moment once.
 * The rest of a level's set-up is float arithmetic on values stored
   once each: each mu_k and r^m/m! is stored, when it is formed, as a
   float64 mantissa of modulus below 1 and an exact binary exponent.
@@ -132,7 +133,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .core import DEFAULT_BITS, AlphaParam, ExpSum, Poly2, compose_to_expsum, require_bits
+from .core import DEFAULT_BITS, AlphaParam, ExpSum, Poly2, compose_to_expsum
 
 GRID_FLOOR = 8
 
@@ -297,9 +298,9 @@ def moment_table(f: ExpSum, bits: int) -> _Moments:
     """f's moment table at bits, the latest one again when f.terms and bits match.
 
     One entry is kept, so the uses of one ExpSum that come in a row (a
-    witness's vanishing check, its K circle and its r = N/n circle)
-    share a table, and no more than one table outlives its call.  Call
-    inside mp.workprec(bits).
+    witness's vanishing check and its r = N/n circle) share a table, and
+    no more than one table outlives its call.  Call inside
+    mp.workprec(bits).
     """
     global _last_moments
     terms = tuple(f.terms)  # a copy if a caller passed a list it may change
@@ -425,10 +426,37 @@ class _CircleGrid:
             row = self.rows[i] = [mp.exp(a * t) for a in self.exps]
         return row
 
-    def level_max(self, j: int, scaled):
-        """Grid max of |f^(j)| = |sum scaled_k e^{a_k t}|, scaled_k = c_k a_k^j."""
+    def level_max(self, j: int):
+        """Grid max of |f^(j)| = |sum c_k a_k^j e^{a_k t}|, an attained value."""
         vals, n, size, extra, _ = self.scan(j)
-        return _largest(scaled, map(self.row, _near_max(vals, n, size, extra).tolist()))
+        return _largest(self.table.level(j), map(self.row, _near_max(vals, n, size, extra).tolist()))
+
+
+def _ladder_limits(K: int, bits: int):
+    """The adaptive ladder's depth cap for K >= 1 terms and its stop ratio at bits."""
+    return 2 * K + 16, 2.0 ** -min(bits // 2, 64)
+
+
+def _ladder(g0, level, total, h, cap, cutoff):
+    """min over D <= cap of sum_{m<D} h^m/m! G_m + h^D/D! T_D, in the arithmetic of g0 and h.
+
+    g0 and level(m) bound the grid maxima G_0 and G_m from above, and
+    total(D) is T_D.  It stops at the first D whose tail is at most cutoff
+    times the least bound so far (cutoff 0 for a fixed depth: a zero tail
+    leaves nothing deeper to add), and before the first infinite level.
+    """
+    partial, hfac, best, g = 0, 1, math.inf, g0
+    for m in range(cap):
+        partial += hfac * g
+        hfac *= h / (m + 1)
+        tail = hfac * total(m + 1)  # h^D/D! T_D at D = m+1
+        best = min(best, partial + tail)
+        if tail <= cutoff * best or m + 1 == cap:
+            break
+        g = level(m + 1)
+        if not g < math.inf:
+            break
+    return best
 
 
 def norm_on_K(p: Poly2, alpha: AlphaParam, M: int = 512, bits: int = DEFAULT_BITS, depth=None) -> NormEstimate:
@@ -459,33 +487,13 @@ def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=N
         if not (rr > 0 and mp.isfinite(rr)):
             raise ValueError(f"radius must be positive and finite, got {mp.nstr(rr, 8)}")
         if not f.terms:
-            zero = mp.mpf(0)
-            return NormEstimate(zero, zero)
-        table = moment_table(f, bits)
-        grid = _CircleGrid(table, rr, M)
-
-        grid_max = grid.level_max(0, table.level(0))
+            return NormEstimate(mp.mpf(0), mp.mpf(0))
+        grid = _CircleGrid(moment_table(f, bits), rr, M)
+        grid_max = grid.level_max(0)
         if depth == 0:
             return NormEstimate(grid_max, None)
-
-        h = mp.pi * rr / M
-        cap = depth if depth is not None else max(GRID_FLOOR, 2 * len(f.terms) + 16)
-        cutoff = mp.mpf(2) ** -min(bits // 2, 64)
-        partial = mp.mpf(0)  # sum_{m<D} h^m/m! G_m
-        hfac = mp.mpf(1)  # h^m / m!
-        best = None
-        g = grid_max
-        for m in range(cap):
-            partial += hfac * g
-            hfac *= h / (m + 1)
-            tail = hfac * grid.total(m + 1)  # h^D/D! * T_D at D = m+1
-            cand = partial + tail
-            if best is None or cand < best:
-                best = cand
-            if depth is None and tail <= cutoff * best:
-                break
-            if m + 1 < cap:
-                g = grid.level_max(m + 1, table.level(m + 1))
+        cap, cutoff = (depth, 0) if depth else _ladder_limits(len(f.terms), bits)
+        best = _ladder(grid_max, grid.level_max, grid.total, mp.pi * rr / M, cap, cutoff)
         return NormEstimate(grid_max, best)
 
 
@@ -526,10 +534,7 @@ class _NewtonLevels:
         self.ratio = np.array([fact[N] / f if f.bit_length() > fact[N].bit_length() - 1020
                                else math.inf for f in fact])
         if not (np.isfinite(self.h_abs).all() and self.ratio[-1] >= 2.0**-1022):
-            raise ValueError(
-                f"the Newton form leaves the float64 range at N = {N}: "
-                f"h_j(|a|) or N!/k! for k < N + {J} is not a normal float64"
-            )
+            raise self.range_error(f"h_j(|a|) or N!/k! for k < N + {J} is not a normal float64")
         self.q = q = min(M, N + J)  # DFT columns
         self.folds = (N + J - 1) // M  # terms each folded coefficient adds
         idx = np.multiply.outer(np.arange(M, dtype=np.int64), np.arange(q, dtype=np.int64)) % M
@@ -539,7 +544,11 @@ class _NewtonLevels:
         # the modulus 2 and 4 spare
         self.count = 4 * np.arange(J) + N + self.folds + q + 42
         if float(self.count[-1]) * _UNIT > 2.0**-41:
-            raise ValueError(f"the Newton form leaves the float64 range at N = {N}: rounding counts too large")
+            raise self.range_error("rounding counts too large")
+
+    def range_error(self, why: str) -> ValueError:
+        """The error past the float64 range, which no precision mends: only a smaller degree does."""
+        return ValueError(f"the Newton form leaves the float64 range at N = {self.N}: {why}; use a smaller --n")
 
     def _terms(self, m: int):
         """j >= max(0, m - N), their powers k = j + N - m and the ratios N!/k!."""
@@ -585,17 +594,22 @@ class _NewtonLevels:
         err = 1.0001 * _UNIT * weighted + self.tail(m) + (self.q + self.M + 8) * 2.0**-1060
         return vals, err
 
+    def level_bound(self, m: int) -> float:
+        """The float maximum of level m plus its E: an upper bound on max_i |N! psi^(m)(t_i)|, or inf."""
+        vals, err = self.level(m)
+        return float(np.abs(vals).max()) + err
 
-def newton_norm_on_K(f: ExpSum, wmax, M: int = 512, bits: int = DEFAULT_BITS) -> NormEstimate:
-    """Sup of |f| on |t| = 1 for a witness sum, certified in float64 Newton form.
 
-    f = sum c_i e^{a_i t} is a witness as construct.build_witness stores
-    it (bits >= 64): a_i the monomial nodes j + alpha k rounded once to
-    bits (alpha k is exact there), c_i = w_i/wmax rounded, with w_i the
-    divided-difference weights construct.divided_difference_weights
-    computes at bits and wmax the stored maximum |w_i|.  With exact
-    nodes a*_i and exact weights w*_i, sum w*_i e^{a*_i t} is the Newton
-    function psi* = [a*_0..a*_N] e^{a* t}, so
+def newton_norm_on_K(w, M: int = 512) -> NormEstimate:
+    """Sup of |w.f| on |t| = 1 for a construct.WitnessResult w, certified in float64 Newton form.
+
+    f = sum c_i e^{a_i t}, wmax and bits are read from the witness, as
+    construct.build_witness stores them (bits >= 64): a_i the monomial
+    nodes j + alpha k rounded once to bits (alpha k is exact there),
+    c_i = w_i/wmax rounded, with w_i the divided-difference weights
+    construct.divided_difference_weights computes at bits and wmax the
+    stored maximum |w_i|.  With exact nodes a*_i and exact weights w*_i,
+    sum w*_i e^{a*_i t} is the Newton function psi* = [a*_0..a*_N] e^{a* t}, so
 
         f(t) = psi*(t)/wmax + sum_i (c_i - w*_i/wmax) e^{a*_i t}.
 
@@ -607,9 +621,10 @@ def newton_norm_on_K(f: ExpSum, wmax, M: int = 512, bits: int = DEFAULT_BITS) ->
     J = ceil(e rho) + 60, rho >= max|a|.  They carry no cancellation:
     |h_j(a)| <= h_j(|a|), and Cauchy's estimate gives
     sup_{|t|=1} |N! psi| >= 1.  grid_max and certified_upper are then
-    the grid maximum and the Taylor ladder of norm_on_circle on these
-    levels (the tail T_D = sum_j h_j(|a|) N!/(j+N-D)!, the positive
-    series), with four allowances, each stated at its size on N! psi:
+    the grid maximum and the Taylor ladder norm_on_circle runs (_ladder)
+    on these levels, each read as its float maximum plus E (level_bound),
+    with the tail T_D = sum_j h_j(|a|) N!/(j+N-D)!, the positive series,
+    and four allowances, each stated at its size on N! psi:
 
     1. Float rounding.  The path of a monomial of h_j(a_0..a_N) through
        the recurrence takes j complex products (at most gamma_3 each;
@@ -628,8 +643,8 @@ def newton_norm_on_K(f: ExpSum, wmax, M: int = 512, bits: int = DEFAULT_BITS) ->
        tail bound C(j+N, N) rho^j N!/k! summed geometrically, and float
        underflow adds (q + M + 8) 2^-1060.  A ladder candidate plus
        allowance 2 is a float sum of positive terms, each at most
-       3 cap + 5 roundings from exact (cap >= 8), so the factor 1 + 5 cap u
-       covers them.
+       3 cap + 5 roundings from exact (cap = 2K + 16, K = N + 1 terms),
+       so the factor 1 + 5 cap u covers them.
     2. Node rounding.  |a*_i - a_i| <= 2^-52 |a_i| (one rounding to bits,
        one to float64), and by the Hermite-Genocchi formula
        d psi/d a_i = [a_0..a_N, a_i] e^{a t} is at most e^{rho}/(N+1)! on
@@ -655,14 +670,14 @@ def newton_norm_on_K(f: ExpSum, wmax, M: int = 512, bits: int = DEFAULT_BITS) ->
     allowance 4.  N!/k! is inf where it would overflow (k well below N,
     read only by deep levels, and such a level ends the ladder).  Past
     the float64 range (an h_j(|a|) not finite or the least N!/k! not a
-    normal float, as at n = 24) it raises ValueError; there is no
-    fallback.
+    normal float, as at n = 24) it raises ValueError naming the one
+    remedy, a smaller degree; there is no fallback.
     """
     require_grid(M)
-    require_bits(bits)
+    bits = w.bits
     with mp.workprec(bits):
-        coeffs = [abs(mp.mpc(c)) for c, _ in f.terms]
-        a = np.array([complex(mp.mpc(x)) for _, x in f.terms])
+        coeffs = np.array([float(abs(mp.mpc(c))) for c, _ in w.f.terms])
+        a = np.array([complex(mp.mpc(x)) for _, x in w.f.terms])
         lev = _NewtonLevels(a, M)
         N, abs_a = lev.N, lev.abs_a
 
@@ -678,8 +693,7 @@ def newton_norm_on_K(f: ExpSum, wmax, M: int = 512, bits: int = DEFAULT_BITS) ->
         if float(sigma.max()) * 2.0 ** (1 - bits) > 0.25:
             raise ValueError(f"coefficient rounding too large at {bits} bits; increase precision")
         with np.errstate(over="ignore"):
-            spread = float(np.dot(np.array([float(c) for c in coeffs]) * sigma,
-                                  np.exp(abs_a * (1 + 2.0**-50))))
+            spread = float(np.dot(coeffs * sigma, np.exp(abs_a * (1 + 2.0**-50))))
         coeff_err = mp.ldexp(mp.mpf(4 * spread * (1 + 2.0**-30)), 1 - bits)
         # allowance 2, on N! psi
         node_err = math.exp(lev.rho) * 2.0**-52 * float(abs_a.sum()) / (N + 1) * (1 + 2.0**-30)
@@ -687,27 +701,13 @@ def newton_norm_on_K(f: ExpSum, wmax, M: int = 512, bits: int = DEFAULT_BITS) ->
         vals, err = lev.level(0)
         top = float(np.abs(vals).max())
         low_max = max(0.0, (top - err - node_err) * (1 - 2.0**-50))
-
-        h = math.pi / M * (1 + 2.0**-50)
-        cap = max(GRID_FLOOR, 2 * len(a) + 16)
-        cutoff = 2.0 ** -min(bits // 2, 64)
-        partial, hfac, best, g = 0.0, 1.0, math.inf, top + err
-        for m in range(cap):
-            partial += hfac * g
-            hfac *= h / (m + 1)
-            tail = hfac * lev.bound(m + 1)  # h^D/D! T_D at D = m+1
-            best = min(best, partial + tail)
-            if tail <= cutoff * best or m + 1 == cap:
-                break
-            vals, err = lev.level(m + 1)
-            g = float(np.abs(vals).max()) + err
-            if not math.isfinite(g):
-                break
+        cap, cutoff = _ladder_limits(len(a), bits)
+        best = _ladder(top + err, lev.level_bound, lev.bound, math.pi / M * (1 + 2.0**-50), cap, cutoff)
         upper = (best + node_err) * (1 + 5 * cap * _UNIT)
         if not math.isfinite(upper):
-            raise ValueError(f"the Newton form leaves the float64 range at N = {N}: no finite ladder")
+            raise lev.range_error("no finite ladder")
 
-        scale = math.factorial(N) * mp.mpf(wmax)
+        scale = math.factorial(N) * mp.mpf(w.wmax)
         grid_max = max(mp.mpf(0), mp.mpf(low_max) / scale * (1 - mp.ldexp(1, 3 - bits)) - coeff_err)
         certified = mp.mpf(upper) / scale * (1 + mp.ldexp(1, 3 - bits)) + coeff_err
         return NormEstimate(grid_max, certified)
@@ -728,8 +728,7 @@ def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEsti
         coeffs = [mp.mpc(c) for _, c in items]
         csum = sum(abs(c) for c in coeffs)
         if csum == 0:
-            zero = mp.mpf(0)
-            return NormEstimate(zero, zero)
+            return NormEstimate(mp.mpf(0), mp.mpf(0))
         T = len(coeffs)
         step = 2 * mp.pi / M
         roots = [mp.exp(mp.mpc(0, m * step)) for m in range(M)]

@@ -104,7 +104,7 @@ from .core import (
     require_degree,
     space_dimension,
 )
-from .norms import homogeneous_sums
+from .norms import GRID_FLOOR, homogeneous_sums
 
 
 def _load_highs_core():
@@ -164,11 +164,11 @@ class LPConfig:
     def __post_init__(self) -> None:
         if self.polygon_sides < 8:
             raise ValueError(f"polygon_sides must be >= 8, got {self.polygon_sides}")
-        if self.torus_points < 8:
+        if self.torus_points < GRID_FLOOR:
             raise ValueError(f"torus_points must be >= 8, got {self.torus_points}")
         if self.phase_samples < 4:
             raise ValueError(f"phase_samples must be >= 4, got {self.phase_samples}")
-        if self.circle_points < 8:
+        if self.circle_points < GRID_FLOOR:
             raise ValueError(f"circle_points must be >= 8, got {self.circle_points}")
 
     def slack(self) -> float:
@@ -295,13 +295,13 @@ class _WorkingSetLP:
         u = self.psi[i] * self.phases[s][:, None]
         return np.concatenate([u.real, -u.imag], axis=1)
 
-    def maximize(self, d: np.ndarray, abandon_below: float | None = None) -> float | None:
+    def maximize(self, d: np.ndarray, abandon_below: float = -math.inf) -> float | None:
         """max d.x over the full discretization, via lazy row generation.
 
         The relaxation value only decreases as cut rows are added, so
-        when abandon_below is given and an intermediate solve already
-        sits at or under it, the final value cannot beat that incumbent
-        and the search stops early, returning None.
+        when an intermediate solve already sits at or under abandon_below
+        (an incumbent; -inf never abandons), the final value cannot beat
+        it and the search stops early, returning None.
         """
         ncoef = d.shape[0] // 2
         # HiGHS's tolerances are absolute; an exact power of two keeps x unchanged
@@ -316,7 +316,7 @@ class _WorkingSetLP:
                     f"constraint rows (solver status {res.status}): {res.message}"
                 )
             x = res.x
-            if abandon_below is not None and float(d @ x) <= abandon_below:
+            if float(d @ x) <= abandon_below:
                 return None
             cost = None
             f = self.psi @ (x[:ncoef] + 1j * x[ncoef:])

@@ -217,7 +217,7 @@ def suite_witness(level: str, bits: int) -> Iterator[str | None]:
             continue
         yield None
         N = w.order
-        base = newton_norm_on_K(w.f, w.wmax, 512, use_bits)
+        base = newton_norm_on_K(w, 512)
         wide = norm_on_K(w.p, a, 512, use_bits)
         with mp.workprec(use_bits):
             cap = wide.certified_upper * (1 + mp.mpf(2) ** -40)

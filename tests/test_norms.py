@@ -10,7 +10,7 @@ import pytest
 
 from bwexp import ExpSum, MultiIndex, Poly2, canonical_indices, compose_to_expsum, eval_poly, make_alpha, norms, space_dimension
 from bwexp.analytic_bounds import coeff_log_upper, theorem2_bounds
-from bwexp.construct import build_witness, divided_difference_weights, required_witness_bits
+from bwexp.construct import build_witness, divided_difference_weights, required_witness_bits, witness_certificate
 from bwexp.norms import (
     _CircleGrid,
     _Moments,
@@ -103,8 +103,9 @@ def test_norm_on_bidisk_known_values():
         assert est.certified_upper == 4
 
 
-def _full_scan_level_max(grid, j, scaled):
+def _full_scan_level_max(grid, j):
     """Reference level max: every grid point at working precision."""
+    scaled = grid.table.level(j)
     table = grid.__dict__.get("full_table")
     if table is None:
         step = 2 * mp.pi / grid.M
@@ -251,7 +252,7 @@ def test_newton_levels_within_their_allowance(monkeypatch):
         bits = max(BITS, required_witness_bits(n))
         w = build_witness(n, alpha, bits)
         seen.clear()
-        newton_norm_on_K(w.f, w.wmax, M, bits)
+        newton_norm_on_K(w, M)
         assert [m for m, _, _ in seen] == list(range(len(seen))) and len(seen) > 1
         wp = required_witness_bits(n) + 64
         with mp.workprec(wp):
@@ -281,7 +282,7 @@ def test_newton_certificate_above_a_finer_grid():
         alpha = make_alpha(re, im)
         for n in range(1, 5):
             w = build_witness(n, alpha, BITS)
-            est = newton_norm_on_K(w.f, w.wmax, 512, BITS)
+            est = newton_norm_on_K(w, 512)
             fine = norm_on_K(w.p, alpha, 4096, BITS, depth=0)
             with mp.workprec(BITS):
                 assert est.certified_upper >= fine.grid_max >= est.grid_max > 0, f"n={n} alpha={alpha}"
@@ -294,17 +295,18 @@ def test_newton_form_stays_in_the_float64_range():
     bits = required_witness_bits(n)
     w = build_witness(n, alpha, bits)
     try:
-        est = newton_norm_on_K(w.f, w.wmax, 512, bits)
+        est = newton_norm_on_K(w, 512)
     except ValueError as ex:
         assert "float64 range" in str(ex)
     else:
         with mp.workprec(bits):
             assert mp.isfinite(est.certified_upper) and est.certified_upper >= est.grid_max > 0
     nodes = np.array([j + 0.5j * k for j in range(25) for k in range(25 - j)])
-    with pytest.raises(ValueError, match="float64 range at N = 324"):
+    with pytest.raises(ValueError, match="float64 range at N = 324") as ex:
         _NewtonLevels(nodes, 64)
+    assert str(ex.value).endswith("; use a smaller --n")
     with pytest.raises(ValueError, match="grid needs at least"):
-        newton_norm_on_K(w.f, w.wmax, 4, bits)
+        newton_norm_on_K(w, 4)
 
 
 def _reference_moments(terms, count):
@@ -392,6 +394,49 @@ def test_ladder_stop_within_its_bound():
             full = norm_on_K(p, alpha, 512, BITS, depth=cap).certified_upper
             with mp.workprec(BITS):
                 assert 0 <= adaptive - full <= mp.ldexp(full, -64), f"n={n} alpha={re}+{im}i"
+
+
+# norm_on_K(p, 0.3+0.4i, 512, BITS).certified_upper by depth, for the
+# n = 3 witness and random_poly(random.Random(SEED + 8), 3)
+LADDER_PINS = {
+    ("witness", None): "0.000004030221869843211381907304116229355768468385754494090027111292302522485805753001",
+    ("witness", 1): "0.08469333670661606620187995211745547867941803422282367713812283363001117616829883",
+    ("witness", 3): "0.000005485035129219753954505398541432739307330705609060168129403377530120340632364209",
+    ("random", None): "20.05975736607527226182449969940253981664666165959402312639494116206357795618804",
+    ("random", 1): "20.20070533126688772073065814609749617582057862360467055311386600623209822732085",
+    ("random", 3): "20.05975953601060268252193687796179081815456613436807378011745417418105928023439",
+}
+
+
+def test_ladder_certificates_pinned():
+    # the adaptive and the fixed-depth ladder certificates keep their
+    # exact working-precision values
+    alpha = make_alpha(0.3, 0.4)
+    polys = {"witness": build_witness(3, alpha, BITS).p, "random": random_poly(random.Random(SEED + 8), 3)}
+    for (tag, depth), want in LADDER_PINS.items():
+        est = norm_on_K(polys[tag], alpha, 512, BITS, depth=depth)
+        with mp.workprec(BITS):
+            assert est.certified_upper == mp.mpf(want), f"{tag} depth={depth}"
+
+
+def test_both_circle_certificates_run_one_ladder(monkeypatch):
+    # the working-precision circle and the Newton K certificate both
+    # certify through norms._ladder, each with its own level source
+    sources = []
+    ladder = norms._ladder
+
+    def spy(g0, level, total, h, cap, cutoff):
+        sources.append(type(level.__self__))
+        return ladder(g0, level, total, h, cap, cutoff)
+
+    monkeypatch.setattr(norms, "_ladder", spy)
+    alpha = make_alpha(0.0, 0.5)
+    w = witness_certificate(2, alpha, bits=BITS)[0]
+    assert sources == [_NewtonLevels]
+    sources.clear()
+    for depth in (None, 3):
+        norm_on_K(w.p, alpha, 512, BITS, depth=depth)
+    assert sources == [_CircleGrid, _CircleGrid]
 
 
 def _full_scan_bidisk(p, M):
