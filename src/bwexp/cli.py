@@ -96,6 +96,13 @@ def _alpha_flag(text: str):
     return float(m.group("re")), float(m.group("im"))
 
 
+def _jobs_flag(text: str) -> int:
+    """Parse a worker count, an int >= 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {text!r}")
+    return int(text)
+
+
 def _checked_alpha(re: float, im: float) -> AlphaParam:
     """Every command reports the theorem's bracket, so both hypotheses apply."""
     return require_alpha(make_alpha(re, im), theorem=True)
@@ -565,7 +572,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-range", required=True, help="degree range, N or LO..HI")
     p.add_argument("--alpha-grid", required=True,
                    help="axes spec, e.g. 'im:0.1..0.9:5,re:0'")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_jobs_flag, default=1, help="worker processes (>= 1)")
     _add_output(p, default_format="csv")
     _add_solver_flags(p)
     p.set_defaults(handler=cmd_sweep)

@@ -30,9 +30,11 @@ r = N/n circle then reads at working precision; both failure modes
 raise with a message telling the caller to increase precision.  On the
 curve the witness is the Newton function [a_0..a_N] e^{a t} over wmax,
 so witness_certificate certifies its K norm (the unit circle) in
-float64 from that form (norms.newton_norm_on_K).  The precision floor
-still matters there: the rounding of the stored coefficients is one of
-that certificate's allowances, and the coefficients cancel.
+float64 from that form, whose Taylor coefficients do not cancel: the
+squared sup is at most the sum of the moduli of their autocorrelations
+(norms.newton_norm_on_K).  The precision floor still matters there: the
+rounding of the stored coefficients is one of that certificate's
+allowances, and the stored coefficients cancel.
 """
 
 from __future__ import annotations
@@ -215,7 +217,8 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
     """Build the witness and evaluate its certified lower bound.
 
     Returns (witness, normK, circle_sup, lower_bound).  The K norm is
-    certified in float64 Newton form on a grid of `grid` points
+    certified in float64 Newton form by the autocorrelation sum of its
+    Taylor coefficients, and its grid maximum scans `grid` points
     (norms.newton_norm_on_K reads the witness's f, wmax and bits); the
     circle sup is the working-precision grid maximum at radius r
     (default N/n) of the witness's own ExpSum w.f, read from the moment

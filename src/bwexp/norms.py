@@ -18,12 +18,12 @@ whose tail h^D/D! T_D is at most 2^-min(bits/2, 64) of the least bound
 so far, B.  Every deeper bound is at least the partial sum at D, which
 is at least B less that tail, so stopping raises the certificate by at
 most 2^-64 B over the minimum across all depths; it stays an upper
-bound.  One loop, _ladder, runs it for both circle certificates below,
-from a level source whose level(m) is an upper bound on G_m.  Depth 1
-is the classical grid_max + h * sum|c||a|e^{r|a|} bound; deeper levels
-matter when f has engineered cancellation (witness polynomials have K
-norms around e^{n}/N! while sum|c||a|e^{|a|} is astronomically larger,
-so the one-step bound is useless there and the ladder is not).
+bound.  One loop, _ladder, runs it on a _CircleGrid's level maxima.
+Depth 1 is the classical grid_max + h * sum|c||a|e^{r|a|} bound;
+deeper levels matter when f has engineered cancellation (witness
+polynomials have K norms around e^{n}/N! while sum|c||a|e^{|a|} is
+astronomically larger, so the one-step bound is useless there and the
+ladder is not).
 
 Each level needs the grid maximum G_j = max_i |f^(j)(t_i)| over
 t_i = r e^{2 pi i i/M}.  A working-precision scan of the whole grid costs
@@ -92,15 +92,16 @@ out are evaluated at working precision.
   order), so each G_j, and with it grid_max and the ladder certificate,
   is the value a full working-precision scan reports: an attained value.
 
-A witness's K norm has a cheaper certificate: on the curve the witness
-is the Newton function [a_0..a_N] e^{a t} over wmax, whose Taylor
-coefficients h_j(a)/(N+j)! carry no cancellation, so newton_norm_on_K
-runs the same ladder on the unit circle in float64 from one table of
-complete homogeneous sums (homogeneous_sums, shared with the LP's
-Newton basis), with four stated allowances and no working-precision
-point; its docstring holds the proof.  The circles at other radii, such
-as the witness's r = N/n circle, and every general f stay on the
-working-precision moment table above.
+A witness's K norm needs no ladder: on the curve the witness is the
+Newton function [a_0..a_N] e^{a t} over wmax, whose Taylor coefficients
+h_j(a)/(N+j)! carry no cancellation, so newton_norm_on_K bounds
+sup_{|t|=1} |N! psi|^2 by the sum of the moduli of their
+autocorrelations, in float64 from one table of complete homogeneous
+sums (homogeneous_sums, shared with the LP's Newton basis), with four
+stated allowances and no working-precision point; its docstring holds
+the proof.  The circles at other radii, such as the witness's r = N/n
+circle, and every general f stay on the working-precision moment table
+above.
 
 Bidisk sup norms of polynomials are attained on the torus
 |z| = |w| = 1 (maximum principle in each variable separately), so the
@@ -432,30 +433,25 @@ class _CircleGrid:
         return _largest(self.table.level(j), map(self.row, _near_max(vals, n, size, extra).tolist()))
 
 
-def _ladder_limits(K: int, bits: int):
-    """The adaptive ladder's depth cap for K >= 1 terms and its stop ratio at bits."""
-    return 2 * K + 16, 2.0 ** -min(bits // 2, 64)
+def _ladder(grid: _CircleGrid, g0, cap: int, cutoff):
+    """min over D <= cap of sum_{m<D} h^m/m! G_m + h^D/D! T_D on grid's levels, h = pi r/M.
 
-
-def _ladder(g0, level, total, h, cap, cutoff):
-    """min over D <= cap of sum_{m<D} h^m/m! G_m + h^D/D! T_D, in the arithmetic of g0 and h.
-
-    g0 and level(m) bound the grid maxima G_0 and G_m from above, and
-    total(D) is T_D.  It stops at the first D whose tail is at most cutoff
-    times the least bound so far (cutoff 0 for a fixed depth: a zero tail
-    leaves nothing deeper to add), and before the first infinite level.
+    g0 is the grid maximum G_0, grid.level_max(m) is G_m and
+    grid.total(D) is T_D.  It stops at the first D whose tail is at most
+    cutoff times the least bound so far (cutoff 0 for a fixed depth: a
+    zero tail leaves nothing deeper to add).  Call inside
+    mp.workprec(bits), cap >= 1.
     """
-    partial, hfac, best, g = 0, 1, math.inf, g0
+    h = mp.pi * grid.r / grid.M
+    partial, hfac, best, g = 0, 1, mp.inf, g0
     for m in range(cap):
         partial += hfac * g
         hfac *= h / (m + 1)
-        tail = hfac * total(m + 1)  # h^D/D! T_D at D = m+1
+        tail = hfac * grid.total(m + 1)  # h^D/D! T_D at D = m+1
         best = min(best, partial + tail)
         if tail <= cutoff * best or m + 1 == cap:
             break
-        g = level(m + 1)
-        if not g < math.inf:
-            break
+        g = grid.level_max(m + 1)
     return best
 
 
@@ -475,13 +471,16 @@ def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=N
     value.  depth 0 skips the certificate, a positive depth fixes the
     Taylor depth (1 = the one-step derivative bound), and None (adaptive)
     stops the ladder once its tail is 2^-min(bits/2, 64) of the best
-    bound: within 2^-64 of the least bound over all depths, and still an
-    upper bound.  f's moments come from one table shared with the
-    previous estimate of the same f at the same bits, and each level's
-    DFT block is gathered once per grid (see the module docstring);
-    neither changes a value.
+    bound, with at most 2K + 16 levels for K terms: within 2^-64 of the
+    least bound over all depths, and still an upper bound.  Any other
+    depth raises ValueError.  f's moments come from one table shared
+    with the previous estimate of the same f at the same bits, and each
+    level's DFT block is gathered once per grid (see the module
+    docstring); neither changes a value.
     """
     require_grid(M)
+    if depth is not None and not (isinstance(depth, int) and depth >= 0):
+        raise ValueError(f"depth must be None or an int >= 0, got {depth!r}")
     with mp.workprec(bits):
         rr = mp.mpf(r)
         if not (rr > 0 and mp.isfinite(rr)):
@@ -492,9 +491,8 @@ def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=N
         grid_max = grid.level_max(0)
         if depth == 0:
             return NormEstimate(grid_max, None)
-        cap, cutoff = (depth, 0) if depth else _ladder_limits(len(f.terms), bits)
-        best = _ladder(grid_max, grid.level_max, grid.total, mp.pi * rr / M, cap, cutoff)
-        return NormEstimate(grid_max, best)
+        cap, cutoff = (depth, 0) if depth else (2 * len(f.terms) + 16, 2.0 ** -min(bits // 2, 64))
+        return NormEstimate(grid_max, _ladder(grid, grid_max, cap, cutoff))
 
 
 def homogeneous_sums(a: np.ndarray, J: int) -> np.ndarray:
@@ -513,7 +511,7 @@ def homogeneous_sums(a: np.ndarray, J: int) -> np.ndarray:
 
 
 class _NewtonLevels:
-    """Float64 levels N! psi^(m)(t_i) of psi = [a_0..a_N] e^{a t} on t_i = e^{2 pi i i/M}.
+    """Float64 Taylor coefficients b_j of g = N! psi/t^N, psi = [a_0..a_N] e^{a t}, and g on t_i = e^{2 pi i i/M}.
 
     See newton_norm_on_K for the series, the allowances and their proof.
     """
@@ -525,24 +523,19 @@ class _NewtonLevels:
         self.rho = float(self.abs_a.max()) * (1 + 2.0**-50)  # >= every |a_i| and |float a_i|
         self.J = J = math.ceil(math.e * self.rho) + 60
         h = homogeneous_sums(np.stack([a, self.abs_a.astype(a.dtype)]), J)[:, :, -1]
-        self.h, self.h_abs = h[:, 0], h[:, 1].real
-        fact = [1]
-        for k in range(1, N + J):
-            fact.append(fact[-1] * k)
-        # N!/k!, each a correctly rounded int / int; inf for the small k
-        # (k < N, deep levels only) where it overflows
-        self.ratio = np.array([fact[N] / f if f.bit_length() > fact[N].bit_length() - 1020
-                               else math.inf for f in fact])
-        if not (np.isfinite(self.h_abs).all() and self.ratio[-1] >= 2.0**-1022):
-            raise self.range_error(f"h_j(|a|) or N!/k! for k < N + {J} is not a normal float64")
-        self.q = q = min(M, N + J)  # DFT columns
-        self.folds = (N + J - 1) // M  # terms each folded coefficient adds
+        ratio = np.array([1 / math.perm(N + j, j) for j in range(J)])  # N!/(N+j)!, each a correctly rounded int / int
+        if not (np.isfinite(h[:, 1].real).all() and ratio[-1] >= 2.0**-1022):
+            raise self.range_error(f"h_j(|a|) or N!/(N+j)! for j < {J} is not a normal float64")
+        self.b, self.b_abs = h[:, 0] * ratio, h[:, 1].real * ratio  # b_j and beta_j
+        self.q = q = min(M, J)  # DFT columns
+        folds = (J - 1) // M  # terms each folded coefficient adds
         idx = np.multiply.outer(np.arange(M, dtype=np.int64), np.arange(q, dtype=np.int64)) % M
         self.dft = np.exp(2j * np.pi * np.arange(M) / M)[idx]
-        # per term j: recurrence 4j + N, two roundings into the coefficient,
+        # per term j: recurrence 4j + N and two roundings into b_j; then
         # folding, twiddle 32, product 3, the dot product's q - 1 sums,
         # the modulus 2 and 4 spare
-        self.count = 4 * np.arange(J) + N + self.folds + q + 42
+        self.coef_count = 4 * np.arange(J) + N + 2
+        self.count = self.coef_count + folds + q + 40
         if float(self.count[-1]) * _UNIT > 2.0**-41:
             raise self.range_error("rounding counts too large")
 
@@ -550,54 +543,34 @@ class _NewtonLevels:
         """The error past the float64 range, which no precision mends: only a smaller degree does."""
         return ValueError(f"the Newton form leaves the float64 range at N = {self.N}: {why}; use a smaller --n")
 
-    def _terms(self, m: int):
-        """j >= max(0, m - N), their powers k = j + N - m and the ratios N!/k!."""
-        j = np.arange(max(0, m - self.N), self.J)
-        k = j + self.N - m
-        return j, k, self.ratio[k]
+    def tail(self) -> float:
+        """tau, an upper bound on sum_{j>=J} h_j(|a|) N!/(N+j)!.
 
-    def tail(self, m: int) -> float:
-        """An upper bound on sum_{j>=J} h_j(|a|) N!/(j+N-m)!, or inf.
-
-        h_j(|a|) <= C(j+N, N) rho^j, and the ratio of consecutive bounds,
-        (j+N+1) rho/((j+1)(j+N-m+1)), falls with j; the tail is at most
-        the j = J bound over 1 - that ratio at J, doubled for the float
-        logarithms.
+        h_j(|a|) <= C(j+N, N) rho^j, so term j is at most rho^j/j!, and
+        the ratio of consecutive bounds, rho/(j+1), falls with j; the
+        tail is at most the j = J bound over 1 - rho/(J+1), doubled for
+        the float logarithms.
         """
-        N, J, rho = self.N, self.J, self.rho
-        if J + N - m < 0:
-            return math.inf
-        shrink = 1 - (J + N + 1) * rho / ((J + 1) * (J + N - m + 1))
-        log2 = math.log2(math.comb(J + N, N)) + J * math.log2(rho)
-        log2 += math.log2(math.factorial(N)) - math.log2(math.factorial(J + N - m))
-        if shrink <= 0 or log2 > 1000:
-            return math.inf
-        return 2 * 2.0**log2 / shrink + 2.0**-1060
+        J, rho = self.J, self.rho
+        log2 = J * math.log2(rho) - math.log2(math.factorial(J))
+        return 2 * 2.0**log2 / (1 - rho / (J + 1)) + 2.0**-1060
 
-    def bound(self, m: int) -> float:
-        """T_m >= sup_{|t|<=1} |N! psi^(m)|: the positive series sum h_j(|a|) N!/k!, or inf."""
-        j, _, ratio = self._terms(m)
-        return float(self.h_abs[j] @ ratio) * (1 + 2.0**-38) + self.tail(m)
-
-    def level(self, m: int):
-        """Float values N! psi^(m)(t_i) at every grid point, and E >= every error.
-
-        Both are inf where an N!/k! of the level overflows.
-        """
-        j, k, ratio = self._terms(m)
-        if not np.isfinite(ratio).all():
-            return np.full(self.M, np.inf, dtype=np.complex128), math.inf
+    def level(self):
+        """Float values g(t_i) at every grid point, and E >= every error."""
         folded = np.zeros(self.q, dtype=np.complex128)
-        np.add.at(folded, k % self.M, self.h[j] * ratio)
+        np.add.at(folded, np.arange(self.J) % self.M, self.b)
         vals = self.dft @ folded
-        weighted = float((self.count[j] * self.h_abs[j]) @ ratio)
-        err = 1.0001 * _UNIT * weighted + self.tail(m) + (self.q + self.M + 8) * 2.0**-1060
+        err = 1.0001 * _UNIT * float(self.count @ self.b_abs) + self.tail() + (self.q + self.M + 8) * 2.0**-1060
         return vals, err
 
-    def level_bound(self, m: int) -> float:
-        """The float maximum of level m plus its E: an upper bound on max_i |N! psi^(m)(t_i)|, or inf."""
-        vals, err = self.level(m)
-        return float(np.abs(vals).max()) + err
+    def autocorrelation(self):
+        """The float sum_k |rho_k| of the autocorrelations rho_k = sum_j b_{j+k} conj(b_j), |k| < J, and R >= its error."""
+        J = self.J
+        total = float(np.abs(np.correlate(self.b, self.b, "full")).sum())
+        s_b = float(self.b_abs.sum()) * (1 + 2.0**-38)
+        s_e = 1.0001 * _UNIT * float(self.coef_count @ self.b_abs) + J * 2.0**-1060
+        gamma = 2 * J * _UNIT / (1 - 2 * J * _UNIT)
+        return total, 2 * s_b * s_e + s_e**2 + 3 * gamma * (s_b + s_e) ** 2 + (J + 2) ** 2 * 2.0**-1060
 
 
 def newton_norm_on_K(w, M: int = 512) -> NormEstimate:
@@ -615,16 +588,20 @@ def newton_norm_on_K(w, M: int = 512) -> NormEstimate:
 
     psi = [a_0..a_N] e^{a t} over the float64 nodes a_i has the Taylor
     series sum_j h_j(a) t^{N+j}/(N+j)!, h_j the complete homogeneous sums
-    (homogeneous_sums), so psi^(m) has the coefficients h_{k+m-N}/k! at
-    t^k.  Levels are scaled by N!: level m at the grid points is the
-    length-M DFT of h_j N!/k! (k = j + N - m, folded mod M) over j < J,
-    J = ceil(e rho) + 60, rho >= max|a|.  They carry no cancellation:
-    |h_j(a)| <= h_j(|a|), and Cauchy's estimate gives
-    sup_{|t|=1} |N! psi| >= 1.  grid_max and certified_upper are then
-    the grid maximum and the Taylor ladder norm_on_circle runs (_ladder)
-    on these levels, each read as its float maximum plus E (level_bound),
-    with the tail T_D = sum_j h_j(|a|) N!/(j+N-D)!, the positive series,
-    and four allowances, each stated at its size on N! psi:
+    (homogeneous_sums), so |N! psi| = |g| on |t| = 1 for
+    g(t) = sum_j b_j t^j, b_j = h_j(a) N!/(N+j)!.  The b_j carry no
+    cancellation: |b_j| <= beta_j = h_j(|a|) N!/(N+j)!, and b_0 = 1, so
+    sup_{|t|=1} |g| >= 1 (Cauchy).  With J = ceil(e rho) + 60,
+    rho >= max|a|, g_J the sum over j < J and the autocorrelations
+    rho_k = sum_j b_{j+k} conj(b_j), |k| < J, on |t| = 1
+
+        |g_J(t)|^2 = sum_{j,l} b_j conj(b_l) t^{j-l} = sum_k rho_k t^k <= sum_k |rho_k|,
+
+    and |g - g_J| <= tau = sum_{j>=J} beta_j (tail), so
+    sup |g| <= sqrt(sum_k |rho_k|) + tau.  The float g_J on the grid is a
+    length-M DFT of the b_j (folded mod M, q = min(M, J) columns), and
+    the float rho_k one np.correlate.  Four allowances, each stated at
+    its size on g:
 
     1. Float rounding.  The path of a monomial of h_j(a_0..a_N) through
        the recurrence takes j complex products (at most gamma_3 each;
@@ -632,19 +609,28 @@ def newton_norm_on_K(w, M: int = 512) -> NormEstimate:
        Lemma 3.5) and at most N + j running sums, so the float h_j is
        within gamma_{4j+N} h_j(|a|) of h_j(a) (Lemma 3.1 and 3.3), and
        the float h_j(|a|) within a relative gamma_{4j+N} of h_j(|a|)
-       (each |a_i| is rounded once).  Term j of a level then takes two
-       more roundings into its coefficient (N!/k!, a correctly rounded
-       int / int, and the product), the folding, a twiddle factor
-       (within 32 u of e^{2 pi i i k/M}), a complex product, at most q - 1
-       sums of the dot product over q columns, and the modulus: E is
-       u sum_j count_j h_j(|a|) N!/k!, count_j = 4j + N + folds + q + 42,
-       times 1.0001 for the second-order terms (count_j u <= 2^-41) and
-       the float evaluation of that positive sum.  Terms past J add the
-       tail bound C(j+N, N) rho^j N!/k! summed geometrically, and float
-       underflow adds (q + M + 8) 2^-1060.  A ladder candidate plus
-       allowance 2 is a float sum of positive terms, each at most
-       3 cap + 5 roundings from exact (cap = 2K + 16, K = N + 1 terms),
-       so the factor 1 + 5 cap u covers them.
+       (each |a_i| is rounded once).  Two more roundings (N!/(N+j)!, a
+       correctly rounded int / int, and the product) put the float b_j
+       within e_j = gamma_{4j+N+2} beta_j of b_j.  With S_b = sum beta_j
+       and S_e = sum e_j, the autocorrelations of the float b_j miss
+       those of the b_j by at most 2 S_b S_e + S_e^2 summed over k (each
+       pair (j, l) enters one rho_k).  Each real part of a float rho_k
+       is a sum of at most 2J real products, in whatever order
+       np.correlate adds them, so over k the float rho_k miss their
+       exact values by at most sqrt(2) gamma_{2J} (S_b + S_e)^2, and the
+       moduli and the (2J - 1)-term sum add gamma_{2J+1} (S_b + S_e)^2:
+       together at most 3 gamma_{2J} (S_b + S_e)^2.  R adds these and
+       (J + 2)^2 2^-1060 for underflow, the float sums S_b and S_e
+       raised by 1 + 2^-38 and 1.0001 (count_j u <= 2^-41), S_e by
+       J 2^-1060 for underflow: the float sum_k |rho_k| is within R of
+       the exact one.  R's own rounding, the square root and the two
+       sums after it are at most eight roundings, within the factor
+       1 + 2^-48.  On the grid, term j then takes the folding, a twiddle
+       factor (within 32 u of e^{2 pi i i j/M}), a complex product, at
+       most q - 1 sums of the dot product and the modulus: E is
+       u sum_j count_j beta_j, count_j = 4j + N + folds + q + 42, times
+       1.0001 for the second-order terms and the float evaluation of
+       that positive sum, plus tau and (q + M + 8) 2^-1060 for underflow.
     2. Node rounding.  |a*_i - a_i| <= 2^-52 |a_i| (one rounding to bits,
        one to float64), and by the Hermite-Genocchi formula
        d psi/d a_i = [a_0..a_N, a_i] e^{a t} is at most e^{rho}/(N+1)! on
@@ -664,14 +650,15 @@ def newton_norm_on_K(w, M: int = 512) -> NormEstimate:
        the precision construct.required_witness_bits asks for: the
        coefficients cancel to ||f||_K from sum |c_i| e^{|a_i|}.
 
-    grid_max is (the float maximum - E_0 - allowance 2)/(N! wmax) -
+    grid_max is (max_i |float g(t_i)| - E - allowance 2)/(N! wmax) -
     allowance 4, so it stays a true lower bound on the grid maximum of
-    |f|; certified_upper is (ladder + allowance 2)/(N! wmax) +
-    allowance 4.  N!/k! is inf where it would overflow (k well below N,
-    read only by deep levels, and such a level ends the ladder).  Past
-    the float64 range (an h_j(|a|) not finite or the least N!/k! not a
-    normal float, as at n = 24) it raises ValueError naming the one
-    remedy, a smaller degree; there is no fallback.
+    |f|; certified_upper is (sqrt(float sum_k |rho_k| + R) + tau +
+    allowance 2)/(N! wmax) + allowance 4.  Past the float64 range (an
+    h_j(|a|) not finite or the least N!/(N+j)! not a normal float, as at
+    n = 24) it raises ValueError naming the one remedy, a smaller
+    degree; there is no fallback.  Inside it (J-1)! <= (N+J-1)!/N! <= 2^1022
+    keeps J <= 171, so rho and S_b <= e^rho stay small and every sum is
+    finite.
     """
     require_grid(M)
     bits = w.bits
@@ -695,17 +682,13 @@ def newton_norm_on_K(w, M: int = 512) -> NormEstimate:
         with np.errstate(over="ignore"):
             spread = float(np.dot(coeffs * sigma, np.exp(abs_a * (1 + 2.0**-50))))
         coeff_err = mp.ldexp(mp.mpf(4 * spread * (1 + 2.0**-30)), 1 - bits)
-        # allowance 2, on N! psi
+        # allowance 2, on g
         node_err = math.exp(lev.rho) * 2.0**-52 * float(abs_a.sum()) / (N + 1) * (1 + 2.0**-30)
 
-        vals, err = lev.level(0)
-        top = float(np.abs(vals).max())
-        low_max = max(0.0, (top - err - node_err) * (1 - 2.0**-50))
-        cap, cutoff = _ladder_limits(len(a), bits)
-        best = _ladder(top + err, lev.level_bound, lev.bound, math.pi / M * (1 + 2.0**-50), cap, cutoff)
-        upper = (best + node_err) * (1 + 5 * cap * _UNIT)
-        if not math.isfinite(upper):
-            raise lev.range_error("no finite ladder")
+        vals, err = lev.level()
+        low_max = max(0.0, (float(np.abs(vals).max()) - err - node_err) * (1 - 2.0**-50))
+        total, R = lev.autocorrelation()
+        upper = (math.sqrt(total + R) + lev.tail() + node_err) * (1 + 2.0**-48)
 
         scale = math.factorial(N) * mp.mpf(w.wmax)
         grid_max = max(mp.mpf(0), mp.mpf(low_max) / scale * (1 - mp.ldexp(1, 3 - bits)) - coeff_err)

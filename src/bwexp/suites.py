@@ -198,12 +198,13 @@ def suite_witness(level: str, bits: int) -> Iterator[str | None]:
 
     A degree is one residual case (build_witness raises on a miss, and
     then the degree has no further cases), one cross-check of the float64
-    Newton K certificate against the working-precision norm_on_K on the
-    same grid (at least its grid maximum, at most its certificate
-    times 1 + 2^-40), and one case per radius, whose growth is measured
-    against the Newton certificate.  The residual check, norm_on_K and
-    the radii read one moment table: the radii read w.f, norm_on_K
-    composes its terms, and norms keeps the table.
+    Newton K certificate (an autocorrelation sum, no ladder) against the
+    working-precision norm_on_K on the same grid (at least its grid
+    maximum, at most its ladder certificate times 1 + 2^-40), and one
+    case per radius, whose growth is measured against the Newton
+    certificate.  The residual check, norm_on_K and the radii read one
+    moment table: the radii read w.f, norm_on_K composes its terms, and
+    norms keeps the table.
     """
     n_max = 6 if level == "full" else 3
     wbits = 512 if level == "full" else bits

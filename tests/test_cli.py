@@ -343,6 +343,14 @@ def test_sweep_csv_contract_and_parallel_byte_identity(tmp_path, capsys):
     assert keys == sorted(keys)
 
 
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys):
+    for jobs in (0, -2):
+        code, _, err = run_cli(capsys, sweep_argv(tmp_path / "none.csv", jobs=jobs))
+        assert code == EXIT_PARSE, jobs
+        assert "--jobs: must be an int >= 1" in err
+    assert not (tmp_path / "none.csv").exists()
+
+
 def test_sweep_starts_no_more_workers_than_rows(tmp_path, capsys, monkeypatch):
     import multiprocessing
 

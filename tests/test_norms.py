@@ -1,5 +1,7 @@
 """Norm estimates: known values, one-sidedness, refinement, homogeneity."""
 
+import itertools
+import math
 import random
 import warnings
 from operator import mul
@@ -230,49 +232,79 @@ def _fixed(values, P):
             [int(mp.nint(mp.ldexp(z.imag, P))) for z in values])
 
 
-def test_newton_levels_within_their_allowance(monkeypatch):
-    # every level the Newton K ladder scans holds float values of
-    # N! psi^(m)(t_i), psi = [a_0..a_N] e^{a t} over the float64 nodes,
-    # within the level's stated allowance E of the working-precision
-    # values at the same grid points, and so does the level's float
-    # maximum.  The reference sums N! w_i a_i^m e^{a_i t_i} with weights
-    # and exponentials at 64 bits beyond the witness floor, each rounded
-    # to an integer at that precision, so its rounding is far below E.
+def _exact_homogeneous(nodes, J):
+    """h_j(a_0..a_N) for j < J over float64 nodes, as exact Gaussian integers
+    (re, im) at scale 2^-(s j): each node is a dyadic rational X 2^-s."""
+    parts = [x for a in nodes for x in (a.real, a.imag)]
+    s = max(x.as_integer_ratio()[1].bit_length() - 1 for x in parts)
+    A = [(int(a.real * 2**s), int(a.imag * 2**s)) for a in nodes]
+    row, sums = [(1, 0)] * len(A), [(1, 0)]
+    for _ in range(1, J):
+        acc, nxt = (0, 0), []
+        for (x, y), (u, v) in zip(A, row):
+            acc = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
+            nxt.append(acc)
+        row = nxt
+        sums.append(row[-1])
+    return sums, s
+
+
+def test_newton_values_and_autocorrelations_within_their_allowance():
+    # the float values of g = N! psi/t^N on the grid, psi = [a_0..a_N]
+    # e^{a t} over the float64 nodes, lie within their allowance E of the
+    # working-precision values at the same grid points, and so does their
+    # float maximum; the float sum_k |rho_k| of the autocorrelations of
+    # g's first J Taylor coefficients lies within R of the exact sum; and
+    # tau bounds sum_j h_j(|a|) N!/(N+j)! over the next 200 j.  The
+    # references work at 64 bits beyond the witness floor: the weights
+    # and exponentials rounded to integers at that precision, and the
+    # Taylor coefficients from the exact homogeneous sums of the dyadic
+    # nodes, rounded once, so their rounding is far below E and R.
     M = 64
-    seen = []
-    level = _NewtonLevels.level
-
-    def recording(lev, m):
-        vals, err = level(lev, m)
-        seen.append((m, vals, err))
-        return vals, err
-
-    monkeypatch.setattr(_NewtonLevels, "level", recording)
     for n, alpha in NEWTON_CASES:
-        bits = max(BITS, required_witness_bits(n))
-        w = build_witness(n, alpha, bits)
-        seen.clear()
-        newton_norm_on_K(w, M)
-        assert [m for m, _, _ in seen] == list(range(len(seen))) and len(seen) > 1
+        w = build_witness(n, alpha, max(BITS, required_witness_bits(n)))
+        nodes = [complex(mp.mpc(a)) for _, a in w.f.terms]
+        lev = _NewtonLevels(np.array(nodes), M)
+        vals, E = lev.level()
+        total, R = lev.autocorrelation()
+        N, J = lev.N, lev.J
         wp = required_witness_bits(n) + 64
         with mp.workprec(wp):
-            nodes = [mp.mpc(complex(mp.mpc(a))) for _, a in w.f.terms]
-            coeffs = [mp.factorial(len(nodes) - 1) * c for c in divided_difference_weights(nodes, wp)]
-            rows = [_fixed([mp.exp(a * mp.expjpi(mp.mpf(2 * i) / M)) for a in nodes], wp) for i in range(M)]
-            for m, vals, err in seen:
-                P = wp - int(mp.mag(max(abs(c) for c in coeffs)))
-                cr, ci = _fixed(coeffs, P)
-                ref = [
-                    mp.mpc(mp.ldexp(sum(map(mul, cr, rr)) - sum(map(mul, ci, ri)), -P - wp),
-                           mp.ldexp(sum(map(mul, cr, ri)) + sum(map(mul, ci, rr)), -P - wp))
-                    for rr, ri in rows
-                ]
-                E = mp.mpf(err)
-                for i, (v, s) in enumerate(zip(vals.tolist(), ref)):
-                    assert abs(mp.mpc(v) - s) <= E, f"n={n} alpha={alpha} m={m} i={i}"
-                top = max(abs(s) for s in ref)
-                assert abs(mp.mpf(float(np.abs(vals).max())) - top) <= E, f"n={n} alpha={alpha} m={m}"
-                coeffs = [c * a for c, a in zip(coeffs, nodes)]
+            coeffs = [mp.factorial(N) * c for c in divided_difference_weights(nodes, wp)]
+            P = wp - int(mp.mag(max(abs(c) for c in coeffs)))
+            cr, ci = _fixed(coeffs, P)
+            ref = []
+            for i in range(M):
+                t, turn = mp.expjpi(mp.mpf(2 * i) / M), mp.expjpi(mp.mpf(-2 * i * N) / M)  # t_i, t_i^-N
+                rr, ri = _fixed([mp.exp(a * t) * turn for a in nodes], wp)
+                ref.append(mp.mpc(mp.ldexp(sum(map(mul, cr, rr)) - sum(map(mul, ci, ri)), -P - wp),
+                                  mp.ldexp(sum(map(mul, cr, ri)) + sum(map(mul, ci, rr)), -P - wp)))
+            for i, (v, s) in enumerate(zip(vals.tolist(), ref)):
+                assert abs(mp.mpc(v) - s) <= E, f"n={n} alpha={alpha} i={i}"
+            top = max(abs(s) for s in ref)
+            assert abs(mp.mpf(float(np.abs(vals).max())) - top) <= E, f"n={n} alpha={alpha}"
+
+            sums, s = _exact_homogeneous(nodes, J)
+            fact = [math.factorial(N + j) for j in range(J)]
+            # b_j = h_j(a) N!/(N+j)! as Gaussian integers at scale 2^-wp
+            b = [((x * fact[0] << wp) // (fact[j] << s * j), (y * fact[0] << wp) // (fact[j] << s * j))
+                 for j, (x, y) in enumerate(sums)]
+            exact = 0
+            for k in range(J):
+                re = sum(b[j + k][0] * b[j][0] + b[j + k][1] * b[j][1] for j in range(J - k))
+                im = sum(b[j + k][1] * b[j][0] - b[j + k][0] * b[j][1] for j in range(J - k))
+                exact += (1 if k == 0 else 2) * mp.sqrt(mp.mpf(re * re + im * im))
+            exact = mp.ldexp(exact, -2 * wp)
+            assert abs(mp.mpf(total) - exact) <= R, f"n={n} alpha={alpha}"
+
+            rest = mp.mpf(0)
+            row = [mp.mpf(1)] * len(nodes)
+            x = [abs(mp.mpc(a)) for a in nodes]
+            for j in range(1, J + 200):
+                row = list(itertools.accumulate(u * v for u, v in zip(x, row)))
+                if j >= J:
+                    rest += row[-1] * mp.factorial(N) / mp.factorial(N + j)
+            assert rest <= lev.tail(), f"n={n} alpha={alpha}"
 
 
 def test_newton_certificate_above_a_finer_grid():
@@ -419,24 +451,24 @@ def test_ladder_certificates_pinned():
             assert est.certified_upper == mp.mpf(want), f"{tag} depth={depth}"
 
 
-def test_both_circle_certificates_run_one_ladder(monkeypatch):
-    # the working-precision circle and the Newton K certificate both
-    # certify through norms._ladder, each with its own level source
-    sources = []
+def test_only_the_working_precision_circle_runs_the_ladder(monkeypatch):
+    # the Newton K certificate of witness_certificate runs no Taylor
+    # ladder; norm_on_K runs norms._ladder once per call, adaptive or at
+    # a fixed depth
+    calls = []
     ladder = norms._ladder
 
-    def spy(g0, level, total, h, cap, cutoff):
-        sources.append(type(level.__self__))
-        return ladder(g0, level, total, h, cap, cutoff)
+    def spy(grid, g0, cap, cutoff):
+        calls.append(cap)
+        return ladder(grid, g0, cap, cutoff)
 
     monkeypatch.setattr(norms, "_ladder", spy)
     alpha = make_alpha(0.0, 0.5)
     w = witness_certificate(2, alpha, bits=BITS)[0]
-    assert sources == [_NewtonLevels]
-    sources.clear()
+    assert calls == []
     for depth in (None, 3):
         norm_on_K(w.p, alpha, 512, BITS, depth=depth)
-    assert sources == [_CircleGrid, _CircleGrid]
+    assert calls == [2 * len(w.f.terms) + 16, 3]
 
 
 def _full_scan_bidisk(p, M):
@@ -564,6 +596,10 @@ def test_depth_one_matches_first_order_bound():
         # adaptive depth never does worse
         adaptive = norm_on_K(p, alpha, 128)
         assert adaptive.certified_upper <= est.certified_upper * (1 + mp.mpf(2) ** (-200))
+    # any other depth is refused before the scan
+    for bad in (-1, 2.5):
+        with pytest.raises(ValueError, match="depth must be None or an int >= 0"):
+            norm_on_K(p, alpha, 128, depth=bad)
 
 
 def test_bw_envelope():

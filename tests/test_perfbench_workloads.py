@@ -1,4 +1,4 @@
-"""One pass of two benchmark workloads, with their own output checks.
+"""One pass of each benchmark workload, with its own output checks.
 
 perfbench/workloads.py checks every output of a pass against reference
 values (the LP, the witness lower bound, the bidisk grid maximum).  A
@@ -44,3 +44,9 @@ def test_solve_default_pass_has_no_failures(monkeypatch):
     res = run_pass(monkeypatch, "solve-default")
     assert res.failures == []
     assert res.attempted == len(res.outputs) == 3
+
+
+def test_sweep_conj_pass_has_no_failures(monkeypatch):
+    res = run_pass(monkeypatch, "sweep-conj")
+    assert res.failures == []
+    assert res.attempted == len(res.outputs) == 6
