@@ -133,6 +133,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
+from numpy.fft import ifft
 
 from .core import DEFAULT_BITS, AlphaParam, ExpSum, Poly2, compose_to_expsum
 
@@ -527,15 +528,14 @@ class _NewtonLevels:
         if not (np.isfinite(h[:, 1].real).all() and ratio[-1] >= 2.0**-1022):
             raise self.range_error(f"h_j(|a|) or N!/(N+j)! for j < {J} is not a normal float64")
         self.b, self.b_abs = h[:, 0] * ratio, h[:, 1].real * ratio  # b_j and beta_j
-        self.q = q = min(M, J)  # DFT columns
-        folds = (J - 1) // M  # terms each folded coefficient adds
-        idx = np.multiply.outer(np.arange(M, dtype=np.int64), np.arange(q, dtype=np.int64)) % M
-        self.dft = np.exp(2j * np.pi * np.arange(M) / M)[idx]
+        self.q = q = min(M, J)  # folded coefficients
+        self.folded = np.zeros(q, dtype=np.complex128)
+        np.add.at(self.folded, np.arange(J) % M, self.b)
         # per term j: recurrence 4j + N and two roundings into b_j; then
         # folding, twiddle 32, product 3, the dot product's q - 1 sums,
         # the modulus 2 and 4 spare
         self.coef_count = 4 * np.arange(J) + N + 2
-        self.count = self.coef_count + folds + q + 40
+        self.count = self.coef_count + (J - 1) // M + q + 40
         if float(self.count[-1]) * _UNIT > 2.0**-41:
             raise self.range_error("rounding counts too large")
 
@@ -555,13 +555,24 @@ class _NewtonLevels:
         log2 = J * math.log2(rho) - math.log2(math.factorial(J))
         return 2 * 2.0**log2 / (1 - rho / (J + 1)) + 2.0**-1060
 
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """Float g(t_i) at the grid indices `points`, each one gathered twiddle row times the folded b_j."""
+        twiddle = np.exp(2j * np.pi * (np.multiply.outer(points, np.arange(self.q)) % self.M) / self.M)
+        return twiddle @ self.folded
+
+    def error(self) -> float:
+        """E, at least the error of every float value g(t_i)."""
+        return 1.0001 * _UNIT * float(self.count @ self.b_abs) + self.tail() + (self.q + self.M + 8) * 2.0**-1060
+
     def level(self):
-        """Float values g(t_i) at every grid point, and E >= every error."""
-        folded = np.zeros(self.q, dtype=np.complex128)
-        np.add.at(folded, np.arange(self.J) % self.M, self.b)
-        vals = self.dft @ folded
-        err = 1.0001 * _UNIT * float(self.count @ self.b_abs) + self.tail() + (self.q + self.M + 8) * 2.0**-1060
-        return vals, err
+        """The grid index of level 0's maximum, located by FFT, and the float g there.
+
+        The FFT only locates the point; its value is the one values()
+        forms, within E of g there, so its modulus less E is an attained
+        lower bound on the grid maximum.
+        """
+        i = int(np.argmax(np.abs(ifft(self.folded, self.M))))
+        return i, complex(self.values(np.array([i]))[0])
 
     def autocorrelation(self):
         """The float sum_k |rho_k| of the autocorrelations rho_k = sum_j b_{j+k} conj(b_j), |k| < J, and R >= its error."""
@@ -598,10 +609,10 @@ def newton_norm_on_K(w, M: int = 512) -> NormEstimate:
         |g_J(t)|^2 = sum_{j,l} b_j conj(b_l) t^{j-l} = sum_k rho_k t^k <= sum_k |rho_k|,
 
     and |g - g_J| <= tau = sum_{j>=J} beta_j (tail), so
-    sup |g| <= sqrt(sum_k |rho_k|) + tau.  The float g_J on the grid is a
-    length-M DFT of the b_j (folded mod M, q = min(M, J) columns), and
-    the float rho_k one np.correlate.  Four allowances, each stated at
-    its size on g:
+    sup |g| <= sqrt(sum_k |rho_k|) + tau.  The float g_J at a grid point
+    is one row of the length-M DFT of the b_j (folded mod M, q = min(M, J)
+    columns), and the float rho_k one np.correlate.  Four allowances,
+    each stated at its size on g:
 
     1. Float rounding.  The path of a monomial of h_j(a_0..a_N) through
        the recurrence takes j complex products (at most gamma_3 each;
@@ -650,10 +661,13 @@ def newton_norm_on_K(w, M: int = 512) -> NormEstimate:
        the precision construct.required_witness_bits asks for: the
        coefficients cancel to ||f||_K from sum |c_i| e^{|a_i|}.
 
-    grid_max is (max_i |float g(t_i)| - E - allowance 2)/(N! wmax) -
-    allowance 4, so it stays a true lower bound on the grid maximum of
-    |f|; certified_upper is (sqrt(float sum_k |rho_k| + R) + tau +
-    allowance 2)/(N! wmax) + allowance 4.  Past the float64 range (an
+    grid_max is (|float g(t_i)| - E - allowance 2)/(N! wmax) -
+    allowance 4 at the one grid point i where an FFT of the folded b_j
+    is largest in modulus, so it stays a true lower bound on the grid
+    maximum of |f| (the FFT only locates the point; the witness's lower
+    bound does not read grid_max); certified_upper is
+    (sqrt(float sum_k |rho_k| + R) + tau + allowance 2)/(N! wmax) +
+    allowance 4.  Past the float64 range (an
     h_j(|a|) not finite or the least N!/(N+j)! not a normal float, as at
     n = 24) it raises ValueError naming the one remedy, a smaller
     degree; there is no fallback.  Inside it (J-1)! <= (N+J-1)!/N! <= 2^1022
@@ -685,8 +699,8 @@ def newton_norm_on_K(w, M: int = 512) -> NormEstimate:
         # allowance 2, on g
         node_err = math.exp(lev.rho) * 2.0**-52 * float(abs_a.sum()) / (N + 1) * (1 + 2.0**-30)
 
-        vals, err = lev.level()
-        low_max = max(0.0, (float(np.abs(vals).max()) - err - node_err) * (1 - 2.0**-50))
+        _, top = lev.level()
+        low_max = max(0.0, (abs(top) - lev.error() - node_err) * (1 - 2.0**-50))
         total, R = lev.autocorrelation()
         upper = (math.sqrt(total + R) + lev.tail() + node_err) * (1 + 2.0**-48)
 

@@ -27,12 +27,11 @@ is about 300 at n = 8, cond(exp(t (x) nodes)) 9e16 already at n = 5.
 Two reductions keep the LP tractable.  First, rotating all coefficients
 by e^{2 pi i/S} permutes the constraint set, so objective phases that
 differ by a multiple of 2 pi/S give equal optima; only Q/gcd(S,Q)
-residue phases are solved (one, at the defaults).  Second, a dual
-bound prunes torus candidates without solving them.  Write Psi = QR and
-take lambda = conj(Q) R^{-T} g, the least-squares solution of
-Psi^T lambda = g, with residual r = Psi^T lambda - g.  Then
-g.d = lambda.f - r.d, and three facts bound it for every point the
-sweep can accept:
+residue phases are solved (one, at the defaults).  Second, dual
+bounds prune torus candidates without solving them.  Any complex
+weights lambda over the circle points, with residual
+r = Psi^T lambda - g, give g.d = lambda.f - r.d, and three facts bound
+it for every point the sweep can accept:
 
   * the polygon rows force |f_i| <= sec(pi/S) at every circle point;
   * ||d||_2 <= sqrt(M1) sec(pi/S) / sigma_min(Psi), which bounds the
@@ -46,12 +45,19 @@ sweep can accept:
 
 So Re(e^{i theta} g.d) <= (1 + _ACCEPT_TOL) sec(pi/S)
 (sum |lambda_i| + ||r||_2 sqrt(M1)/sigma_min), inflated for float
-rounding, for every residue phase theta at once.  Candidates are
-solved in descending bound order and the sweep stops at the first
-whose bound does not exceed the incumbent.  Each surviving LP
-activates constraints lazily: violated rows are added until no row of
-the full discretization is violated beyond FEASIBILITY_TOL, and the
-LP is abandoned as soon as a relaxation value falls to the incumbent.
+rounding, for every residue phase theta at once (_dual_certificate).
+The bounds come in three tiers (_DualBounds).  With Psi = QR, the
+least-squares weights conj(Q) R^{-T} g are nearly equimodular, so
+sqrt(M1) ||Q||_2 ||R^{-T} g||_2 bounds their sum, at O(N^2) per
+candidate, within 11 % and mostly within 2 %; candidates are taken in descending order of
+that bound and the sweep stops at the first that does not exceed the
+incumbent.  A candidate is skipped when the least-squares certificate
+itself, or the one from the min-norm weights on the circle points
+that carry the incumbent's nonzero LP duals, does not exceed the
+incumbent.  Each surviving LP activates constraints lazily: violated
+rows are added until no row of the full discretization is violated
+beyond FEASIBILITY_TOL, and the LP is abandoned as soon as a relaxation
+value falls to the incumbent.
 All candidates share one HiGHS model: it starts from a fixed coarse
 row pattern and keeps every cut row, so a candidate starts from the
 rows its predecessors needed.  A new objective starts the dual simplex
@@ -94,7 +100,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .analytic_bounds import theorem2_bounds
-from .construct import build_witness, required_witness_bits, witness_certificate
+from .construct import WitnessResult, build_witness, required_witness_bits, witness_certificate
 from .core import (
     DEFAULT_BITS,
     AlphaParam,
@@ -285,6 +291,7 @@ class _WorkingSetLP:
             for s in range(0, S, max(1, S // _BASE_DIRECTIONS))
         }
         self.working: set = set()
+        self.order: list = []  # the working rows in model order
         ncol = 2 * psi.shape[1]
         self.model = _Highs()
         self.model.setOptionValue("output_flag", False)
@@ -309,6 +316,7 @@ class _WorkingSetLP:
         new = sorted(self.base - self.working)
         for _ in range(_MAX_ROUNDS):
             self.working.update(new)
+            self.order.extend(new)
             res = linprog(cost, self._rows(np.array(new, dtype=int)), self.model)
             if res.status != 0:
                 raise SolverGridError(
@@ -338,6 +346,17 @@ class _WorkingSetLP:
             return float(d @ x)
         raise SolverGridError("constraint generation did not converge")
 
+    def support(self) -> list:
+        """Circle points of the rows with a nonzero dual in the last solve."""
+        dual = np.array(self.model.getSolution().row_dual)
+        return sorted({self.order[r] // self.S for r in np.flatnonzero(dual)})
+
+
+def _certificate(M1: int, S: int, sigma: float, gamma: float, l1, resid):
+    """(1 + _ACCEPT_TOL) (1 + gamma) sec(pi/S) (l1 + resid sqrt(M1)/sigma)."""
+    scale = (1 + _ACCEPT_TOL) * (1 + gamma) / math.cos(math.pi / S)
+    return scale * (l1 + resid * (math.sqrt(M1) / sigma))
+
 
 def _dual_certificate(
     psi: np.ndarray, S: int, sigma: float, lam: np.ndarray, g: np.ndarray
@@ -358,34 +377,87 @@ def _dual_certificate(
         + gamma * (np.linalg.norm(np.abs(psi).T @ np.abs(lam), axis=0)
                    + 2 * np.linalg.norm(g, axis=0))
     )
-    scale = (1 + _ACCEPT_TOL) * (1 + gamma) / math.cos(math.pi / S)
-    return scale * (np.abs(lam).sum(axis=0) + resid * (math.sqrt(M1) / sigma))
+    return _certificate(M1, S, sigma, gamma, np.abs(lam).sum(axis=0), resid)
 
 
-def _dual_bounds(psi: np.ndarray, S: int, rows: np.ndarray) -> np.ndarray:
-    """Upper bound on every LP value at each torus row; inf if psi is singular.
+class _DualBounds:
+    """Upper bounds on every LP value at each torus row, in three tiers.
 
-    lambda = conj(Q) R^{-T} g from one QR of psi, formed _BOUND_CHUNK
-    candidates at a time so the M1 x candidates matrix never exists.
-    sigma_min(psi) is that of R less a Householder backward-error
-    allowance; when nothing is left, every bound is inf and nothing is
-    pruned.
+    Each tier is _dual_certificate for some weights lam, or a bound on
+    it, so each bounds every value the sweep can accept at that row.
+    One QR of psi gives the least-squares weights lam* = conj(Q) y,
+    y = R^{-T} g, and sigma_min(psi) as that of R less a Householder
+    backward-error allowance; when nothing is left, every bound is inf.
+
+      1. bounds[p], O(N^2) per row: sum |lam*_i| <= sqrt(M1) ||Q||_2
+         ||y||_2, with ||Q||_2^2 <= ||Q^H Q||_inf, and the residual
+         psi^T lam* - g = P y - g through the N x N matrix
+         P = psi^T conj(Q).  The float Q^H Q and P miss their exact
+         values by at most gamma |Q|^T |Q| and gamma |psi|^T |Q|
+         entrywise, and P y - g its exact value by gamma (|P| |y| + |g|),
+         each taken in norm; 2 gamma ||g|| more covers the objective as
+         in _dual_certificate, and (1 + gamma) each float norm.
+      2. least_squares(p): _dual_certificate of lam* itself, O(M1 N).
+      3. on_support(p): _dual_certificate of the min-norm weights
+         A^H (A A^H)^{-1} g, A = psi_T^T, on a set T of circle points (the
+         incumbent's dual support, where the neighbouring candidates'
+         optima lean on the same constraints); inf when T has fewer than
+         N points or A A^H is singular.
     """
-    M1, N = psi.shape
-    inf = np.full(len(rows), np.inf)
-    if not np.isfinite(psi).all():
-        return inf
-    Q, R = np.linalg.qr(psi)
-    sigma = np.linalg.svd(R, compute_uv=False)[-1] - (
-        4 * M1 * N * np.finfo(float).eps * np.linalg.norm(psi)
-    )
-    if not sigma > 0:
-        return inf
-    y = np.linalg.solve(R.T, rows.T)
-    chunks = (slice(lo, lo + _BOUND_CHUNK) for lo in range(0, len(rows), _BOUND_CHUNK))
-    return np.concatenate([
-        _dual_certificate(psi, S, sigma, np.conj(Q) @ y[:, c], rows[c].T) for c in chunks
-    ])
+
+    def __init__(self, psi: np.ndarray, S: int, rows: np.ndarray):
+        M1, N = psi.shape
+        self.psi, self.S, self.rows = psi, S, rows
+        gamma = 4 * (M1 + N) * np.finfo(float).eps
+        self.bounds = np.full(len(rows), np.inf)
+        self.sigma = 0.0
+        self.gram = None
+        if not np.isfinite(psi).all():
+            return
+        Q, R = np.linalg.qr(psi)
+        sigma = np.linalg.svd(R, compute_uv=False)[-1] - (
+            4 * M1 * N * np.finfo(float).eps * np.linalg.norm(psi)
+        )
+        if not sigma > 0:
+            return
+        self.sigma, self.Qc = sigma, np.conj(Q)
+        self.y = y = np.linalg.solve(R.T, rows.T)
+        absQ = np.abs(Q)
+        q2 = (np.abs(Q.conj().T @ Q).sum(axis=1).max()
+              + gamma * (absQ.T @ absQ).sum(axis=1).max()) * (1 + gamma)
+        P = psi.T @ self.Qc
+        slack = (gamma * np.linalg.norm(P) + gamma * np.linalg.norm(np.abs(psi).T @ absQ)) * (1 + gamma)
+        norm_y = np.linalg.norm(y, axis=0) * (1 + gamma)
+        norm_g = np.linalg.norm(rows, axis=1) * (1 + gamma)
+        resid = (np.linalg.norm(P @ y - rows.T, axis=0) * (1 + gamma)
+                 + slack * norm_y + 3 * gamma * norm_g)
+        self.bounds = _certificate(M1, S, sigma, gamma, math.sqrt(M1 * q2) * norm_y, resid)
+
+    def least_squares(self, p: int) -> float:
+        """Tier 2 at torus row p."""
+        if not self.sigma:
+            return math.inf
+        return float(_dual_certificate(self.psi, self.S, self.sigma, self.Qc @ self.y[:, p], self.rows[p]))
+
+    def set_support(self, points: list) -> None:
+        """Make `points` the circle points T that on_support reads."""
+        self.gram = None
+        if self.sigma and len(points) >= self.psi.shape[1]:
+            self.support = np.array(points)
+            on = self.psi[self.support]
+            self.gram = on.T @ np.conj(on)
+
+    def on_support(self, p: int) -> float:
+        """Tier 3 at torus row p, on the last set_support points."""
+        if self.gram is None:
+            return math.inf
+        try:
+            z = np.linalg.solve(self.gram, self.rows[p])
+        except np.linalg.LinAlgError:
+            return math.inf
+        lam = np.zeros(self.psi.shape[0], dtype=np.complex128)
+        lam[self.support] = np.conj(self.psi[self.support]) @ z
+        return float(_dual_certificate(self.psi, self.S, self.sigma, lam, self.rows[p]))
 
 
 def _torus_monomials(n: int, M2: int) -> np.ndarray:
@@ -448,21 +520,32 @@ def en_lp_estimate(
     S = cfg.polygon_sides
     lp = _WorkingSetLP(psi, S)
     rotations = np.exp(1j * np.array(phase_residues(S, cfg.phase_samples)))[:, None]
-    bounds = _dual_bounds(psi, S, rows)
+    duals = _DualBounds(psi, S, rows)
 
-    # A candidate whose bound does not exceed the incumbent cannot be
-    # accepted above it, and neither can any later one in this order.
+    # A candidate whose first-tier bound does not exceed the incumbent
+    # cannot be accepted above it, and neither can any later one in this
+    # order; the two finer tiers skip single candidates.
     best = -math.inf
-    for p in np.argsort(-bounds, kind="stable"):
-        if bounds[p] <= best:
+    for p in np.argsort(-duals.bounds, kind="stable"):
+        if duals.bounds[p] <= best:
             break
+        if duals.least_squares(p) <= best or duals.on_support(p) <= best:
+            continue
         for dm in rows[p] * rotations:
             val = lp.maximize(np.concatenate([dm.real, -dm.imag]), abandon_below=best)
             if val is not None and val > best:
                 best = val
+                duals.set_support(lp.support())
     if best <= 0:
         raise SolverGridError("LP produced a nonpositive maximum; grid degenerate")
     return math.log(best)
+
+
+def _require_search_inputs(trials: int, seed: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def en_random_search(
@@ -472,10 +555,12 @@ def en_random_search(
     seed: int,
     grid_points: int = 32,
     bits: int = DEFAULT_BITS,
+    witness: WitnessResult | None = None,
 ) -> float:
     """Best score ln(bidisk grid max / first-order K bound) over sampled P.
 
-    Scores the deterministic candidates z, w and the witness, then
+    Scores the deterministic candidates z, w and the witness (built here
+    unless a construct.WitnessResult for (n, alpha) is passed), then
     `trials` coefficient vectors drawn as standard normals in
     R^{2(N+1)}; the score is scale invariant, so their directions are
     uniform on the unit sphere.  The bidisk maximum is taken over the
@@ -487,10 +572,7 @@ def en_random_search(
     bound on e_n(alpha), not a certified one.
     """
     require_degree(n)
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _require_search_inputs(trials, seed)
     require_alpha(alpha)
     idx = canonical_indices(n)
     ncoef = len(idx)
@@ -500,7 +582,8 @@ def en_random_search(
     mono = _torus_monomials(n, grid_points)
     deriv_weight = (np.pi / _ORACLE_CIRCLE_POINTS) * np.abs(nodes) * np.exp(np.abs(nodes))
 
-    witness = build_witness(n, alpha, max(bits, required_witness_bits(n)))
+    if witness is None:
+        witness = build_witness(n, alpha, max(bits, required_witness_bits(n)))
     fixed = np.zeros((3, ncoef), dtype=np.complex128)
     fixed[0, idx.index((1, 0))] = 1.0
     fixed[1, idx.index((0, 1))] = 1.0
@@ -530,16 +613,18 @@ def en_bracket(
 
     Invariant violations (a lower estimate exceeding an upper bound plus
     its stated allowance) are recorded in flags, never silently dropped.
-    The oracle runs first, so a bad trials or seed fails before the LP;
-    the certificate's witness reads the moment table the oracle's left.
+    The oracle's trials and seed and the LP's size guard are checked
+    first, so a bad one fails before the certificate and the LP run; the
+    oracle then scores the certificate's witness, built once.
     """
     lo, up = theorem2_bounds(n, alpha, bits)
+    _require_search_inputs(trials, seed)
+    _candidate_guard(n, cfg, max_degree)
+    w, _, _, wlower = witness_certificate(n, alpha, bits=max(bits, required_witness_bits(n)))
     oracle_val = en_random_search(
-        n, alpha, trials, seed, grid_points=cfg.torus_points, bits=bits
+        n, alpha, trials, seed, grid_points=cfg.torus_points, bits=bits, witness=w
     )
     lp_val = en_lp_estimate(n, alpha, cfg, bits, max_degree)
-    wbits = max(bits, required_witness_bits(n))
-    _, _, _, wlower = witness_certificate(n, alpha, bits=wbits)
     analytic_lower, analytic_upper = float(lo), float(up)
     witness_log = float(wlower)
 

@@ -114,6 +114,27 @@ def test_cli_import_set():
     assert not [name for name in loaded if name.split(".")[0] == "scipy" and not name.startswith(highs)]
 
 
+def test_commands_import_nothing_after_start_up():
+    # a module first imported inside a command is paid in its timed pass
+    # (one np.unique pulls in numpy.ma, about 33 ms); the locale lookup of
+    # the output stream is the only such import
+    script = (
+        "import contextlib, io, sys\n"
+        "import bwexp.cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert bwexp.cli.main(['solve', '--n', '2', '--alpha', '0.0+0.5i']) == 0\n"
+        "    assert bwexp.cli.main(['witness', '--n', '2', '--alpha', '0.0+0.5i']) == 0\n"
+        "    assert bwexp.cli.main(['sweep', '--n-range', '1..2', '--alpha-grid', 'im:-0.5..0.5:2,re:0',\n"
+        "                           '--jobs', '1', '--circle-points', '128', '--torus-points', '16']) == 0\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, cwd=PACKAGE.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= {"locale", "_locale"}
+
+
 def test_every_suite_is_registered_and_reported():
     # a suite_* function missing from SUITES would never run under verify
     from bwexp.suites import SUITES

@@ -265,7 +265,7 @@ def test_newton_values_and_autocorrelations_within_their_allowance():
         w = build_witness(n, alpha, max(BITS, required_witness_bits(n)))
         nodes = [complex(mp.mpc(a)) for _, a in w.f.terms]
         lev = _NewtonLevels(np.array(nodes), M)
-        vals, E = lev.level()
+        vals, E = lev.values(np.arange(M)), lev.error()
         total, R = lev.autocorrelation()
         N, J = lev.N, lev.J
         wp = required_witness_bits(n) + 64
@@ -305,6 +305,33 @@ def test_newton_values_and_autocorrelations_within_their_allowance():
                 if j >= J:
                     rest += row[-1] * mp.factorial(N) / mp.factorial(N + j)
             assert rest <= lev.tail(), f"n={n} alpha={alpha}"
+
+
+# newton_norm_on_K(w, 512).grid_max from a full scan of the 512 float
+# values, the reference for the FFT-located point
+FULL_SCAN_GRID_MAX = {
+    (0.0, 0.5): (0.3646266536169812, 0.010170297185266209, 8.627673422087212e-06,
+                 6.389324894637501e-10, 1.937348082925962e-15),
+    (0.3, 0.4): (0.3211478036551024, 0.007391960322757668, 3.78169871867801e-06,
+                 1.6188326231010303e-10, 2.8527125422852447e-16),
+}
+
+
+@pytest.mark.parametrize("alpha", FULL_SCAN_GRID_MAX, ids=str)
+def test_located_grid_max_within_2E_of_the_full_scan(alpha):
+    # the FFT's point has a float value within 2E of the float maximum
+    # over every grid point, so grid_max moves from the full scan's by at
+    # most 2E/(N! wmax)
+    M = 512
+    for n, pinned in enumerate(FULL_SCAN_GRID_MAX[alpha], start=1):
+        w = build_witness(n, make_alpha(*alpha), BITS)
+        lev = _NewtonLevels(np.array([complex(mp.mpc(a)) for _, a in w.f.terms]), M)
+        E = lev.error()
+        full = np.abs(lev.values(np.arange(M)))
+        i, top = lev.level()
+        assert abs(abs(top) - full[i]) <= E and abs(top) >= full.max() - 2 * E, f"n={n}"
+        slack = 2 * E / (math.factorial(lev.N) * float(w.wmax))
+        assert abs(float(newton_norm_on_K(w, M).grid_max) - pinned) <= slack, f"n={n}"
 
 
 def test_newton_certificate_above_a_finer_grid():

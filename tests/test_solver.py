@@ -18,7 +18,7 @@ import pytest
 from mpmath import mp
 from scipy.optimize import linprog
 
-from bwexp import solver
+from bwexp import construct, solver
 from bwexp.construct import divided_difference_weights, required_witness_bits
 from bwexp.core import (
     MultiIndex,
@@ -32,8 +32,8 @@ from bwexp.solver import (
     EnEstimate,
     LPConfig,
     SolverGridError,
-    _dual_bounds,
     _dual_certificate,
+    _DualBounds,
     _lp_problem,
     _newton_basis,
     _nodes_f64,
@@ -193,7 +193,7 @@ def test_lp_solves_every_grid_at_a_small_alpha():
 
 
 def test_highs_solves_per_degree_on_the_default_grid(monkeypatch):
-    # one HiGHS solve per working set: 17, 11 and 13 solves at n = 1, 2, 3
+    # one HiGHS solve per working set: 5, 11 and 13 solves at n = 1, 2, 3
     real = solver.linprog
     calls = []
 
@@ -207,7 +207,7 @@ def test_highs_solves_per_degree_on_the_default_grid(monkeypatch):
         calls.clear()
         en_lp_estimate(n, A05)
         counts.append(len(calls))
-    assert counts == [17, 11, 13]
+    assert counts == [5, 11, 13]
 
 
 def _converged_values(n, alpha, cfg):
@@ -233,13 +233,22 @@ def _converged_values(n, alpha, cfg):
 def test_pruning_matches_exhaustive_sweep(alpha):
     a = make_alpha(*alpha)
     S = SMALL.polygon_sides
+    rng = np.random.default_rng(SEED)
     for n in (1, 2, 3):
         E, mono, values = _converged_values(n, a, SMALL)
         assert en_lp_estimate(n, a, SMALL) == pytest.approx(
             math.log(values.max()), abs=1e-9
         ), f"n={n}"
-        bounds = _dual_bounds(E, S, mono)
-        assert np.all(bounds >= values), f"n={n}: bound below a converged value"
+        # each tier bounds every converged value, and the O(N) bound the
+        # least-squares certificate it stands for
+        duals = _DualBounds(E, S, mono)
+        least = np.array([duals.least_squares(p) for p in range(len(mono))])
+        assert np.all(duals.bounds >= least), f"n={n}: O(N) bound below its certificate"
+        assert np.all(least >= values), f"n={n}: bound below a converged value"
+        # the support tier holds on any support, not only the incumbent's
+        duals.set_support(sorted(rng.choice(SMALL.circle_points, 2 * E.shape[1], replace=False)))
+        wrong = np.array([duals.on_support(p) for p in range(len(mono))])
+        assert np.all(np.isfinite(wrong)) and np.all(wrong >= values), f"n={n}"
         # the certificate holds for any weights, not only least-squares
         # ones: with half the weights the residual term carries the rest
         lam = np.linalg.lstsq(E.T, mono.T, rcond=None)[0]
@@ -259,14 +268,20 @@ def test_dual_bounds_singular_basis_prunes_nothing(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (singular, near, overflow):
-            assert np.all(np.isinf(_dual_bounds(bad, S, mono)))
+            duals = _DualBounds(bad, S, mono)
+            duals.set_support(list(range(SMALL.circle_points)))
+            assert np.all(np.isinf(duals.bounds))
+            assert [duals.least_squares(p) for p in (0, 5)] == [math.inf] * 2
+            assert duals.on_support(0) == math.inf
+
+    real = solver._DualBounds
 
     def singular_bounds(E, S, mono):
         bad = E.copy()
         bad[:, -1] = bad[:, 0]
-        return _dual_bounds(bad, S, mono)
+        return real(bad, S, mono)
 
-    monkeypatch.setattr(solver, "_dual_bounds", singular_bounds)
+    monkeypatch.setattr(solver, "_DualBounds", singular_bounds)
     _, _, values = _converged_values(2, A05, SMALL)
     assert en_lp_estimate(2, A05, SMALL) == pytest.approx(
         math.log(values.max()), abs=1e-9
@@ -401,6 +416,25 @@ def test_bracket_rejects_trials_and_seed_before_the_lp(monkeypatch):
         solver.en_bracket(8, A05, trials=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         solver.en_bracket(8, A05, seed=-1)
+
+
+def test_bracket_builds_one_witness(monkeypatch):
+    # the oracle scores the witness the certificate built
+    calls = []
+
+    def counting(real):
+        def build(*args, **kwargs):
+            calls.append(args[:2])
+            return real(*args, **kwargs)
+        return build
+
+    monkeypatch.setattr(construct, "build_witness", counting(construct.build_witness))
+    monkeypatch.setattr(solver, "build_witness", counting(solver.build_witness))
+    for n in (1, 2):
+        calls.clear()
+        est = en_bracket(n, A05, SMALL, trials=10, seed=0)
+        assert calls == [(n, A05)]
+        assert est.oracle_log_value == en_random_search(n, A05, 10, 0, grid_points=SMALL.torus_points)
 
 
 def _reference_random_search(n, alpha, trials, seed, grid_points, bits=256):
