@@ -195,8 +195,8 @@ def apply_annihilator(data: AnnihilatorData, f: ExpSum, bits: int = DEFAULT_BITS
     For f composed from a degree-n polynomial this equals c_lm * beta_lm:
     R vanishes at every node except the target.  Horner evaluation of the
     expanded coefficients is badly conditioned (the cancellation at the
-    roots costs about N log2(node spread) bits), so the ladder runs at
-    elevated internal precision and the result is rounded back.
+    roots costs about N log2(node spread) bits), so the Horner loop runs
+    at elevated internal precision and the result is rounded back.
     """
     work = 2 * bits + 64
     with mp.workprec(work):

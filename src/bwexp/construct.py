@@ -232,6 +232,6 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
     w = build_witness(n, alpha, bits)
     radius = w.r if radius is None else radius
     normk = newton_norm_on_K(w, grid)
-    circle = norm_on_circle(w.f, radius, grid, bits, depth=0)
+    circle = norm_on_circle(w.f, radius, grid, bits, certify=False)
     lower = witness_lower_bound(w, radius, normk, circle)
     return w, normk, circle, lower

@@ -4,111 +4,111 @@ Estimates are honest in one direction each: grid maxima are true lower
 bounds on the sup (they are attained values), and certified uppers are
 true upper bounds.  Everything runs at an explicit binary precision.
 
-Circle certificates use a Taylor ladder.  Any point t on |t| = r lies
-within arc distance h = pi r / M of a grid point t_i, so for any depth
-D >= 1
+A circle certificate is the lesser of two upper bounds on
+sup_{|t|=r} |f|.  On |t| = r, f = sum c e^{a t} (K terms) is
+sum_m b_m e^{i m theta}, b_m = mu_m r^m/m!, mu_m = sum c a^m.
 
-    |f(t)| <= sum_{m<D} h^m/m! |f^(m)(t_i)| + h^D/D! T_D,
-    T_D = sum |c| |a|^D e^{r|a|},
+* First order: every t lies within arc pi r/M of a grid point, and
+  |f'| <= T_1 = sum |c||a| e^{r|a|} on |u| <= r, so
+  sup|f| <= G_0 + (pi r/M) T_1, G_0 the grid maximum below (exact for
+  a constant f).
+* Autocorrelation: with f_L the sum over m <= L and
+  rho_k = sum_m b_{m+k} conj(b_m), |f_L|^2 = sum_k rho_k e^{i k theta}
+  <= sum_k |rho_k|, and |f - f_L| <= tail = sum |c| sum_{m>L} (r|a|)^m/m!
+  (_CircleGrid.taylor picks L).  It does not depend on M, and it is
+  sharp where the first-order bound is useless: a witness's K norm is
+  about e^n/N!, its sum|c||a|e^{|a|} astronomically larger.
 
-because the segment from t_i to t stays inside |u| <= r where every
-|f^(D)(u)| <= T_D.  Taking the grid max of each |f^(m)| and minimizing
-over D gives the certificate.  The adaptive ladder stops at the first D
-whose tail h^D/D! T_D is at most 2^-min(bits/2, 64) of the least bound
-so far, B.  Every deeper bound is at least the partial sum at D, which
-is at least B less that tail, so stopping raises the certificate by at
-most 2^-64 B over the minimum across all depths; it stays an upper
-bound.  One loop, _ladder, runs it on a _CircleGrid's level maxima.
-Depth 1 is the classical grid_max + h * sum|c||a|e^{r|a|} bound;
-deeper levels matter when f has engineered cancellation (witness
-polynomials have K norms around e^{n}/N! while sum|c||a|e^{|a|} is
-astronomically larger, so the one-step bound is useless there and the
-ladder is not).
+No float enters the second bound (_CircleGrid.certificate).  B_m is
+b'_m 2^P floored in each part, a Gaussian integer, where
+b'_m = sums[m] 2^{e_m} r_man^m 2^{m r_exp}/m! is exact from the integer
+moment table below and r = r_man 2^{r_exp}; so
+sum_{m<=L} |b_m - B_m 2^-P| <= D = error + 2^{1-P}(L+1), error being
+taylor's bound on the moments' part.  P = F + 2 - S (F = bits + _GUARD,
+max|b_m| <= 2^S) gives max|B_m| at least F bits.  With
+f_B = sum B_m 2^-P e^{i m theta}, sup|f| <= sup|f_B| + D + tail, and
+(2^P sup|f_B|)^2 <= sum_{|k|<=L} |rho_k(B)| = rho_0 + 2 sum_{k>=1}
+|rho_k(B)| (rho_{-k} = conj(rho_k)).  rho_0 = sum |B_m|^2 is exact, each
+other modulus is raised to isqrt(|rho_k|^2) + 1 in the integer total,
+and its root to isqrt(total) + 1.  So sup|f| is at most
+(isqrt(total) + 1 + 2(L+1) + ceil(2^P error) + ceil(2^P tail)) 2^-P,
+rounded up once to the working precision; the tail is formed with every
+rounding directed up, and error is an integer times a power of two.
+The integer sum costs O(L^2) products of F-bit integers; certify=False
+skips it where only grid_max is read.
 
-Each level needs the grid maximum G_j = max_i |f^(j)(t_i)| over
-t_i = r e^{2 pi i i/M}.  A working-precision scan of the whole grid costs
-M K exponentials and M K multiply-adds per level (K terms), so each
-level is scanned in float64 first and only the candidates it cannot rule
-out are evaluated at working precision.
+The grid maximum G_0 = max_i |f(t_i)| over t_i = r e^{2 pi i i/M} is a
+working-precision value.  A scan of the whole grid costs M K
+exponentials and M K multiply-adds, so the grid is scanned in float64
+first and only the candidates it cannot rule out are evaluated at
+working precision.
 
-* With the moments mu_k = sum c a^k and w = e^{2 pi i/M},
-  f^(j)(t_i) = sum_m b_m w^{im} with b_m = mu_{m+j} r^m/m!: a length-M
-  DFT of the Taylor coefficients, folded mod M, evaluated as a float64
-  matrix-vector product.  Its block w^{(im) mod M} is gathered once per
-  grid, grown when a level needs more columns, and sliced.
+* f(t_i) = sum_m b_m w^{im}, w = e^{2 pi i/M}: a length-M DFT of the
+  Taylor coefficients, folded mod M, evaluated as a float64
+  matrix-vector product.
 * The moments do not depend on r, so one table per ExpSum and
   precision holds them for every circle.  Each mu_k is an exact sum of
-  Python integers: c and a are truncated once to multiples of 2^-F,
-  F = bits + _GUARD (after exact power-of-two scalings), each power
+  Python integers: c and a are truncated once to multiples of 2^-F
+  (after exact power-of-two scalings), each power
   c a^{k+1} = (c a^k) a is floored back to that scale, and a running
-  integer bound on the truncation error of each level, at most
+  integer bound on the truncation error of each moment, at most
   (k + K + 2) 2^-bits sum |c||a|^k on the witnesses and random sums
   the tests check, is kept beside it.  So are integer upper bounds on
-  sum |c||a|^k, which cannot overflow.  The working-precision level
-  coefficients c a^j, which only the kept points' evaluation reads,
-  are formed when a level is asked for.  The latest table is kept, so
+  sum |c||a|^k, which cannot overflow.  The latest table is kept, so
   a witness's vanishing check (construct.build_witness reads its
   mu_0..mu_N) and its r = N/n circle share one table and form each
   moment once.
-* The rest of a level's set-up is float arithmetic on values stored
+* The rest of the scan's set-up is float arithmetic on values stored
   once each: each mu_k and r^m/m! is stored, when it is formed, as a
   float64 mantissa of modulus below 1 and an exact binary exponent.
   Both come from exact integers (mu_k's integer sum, and
-  r^m/m! = r_man^m 2^{m r_exp}/m! for r = r_man 2^r_exp), so each
-  mantissa part is one correctly rounded int / int division.  L and a
-  power-of-two scale 2^-S are picked from the table's log2 values, and
-  each scaled coefficient is the product of the mantissas of mu_{m+j}
-  and r^m/m!, shifted exactly by ldexp.
-* Cauchy's estimate gives |b_m| <= sup_{|t|=r} |f^(j)|, so no term of
-  the float sum exceeds the level maximum and its rounding error is
-  small relative to that maximum, even where the terms c e^{a t} of f
-  cancel by many orders of magnitude.  The cancellation is paid once,
-  in the exact integer sums.
+  r^m/m! = r_man^m 2^{m r_exp}/m!), so each mantissa part is one
+  correctly rounded int / int division.  L and a power-of-two scale
+  2^-S are picked from the table's log2 values, and each scaled
+  coefficient is the product of the mantissas of mu_m and r^m/m!,
+  shifted exactly by ldexp.
+* Cauchy's estimate gives |b_m| <= sup_{|t|=r} |f|, so no term of the
+  float sum exceeds the maximum and its rounding error is small
+  relative to it, even where the terms c e^{a t} of f cancel by many
+  orders of magnitude.  The cancellation is paid once, in the exact
+  integer sums.
 * A grid point is kept when its float modulus is within 2E of the float
   maximum, where E bounds |float value - working-precision value| at
   every grid point.  E adds the float rounding
   2 gamma_{2L+66} sum|b_m| (gamma_n = n u/(1 - n u)) with an underflow
-  allowance, the closed-form truncation tail
-  sum |c||a|^j sum_{m>L} (r|a|)^m/m!, the moments' tracked error
-  sum_{m<=L} |mu_{m+j} - integer sum| r^m/m!, and the working-precision
-  rounding of the direct evaluation, a multiple of 2^-bits T_j with
-  T_j = sum |c||a|^j e^{r|a|}, the running sum the ladder keeps.
-  The gamma count covers three roundings of each coefficient (the float
-  mantissas of mu_{m+j} and of r^m/m!, and their product; the shifts
-  are exact), the twiddle factors, folding and the dot product; a
-  product of n factors (1 + delta), |delta| <= u, is 1 + theta with
-  |theta| <= gamma_n (Higham, Accuracy and Stability of Numerical
-  Algorithms, 2nd ed., Lemma 3.1), so the two roundings a coefficient
-  carries beyond a single float conversion add 2 to the count.
+  allowance, the tail, the moments' error, and the working-precision
+  rounding of the direct evaluation, a multiple of 2^-bits T_0 with
+  T_0 = sum |c| e^{r|a|}.  The gamma count covers three roundings of
+  each coefficient (the float mantissas of mu_m and of r^m/m!, and
+  their product; the shifts are exact), the twiddle factors, folding
+  and the dot product; a product of n factors (1 + delta), |delta| <= u,
+  is 1 + theta with |theta| <= gamma_n (Higham, Accuracy and Stability
+  of Numerical Algorithms, 2nd ed., Lemma 3.1), so the two roundings a
+  coefficient carries beyond a single float conversion add 2 to the
+  count.
 * L is the first index at which the tail's float log2 value drops below
-  that of the float rounding of max|b_m| or of 2^-bits T_j, so it is no
-  parameter.  L sets only the work: the tail for the chosen L is formed
-  once, at working precision, and E holds for every L with
-  L + 2 > r max|a|.
+  that of the float rounding of max|b_m| or of 2^-bits T_0, so it is no
+  parameter.  The tail for the chosen L is formed once, at working
+  precision, and E holds for every L with L + 2 > r max|a|.
 * The working-precision maximizer has a float modulus within 2E of the
   float maximum, so it is always kept, and so are exact ties such as
   mirror-image points.  One loop, _largest, evaluates the kept points
   exactly as a full scan would (same t_i, exponentials and summation
-  order), so each G_j, and with it grid_max and the ladder certificate,
-  is the value a full working-precision scan reports: an attained value.
+  order), so grid_max is the value a full working-precision scan
+  reports: an attained value.
 
-A witness's K norm needs no ladder: on the curve the witness is the
-Newton function [a_0..a_N] e^{a t} over wmax, whose Taylor coefficients
-h_j(a)/(N+j)! carry no cancellation, so newton_norm_on_K bounds
-sup_{|t|=1} |N! psi|^2 by the sum of the moduli of their
-autocorrelations, in float64 from one table of complete homogeneous
-sums (homogeneous_sums, shared with the LP's Newton basis), with four
-stated allowances and no working-precision point; its docstring holds
-the proof.  The circles at other radii, such as the witness's r = N/n
-circle, and every general f stay on the working-precision moment table
-above.
+A witness's K norm takes the same autocorrelation bound in float64
+(newton_norm_on_K, whose docstring holds the proof): on the curve the
+witness is the Newton function [a_0..a_N] e^{a t} over wmax, whose Taylor
+coefficients h_j(a)/(N+j)! (homogeneous_sums, shared with the LP's
+Newton basis) carry no cancellation.  Every other circle reads the
+working-precision moment table above.
 
 Bidisk sup norms of polynomials are attained on the torus
 |z| = |w| = 1 (maximum principle in each variable separately), so the
 grid scans the torus points (w^a, w^b), w = e^{2 pi i/M}, only.  The
 certified upper is the coefficient sum ||P||_{bidisk} <= sum |c_jk|.
-The grid maximum is found like a circle level maximum, but needs no
-moments or ladder.
+The grid maximum is found like a circle's, but needs no moments.
 
 * P(w^a, w^b) = sum c_jk w^{(aj+bk) mod M}: a float64 sum of T terms
   over one table of the M roots w^m (made at working precision), the
@@ -130,6 +130,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from mpmath import mp
@@ -223,11 +224,10 @@ class _Moments:
     * the float log2 values of errors[k] 2^e_k and abs_sums[k] 2^e_k.
 
     errors and abs_sums only feed bounds, and being integers, they
-    cannot overflow.  The level coefficients c a^j that level_max
-    multiplies into its rows are mpmath products, c a^{j+1} = (c a^j) a,
-    formed when level(j) asks for them.  None of it depends on the
-    circle, so every radius and grid of the ExpSum reads one table.
-    Build and call inside mp.workprec(bits).
+    cannot overflow; nor can a_up, the per-term bounds
+    floor|A| + 3 >= |a| 2^(F-ea).  None of it depends on the circle, so
+    every radius and grid of the ExpSum reads one table.  Build and call
+    inside mp.workprec(bits).
     """
 
     def __init__(self, terms, bits: int):
@@ -236,23 +236,22 @@ class _Moments:
         self.exps = [mp.mpc(a) for _, a in terms]
         self.abs_exps = [abs(a) for a in self.exps]
         self.amax = max(self.abs_exps)
-        self.levels = [self.coeffs]  # c a^j for j asked so far
         self.F = F = bits + _GUARD
         cmax = max(abs(c) for c in self.coeffs)
         self.ec = int(mp.mag(cmax)) if cmax else 0
         self.ea = int(mp.mag(self.amax)) - 1 if self.amax else 0
-        self.re = [int(mp.ldexp(c.real, F - self.ec)) for c in self.coeffs]  # the next level's powers
+        self.re = [int(mp.ldexp(c.real, F - self.ec)) for c in self.coeffs]  # the next moment's powers
         self.im = [int(mp.ldexp(c.imag, F - self.ec)) for c in self.coeffs]
         self.a_re = [int(mp.ldexp(a.real, F - self.ea)) for a in self.exps]
         self.a_im = [int(mp.ldexp(a.imag, F - self.ea)) for a in self.exps]
         self.up = [math.isqrt(x * x + y * y) + 3 for x, y in zip(self.re, self.im)]  # U_k
         self.a_up = [math.isqrt(x * x + y * y) + 3 for x, y in zip(self.a_re, self.a_im)]
-        self.error = 2 * len(terms)  # the next level's error bound
+        self.error = 2 * len(terms)  # the next moment's error bound
         self.sums, self.mu_f, self.errors, self.abs_sums = [], [], [], []
         self.err_log, self.abs_log = [], []  # log2 of errors[k] 2^e_k and abs_sums[k] 2^e_k
 
     def scale(self, k: int) -> int:
-        """e_k, the binary exponent of level k's integers."""
+        """e_k, the binary exponent of moment k's integers."""
         return self.ec + k * self.ea - self.F
 
     def extend(self, k: int):
@@ -286,12 +285,6 @@ class _Moments:
         self.extend(k)
         return mp.ldexp(mp.mpf(self.abs_sums[k], rounding="c"), self.scale(k))
 
-    def level(self, j: int):
-        """c a^j for every term: the coefficients of f^(j)."""
-        while len(self.levels) <= j:
-            self.levels.append([p * a for p, a in zip(self.levels[-1], self.exps)])
-        return self.levels[j]
-
 
 _last_moments = None  # the latest table asked for
 
@@ -312,11 +305,10 @@ def moment_table(f: ExpSum, bits: int) -> _Moments:
 
 
 class _CircleGrid:
-    """Level maxima max_i |f^(j)(t_i)| on the grid t_i = r e^{2 pi i i/M}.
+    """The grid maximum max_i |f(t_i)| on t_i = r e^{2 pi i i/M}, and the circle's certificate.
 
-    A float64 scan of the moments finds the candidates; only those are
-    evaluated at working precision, exactly as a full scan would (see the
-    module docstring).  Build and call inside mp.workprec(table.bits).
+    Both read the Taylor coefficients (see the module docstring).  Build
+    and call inside mp.workprec(table.bits).
     """
 
     def __init__(self, table: _Moments, r, M: int):
@@ -325,12 +317,12 @@ class _CircleGrid:
         self.xmax = r * table.amax  # r max|a|
         self.r_man, self.r_exp = r.man_exp  # r = r_man 2^r_exp exactly (r > 0)
         self.rfac_f = []  # (u, e, log2 r^m/m!) with r^m/m! = u 2^e, |u| < 1
-        self.tails = [abs(c) * mp.exp(r * x) for c, x in zip(table.coeffs, table.abs_exps)]  # |c||a|^j e^{r|a|}
-        self.totals = [sum(self.tails)]  # T_j
+        self.weights = [abs(c) * mp.exp(r * x) for c, x in zip(table.coeffs, table.abs_exps)]  # |c| e^{r|a|}
+        self.noise = mp.ldexp(sum(self.weights), -table.bits)  # 2^-bits T_0
         self.step = 2 * mp.pi / M
         self.twiddle = np.exp(2j * np.pi * np.arange(M) / M)
-        self.dft = np.empty((M, 0), dtype=np.complex128)  # twiddle[(i m) mod M], the columns gathered so far
         self.rows = {}  # grid index -> [e^{a t_i}]
+        self.coef, self.S, self.tail, self.error = self.taylor()
 
     def extend(self, m: int):
         """Make r^m/m! up to index m available, each mantissa rounded once."""
@@ -342,81 +334,70 @@ class _CircleGrid:
             e = k * self.r_exp - shift
             self.rfac_f.append((u, e, e + math.log2(u)))
 
-    def rfac(self, m: int):
-        """r^m/m! at working precision."""
-        return mp.ldexp(mp.mpf(self.r_man**m) / math.factorial(m), m * self.r_exp)
+    def taylor(self):
+        """Float 2^-S b_m, b_m = mu_m r^m/m! for m <= L; S, the tail past L and the moments' error.
 
-    def total(self, j: int):
-        """T_j = sum |c||a|^j e^{r|a|}, one |a| factor per level on a running list."""
-        while len(self.totals) <= j:
-            self.tails = [u * x for u, x in zip(self.tails, self.table.abs_exps)]
-            self.totals.append(sum(self.tails))
-        return self.totals[j]
-
-    def taylor(self, j: int):
-        """Float 2^-S b_m, b_m = mu_{m+j} r^m/m! for m <= L; S, the tail past L, the moments' error, noise.
-
-        The closed-form tail sum |c||a|^j sum_{m>L} (r|a|)^m/m! is at
-        most r^{L+1}/(L+1)! sum |c||a|^{j+L+1} / (1 - r max|a|/(L+2)).
-        L is picked from the float table's log2 values: the first index
-        with L + 2 > r max|a| at which the tail drops below the float
-        rounding of the largest b_m or below noise = 2^-bits T_j, the
-        scale of working-precision rounding at this level.  L only sets
-        the work: the tail for the chosen L, formed once at working
-        precision from the table's upper bound on sum |c||a|^{j+L+1},
-        enters the window.  So does the moments' error, a bound on
-        sum_{m<=L} errors[m+j] 2^e_{m+j} r^m/m!: L + 1 times its largest
-        term by the float log2 values, doubled for their rounding.  S is
-        the least integer with max|b_m| <= 2^S by the same log2 values.
+        The closed-form tail sum |c| sum_{m>L} (r|a|)^m/m! is at most
+        r^{L+1}/(L+1)! sum |c||a|^{L+1} / (1 - r max|a|/(L+2)).  L is
+        picked from the float table's log2 values: the first index with
+        L + 2 > r max|a| at which the tail drops below the float
+        rounding of the largest b_m or below noise = 2^-bits T_0, the
+        scale of working-precision rounding.  The tail for the chosen
+        L, formed once at working precision with every rounding directed
+        up from the table's upper bounds on sum |c||a|^{L+1} and on
+        max|a|, enters the window and the certificate.  So does the
+        moments' error, a bound on sum_{m<=L} errors[m] 2^e_m r^m/m!:
+        L + 1 times its largest term by the float log2 values, doubled
+        for their rounding.  S is the least integer with max|b_m| <= 2^S
+        by the same log2 values.
         """
         table = self.table
-        noise = mp.ldexp(self.total(j), -table.bits)
-        log_noise = _log2(noise)
+        log_noise = _log2(self.noise)
         xmax = float(self.xmax)
         log_bmax, m = -math.inf, 0
         while True:
-            table.extend(m + j + 1)
+            table.extend(m + 1)
             self.extend(m + 1)
-            log_bmax = max(log_bmax, table.mu_f[m + j][2] + self.rfac_f[m][2])
+            log_bmax = max(log_bmax, table.mu_f[m][2] + self.rfac_f[m][2])
             shrink = 1 - xmax / (m + 2)  # > 0 only if m + 2 > r max|a| exactly
             if shrink > 0:
-                log_tail = table.abs_log[m + j + 1] + self.rfac_f[m + 1][2] - math.log2(shrink)
+                log_tail = table.abs_log[m + 1] + self.rfac_f[m + 1][2] - math.log2(shrink)
                 if log_tail <= log_bmax - 53 or log_tail <= log_noise:
                     break
             m += 1
-        tail = table.abs_moment(m + j + 1) * self.rfac(m + 1) / (1 - self.xmax / (m + 2))
-        log_err = max(table.err_log[i + j] + self.rfac_f[i][2] for i in range(m + 1))
+        amax = mp.ldexp(mp.mpf(max(table.a_up), rounding="c"), table.ea - table.F)  # >= max|a|
+        rfac = mp.ldexp(mp.fdiv(self.r_man ** (m + 1), math.factorial(m + 1), rounding="u"), (m + 1) * self.r_exp)
+        shrink = mp.fsub(1, mp.fdiv(mp.fmul(self.r, amax, rounding="u"), m + 2, rounding="u"), rounding="d")
+        tail = mp.fdiv(mp.fmul(table.abs_moment(m + 1), rfac, rounding="u"), shrink, rounding="u")
+        log_err = max(table.err_log[i] + self.rfac_f[i][2] for i in range(m + 1))
         error = mp.ldexp(m + 1, math.ceil(log_err) + 1)
         S = math.ceil(log_bmax) if log_bmax > -math.inf else 0
-        mu, rf = table.mu_f[j : j + m + 1], self.rfac_f[: m + 1]
+        mu, rf = table.mu_f[: m + 1], self.rfac_f[: m + 1]
         # Re and Im of each float moment times the float r^m/m!, scaled exactly
         mant = np.array([u for u, _, _ in mu]).view(np.float64) * np.repeat([v for v, _, _ in rf], 2)
         shift = np.repeat([e + g - S for (_, e, _), (_, g, _) in zip(mu, rf)], 2)
-        return np.ldexp(mant, shift).view(np.complex128), S, tail, error, noise
+        return np.ldexp(mant, shift).view(np.complex128), S, tail, error
 
-    def scan(self, j: int):
-        """Float values 2^-S f^(j)(t_i) at every grid point, and the window's inputs.
+    def scan(self):
+        """Float values 2^-S f(t_i) at every grid point, and the window's inputs.
 
         Returns (vals, n, size, extra, S); _near_max(vals, n, size, extra)
         keeps the points within 2E of the float maximum, where E bounds
-        |vals_i - 2^-S f^(j)(t_i)|, f^(j)(t_i) evaluated at working
-        precision as level_max does.
+        |vals_i - 2^-S f(t_i)|, f(t_i) evaluated at working precision as
+        level_max does.
         """
-        M = self.M
-        coef, S, tail, error, noise = self.taylor(j)
+        M, coef, S = self.M, self.coef, self.S
         L = len(coef) - 1
         folded = np.zeros(M, dtype=np.complex128)
         np.add.at(folded, np.arange(L + 1) % M, coef)
         q = min(L + 1, M)
-        if self.dft.shape[1] < q:
-            self.dft = self.twiddle[np.outer(np.arange(M), np.arange(q)) % M]
-        vals = self.dft[:, :q] @ folded[:q]
+        vals = self.twiddle[np.outer(np.arange(M), np.arange(q)) % M] @ folded[:q]
         # rounding of the direct evaluation, whose exponent a t_i carries
         # an error of order r|a| 2^-bits (the integer moments' own error
         # is taylor's bound)
-        work = 64 * (len(self.exps) + L + j + 8 + self.xmax) * noise
+        work = 64 * (len(self.exps) + L + 8 + self.xmax) * self.noise
         # float underflow; truncation, moments and working precision
-        extra = (L + M + 8) * 2.0**-1060 + float(mp.ldexp(tail + error + work, -S))
+        extra = (L + M + 8) * 2.0**-1060 + float(mp.ldexp(self.tail + self.error + work, -S))
         # each coefficient carries three roundings (float moment, float
         # r^m/m!, their product); then twiddles, folding and the dot product
         return vals, 2 * L + 66, float(np.abs(coef).sum()), extra, S
@@ -428,60 +409,64 @@ class _CircleGrid:
             row = self.rows[i] = [mp.exp(a * t) for a in self.exps]
         return row
 
-    def level_max(self, j: int):
-        """Grid max of |f^(j)| = |sum c_k a_k^j e^{a_k t}|, an attained value."""
-        vals, n, size, extra, _ = self.scan(j)
-        return _largest(self.table.level(j), map(self.row, _near_max(vals, n, size, extra).tolist()))
+    def level_max(self):
+        """Grid max of |f| = |sum c_k e^{a_k t}|, an attained value."""
+        vals, n, size, extra, _ = self.scan()
+        return _largest(self.table.coeffs, map(self.row, _near_max(vals, n, size, extra).tolist()))
+
+    def coefficients(self):
+        """P and the Gaussian integers B_m, b'_m 2^P floored in each part, for m <= L."""
+        table, P = self.table, self.table.F + 2 - self.S
+        B, num, den = [], 1, 1
+        for m in range(len(self.coef)):
+            (re, im), shift = table.sums[m], table.scale(m) + m * self.r_exp + P
+            if shift >= 0:
+                B.append(((re * num << shift) // den, (im * num << shift) // den))
+            else:
+                B.append((re * num // (den << -shift), im * num // (den << -shift)))
+            num, den = num * self.r_man, den * (m + 1)
+        return P, B
+
+    def autocorrelation(self):
+        """P and rho_0 + 2 sum_{k>=1} (isqrt |rho_k|^2 + 1) >= sum_{|k|<=L} |rho_k|, rho_k = sum_m B_{m+k} conj(B_m)."""
+        P, B = self.coefficients()
+        re, im = [x for x, _ in B], [y for _, y in B]
+        total = sum(map(mul, re, re)) + sum(map(mul, im, im))  # rho_0
+        for k in range(1, len(B)):
+            u = sum(map(mul, re[k:], re)) + sum(map(mul, im[k:], im))
+            v = sum(map(mul, im[k:], re)) - sum(map(mul, re[k:], im))
+            total += 2 * (math.isqrt(u * u + v * v) + 1)
+        return P, total
+
+    def certificate(self):
+        """The autocorrelation bound sqrt(sum_k |rho_k|) + D + tail on sup |f|, rounded up (see the module docstring)."""
+        P, total = self.autocorrelation()
+        units = math.isqrt(total) + 1 + 2 * len(self.coef)  # the root, and 2^{1-P} (L+1) for the floors of B
+        units += int(mp.ceil(mp.ldexp(self.error, P))) + int(mp.ceil(mp.ldexp(self.tail, P)))
+        return mp.ldexp(mp.mpf(units, rounding="c"), -P)
 
 
-def _ladder(grid: _CircleGrid, g0, cap: int, cutoff):
-    """min over D <= cap of sum_{m<D} h^m/m! G_m + h^D/D! T_D on grid's levels, h = pi r/M.
-
-    g0 is the grid maximum G_0, grid.level_max(m) is G_m and
-    grid.total(D) is T_D.  It stops at the first D whose tail is at most
-    cutoff times the least bound so far (cutoff 0 for a fixed depth: a
-    zero tail leaves nothing deeper to add).  Call inside
-    mp.workprec(bits), cap >= 1.
-    """
-    h = mp.pi * grid.r / grid.M
-    partial, hfac, best, g = 0, 1, mp.inf, g0
-    for m in range(cap):
-        partial += hfac * g
-        hfac *= h / (m + 1)
-        tail = hfac * grid.total(m + 1)  # h^D/D! T_D at D = m+1
-        best = min(best, partial + tail)
-        if tail <= cutoff * best or m + 1 == cap:
-            break
-        g = grid.level_max(m + 1)
-    return best
-
-
-def norm_on_K(p: Poly2, alpha: AlphaParam, M: int = 512, bits: int = DEFAULT_BITS, depth=None) -> NormEstimate:
+def norm_on_K(p: Poly2, alpha: AlphaParam, M: int = 512, bits: int = DEFAULT_BITS) -> NormEstimate:
     """Sup of |P| on the curve piece {(e^t, e^{alpha t}) : |t| <= 1}.
 
     The composed f is entire, so the sup over the disk is attained on
-    |t| = 1; the grid scans that circle.  depth as in norm_on_circle.
+    |t| = 1; the grid scans that circle, and the certificate is
+    norm_on_circle's.
     """
-    return norm_on_circle(compose_to_expsum(p, alpha, bits), 1, M, bits, depth)
+    return norm_on_circle(compose_to_expsum(p, alpha, bits), 1, M, bits)
 
 
-def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=None) -> NormEstimate:
-    """Sup of |f| on |t| = r with grid max and ladder certificate.
+def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, certify: bool = True) -> NormEstimate:
+    """Sup of |f| on |t| = r with grid max and certificate.
 
     grid_max is the largest |f(t_i)| over the M grid points, an attained
-    value.  depth 0 skips the certificate, a positive depth fixes the
-    Taylor depth (1 = the one-step derivative bound), and None (adaptive)
-    stops the ladder once its tail is 2^-min(bits/2, 64) of the best
-    bound, with at most 2K + 16 levels for K terms: within 2^-64 of the
-    least bound over all depths, and still an upper bound.  Any other
-    depth raises ValueError.  f's moments come from one table shared
-    with the previous estimate of the same f at the same bits, and each
-    level's DFT block is gathered once per grid (see the module
-    docstring); neither changes a value.
+    value.  certified_upper is the lesser of the first-order bound and
+    the autocorrelation bound (see the module docstring), or None with
+    certify=False, which skips the exact integer sum.  f's moments come
+    from one table shared with the previous estimate of the same f at
+    the same bits; that changes no value.
     """
     require_grid(M)
-    if depth is not None and not (isinstance(depth, int) and depth >= 0):
-        raise ValueError(f"depth must be None or an int >= 0, got {depth!r}")
     with mp.workprec(bits):
         rr = mp.mpf(r)
         if not (rr > 0 and mp.isfinite(rr)):
@@ -489,11 +474,20 @@ def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, depth=N
         if not f.terms:
             return NormEstimate(mp.mpf(0), mp.mpf(0))
         grid = _CircleGrid(moment_table(f, bits), rr, M)
-        grid_max = grid.level_max(0)
-        if depth == 0:
+        grid_max = grid.level_max()
+        if not certify:
             return NormEstimate(grid_max, None)
-        cap, cutoff = (depth, 0) if depth else (2 * len(f.terms) + 16, 2.0 ** -min(bits // 2, 64))
-        return NormEstimate(grid_max, _ladder(grid, grid_max, cap, cutoff))
+        T1 = sum(u * x for u, x in zip(grid.weights, grid.table.abs_exps))  # sum |c||a| e^{r|a|}
+        return NormEstimate(grid_max, min(grid_max + mp.pi * rr / M * T1, grid.certificate()))
+
+
+def newton_terms(rho: float) -> int:
+    """J = ceil(e rho) + 60 Taylor terms of a Newton function over nodes |a_i| <= rho.
+
+    |h_j(a)| <= C(j+k, k) rho^j, so term j of [a_0..a_k] e^{a t} is at
+    most (e rho/j)^j/k! on |t| <= 1, and the tail past J below 2e-26/k!.
+    """
+    return math.ceil(math.e * rho) + 60
 
 
 def homogeneous_sums(a: np.ndarray, J: int) -> np.ndarray:
@@ -522,7 +516,7 @@ class _NewtonLevels:
         self.N = N = len(a) - 1
         self.abs_a = np.abs(a)
         self.rho = float(self.abs_a.max()) * (1 + 2.0**-50)  # >= every |a_i| and |float a_i|
-        self.J = J = math.ceil(math.e * self.rho) + 60
+        self.J = J = newton_terms(self.rho)
         h = homogeneous_sums(np.stack([a, self.abs_a.astype(a.dtype)]), J)[:, :, -1]
         ratio = np.array([1 / math.perm(N + j, j) for j in range(J)])  # N!/(N+j)!, each a correctly rounded int / int
         if not (np.isfinite(h[:, 1].real).all() and ratio[-1] >= 2.0**-1022):
@@ -602,7 +596,7 @@ def newton_norm_on_K(w, M: int = 512) -> NormEstimate:
     (homogeneous_sums), so |N! psi| = |g| on |t| = 1 for
     g(t) = sum_j b_j t^j, b_j = h_j(a) N!/(N+j)!.  The b_j carry no
     cancellation: |b_j| <= beta_j = h_j(|a|) N!/(N+j)!, and b_0 = 1, so
-    sup_{|t|=1} |g| >= 1 (Cauchy).  With J = ceil(e rho) + 60,
+    sup_{|t|=1} |g| >= 1 (Cauchy).  With J = newton_terms(rho),
     rho >= max|a|, g_J the sum over j < J and the autocorrelations
     rho_k = sum_j b_{j+k} conj(b_j), |k| < J, on |t| = 1
 

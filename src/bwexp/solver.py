@@ -110,7 +110,7 @@ from .core import (
     require_degree,
     space_dimension,
 )
-from .norms import GRID_FLOOR, homogeneous_sums
+from .norms import GRID_FLOOR, homogeneous_sums, newton_terms
 
 
 def _load_highs_core():
@@ -171,11 +171,11 @@ class LPConfig:
         if self.polygon_sides < 8:
             raise ValueError(f"polygon_sides must be >= 8, got {self.polygon_sides}")
         if self.torus_points < GRID_FLOOR:
-            raise ValueError(f"torus_points must be >= 8, got {self.torus_points}")
+            raise ValueError(f"torus_points must be >= {GRID_FLOOR}, got {self.torus_points}")
         if self.phase_samples < 4:
             raise ValueError(f"phase_samples must be >= 4, got {self.phase_samples}")
         if self.circle_points < GRID_FLOOR:
-            raise ValueError(f"circle_points must be >= 8, got {self.circle_points}")
+            raise ValueError(f"circle_points must be >= {GRID_FLOOR}, got {self.circle_points}")
 
     def slack(self) -> float:
         """Discretization allowance in the oracle <= lp + slack invariant.
@@ -474,15 +474,13 @@ def _newton_basis(a: np.ndarray, M1: int):
 
     psi_k(t) = sum_j h_j(a_0..a_k) t^{k+j}/(k+j)!, h_j the complete
     homogeneous symmetric polynomial, from norms.homogeneous_sums (whose
-    table the witness's K certificate reads too).  J = ceil(e rho) + 60
-    terms suffice, rho = max|a|: |h_j| <= C(j+k, k) rho^j, so on |t| = 1
-    the j-th term is at most rho^j/(j! k!) <= (e rho/j)^j/k! and the
-    dropped tail below 2e-26/k!, while max|psi_k| >= 1/k! (its t^k
-    coefficient, by Cauchy's estimate).
+    table the witness's K certificate reads too).  J = newton_terms(rho)
+    terms, rho = max|a|, leave a tail below 2e-26/k!, while
+    max|psi_k| >= 1/k! (its t^k coefficient, by Cauchy's estimate).
     W[i,k] = 1/prod_{j<=k, j!=i}(a_i - a_j) for i <= k, else 0.
     """
     K = len(a)
-    J = math.ceil(math.e * np.abs(a).max()) + 60
+    J = newton_terms(float(np.abs(a).max()))
     t = np.exp(2j * np.pi * np.arange(M1) / M1)
     m = np.arange(K + J - 1)
     inv_fact = np.cumprod(np.concatenate([[1.0], 1.0 / m[1:]]))

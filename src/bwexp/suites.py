@@ -198,11 +198,10 @@ def suite_witness(level: str, bits: int) -> Iterator[str | None]:
 
     A degree is one residual case (build_witness raises on a miss, and
     then the degree has no further cases), one cross-check of the float64
-    Newton K certificate (an autocorrelation sum, no ladder) against the
-    working-precision norm_on_K on the same grid (at least its grid
-    maximum, at most its ladder certificate times 1 + 2^-40), and one
-    case per radius, whose growth is measured against the Newton
-    certificate.  The residual check, norm_on_K and the radii read one
+    Newton K certificate against the working-precision norm_on_K on the
+    same grid (at least its grid maximum, at most its exact-integer
+    autocorrelation certificate times 1 + 2^-40), and one case per
+    radius, whose growth is measured against the Newton certificate.  The residual check, norm_on_K and the radii read one
     moment table: the radii read w.f, norm_on_K composes its terms, and
     norms keeps the table.
     """
@@ -228,7 +227,7 @@ def suite_witness(level: str, bits: int) -> Iterator[str | None]:
             f"[{mp.nstr(wide.grid_max, 17)}, {mp.nstr(cap, 17)}]"
         )
         for r in (1.5, 2.0, N / n):
-            circ = norm_on_circle(w.f, r, 512, use_bits, depth=0)
+            circ = norm_on_circle(w.f, r, 512, use_bits, certify=False)
             with mp.workprec(use_bits):
                 gain = mp.log(circ.grid_max) - mp.log(base.certified_upper)
                 need = N * mp.log(r) - mp.mpf("1e-6")

@@ -189,7 +189,7 @@ def test_07_witness_vanishing_and_growth():
                 # 2048 samples: at n=8, r=N/n the restriction swings
                 # through ~66 cycles, so a 512-point grid can miss the
                 # peak by more than the tolerance
-                grown = norm_on_circle(f, r, 2048, 512, depth=0)
+                grown = norm_on_circle(f, r, 2048, 512, certify=False)
                 gain = mp.log(grown.grid_max) - mp.log(base.certified_upper)
                 assert gain >= N * mp.log(r) - mp.mpf("1e-6"), (
                     f"n={n} r={mp.nstr(r, 6)} gain={mp.nstr(gain, 10)}"

@@ -37,8 +37,7 @@ ALPHAS = [
 SMALL_LP = LPConfig(circle_points=64, polygon_sides=16, torus_points=8, phase_samples=8)
 # float(lower) of witness_certificate(n, 0.5i) for n = 1..5 at grid 512,
 # 256 bits, with the K norm certified in float64 Newton form from the
-# autocorrelations of its Taylor coefficients; each lies 0.012 to 0.134
-# nats above the value the working-precision K ladder gives
+# autocorrelations of its Taylor coefficients
 CERT_LOWER = (
     -0.21223006627750585,
     0.7679675882469567,
@@ -187,10 +186,10 @@ def test_growth_law():
             alpha = ALPHAS[n % len(ALPHAS)]
             w = build_witness(n, alpha)
             f = compose_to_expsum(w.p, alpha, BITS)
-            base = norm_on_circle(f, 1, 512, BITS, depth=0)
+            base = norm_on_circle(f, 1, 512, BITS, certify=False)
             N = w.order
             for r in (mp.mpf("1.5"), mp.mpf(2), mp.mpf(N) / n):
-                hi = norm_on_circle(f, r, 512, BITS, depth=0)
+                hi = norm_on_circle(f, r, 512, BITS, certify=False)
                 gap = mp.log(hi.grid_max) - mp.log(base.grid_max) - N * mp.log(r)
                 assert gap >= -mp.mpf("1e-6"), f"n={n} r={mp.nstr(r, 6)}: gap={mp.nstr(gap, 6)}"
 
@@ -229,11 +228,11 @@ def test_witness_lower_bound_validation(monkeypatch):
     w = build_witness(1, alpha)
     normk = norm_on_K(w.p, alpha, 64)
     f = compose_to_expsum(w.p, alpha)
-    circ = norm_on_circle(f, 2, 64, depth=0)
+    circ = norm_on_circle(f, 2, 64, certify=False)
     for r in (0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="radius must be >= 1"):
             witness_lower_bound(w, r, normk, circ)
-    grid_only = norm_on_K(w.p, alpha, 64, depth=0)
+    grid_only = norm_on_circle(f, 1, 64, certify=False)
     with pytest.raises(ValueError):
         witness_lower_bound(w, 2, grid_only, circ)
     # the certificate rejects its radius before it builds the witness
@@ -258,13 +257,13 @@ def test_witness_lower_bound_scale_invariance():
     w = build_witness(2, alpha)
     with mp.workprec(BITS):
         normk = norm_on_K(w.p, alpha, 512)
-        circ = norm_on_circle(w.f, w.r, 512, depth=0)
+        circ = norm_on_circle(w.f, w.r, 512, certify=False)
         lower = witness_lower_bound(w, w.r, normk, circ)
         s = mp.mpc(3, -4)
         scaled = Poly2(2, {jk: s * mp.mpc(c) for jk, c in w.p.coeffs.items()})
         normk2 = norm_on_K(scaled, alpha, 512)
         f2 = compose_to_expsum(scaled, alpha)
-        circ2 = norm_on_circle(f2, w.r, 512, depth=0)
+        circ2 = norm_on_circle(f2, w.r, 512, certify=False)
         lower2 = witness_lower_bound(w, w.r, normk2, circ2)
         assert abs(lower - lower2) <= mp.mpf(2) ** (-(BITS // 2)) * (1 + abs(lower))
 
@@ -314,26 +313,16 @@ def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
                 assert normk.grid_max <= wide.grid_max <= normk.certified_upper, f"n={n}"
                 assert normk.certified_upper <= wide.certified_upper * (1 + mp.mpf(2) ** -40), f"n={n}"
             monkeypatch.setattr(norms, "_last_moments", None)
-            assert norm_on_circle(f, w.r, 512, BITS, depth=0) == circle, f"n={n}"
+            assert norm_on_circle(f, w.r, 512, BITS, certify=False) == circle, f"n={n}"
             if alpha is ALPHAS[0]:
                 assert float(lower) == CERT_LOWER[n - 1], f"n={n}"
 
 
-def test_levels_formed_on_demand(table_builds, monkeypatch):
-    # the certificate's one working-precision scan, the r = N/n circle at
-    # depth 0, forms only the level-0 coefficients c, while its float scan
-    # reads many more moments (the integer power sums)
-    asked = []
-    level = norms._Moments.level
-
-    def recording_level(table, j):
-        asked.append(j)
-        return level(table, j)
-
-    monkeypatch.setattr(norms._Moments, "level", recording_level)
+def test_levels_formed_on_demand(table_builds):
+    # the certificate's one working-precision scan, the grid-only r = N/n
+    # circle, reads the integer power sums its float scan needs: 73 moments
     witness_certificate(5, ALPHAS[0])
     (table,) = table_builds
-    assert len(table.levels) == max(asked) + 1 == 1
     assert len(table.mu_f) == 73
 
 

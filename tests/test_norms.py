@@ -12,7 +12,7 @@ import pytest
 
 from bwexp import ExpSum, MultiIndex, Poly2, canonical_indices, compose_to_expsum, eval_poly, make_alpha, norms, space_dimension
 from bwexp.analytic_bounds import coeff_log_upper, theorem2_bounds
-from bwexp.construct import build_witness, divided_difference_weights, required_witness_bits, witness_certificate
+from bwexp.construct import build_witness, divided_difference_weights, required_witness_bits
 from bwexp.norms import (
     _CircleGrid,
     _Moments,
@@ -105,9 +105,9 @@ def test_norm_on_bidisk_known_values():
         assert est.certified_upper == 4
 
 
-def _full_scan_level_max(grid, j):
-    """Reference level max: every grid point at working precision."""
-    scaled = grid.table.level(j)
+def _full_scan_level_max(grid):
+    """Reference grid max: every grid point at working precision."""
+    scaled = grid.table.coeffs
     table = grid.__dict__.get("full_table")
     if table is None:
         step = 2 * mp.pi / grid.M
@@ -137,7 +137,7 @@ def test_preselection_matches_full_scan(monkeypatch):
             w = build_witness(n, alpha, BITS)
             f = compose_to_expsum(w.p, alpha, BITS)
             cases.append((f"n={n} alpha={re}+{im}i K", lambda p=w.p, a=alpha: norm_on_K(p, a, 512, BITS)))
-            cases.append((f"n={n} alpha={re}+{im}i r=N/n", lambda f=f, r=w.r: norm_on_circle(f, r, 512, BITS, depth=0)))
+            cases.append((f"n={n} alpha={re}+{im}i r=N/n", lambda f=f, r=w.r: norm_on_circle(f, r, 512, BITS, certify=False)))
     # f(conj t) = conj f(t) ties grid points i and M - i; nudging one
     # coefficient by 2^-60 picks the winner below float64 resolution
     with mp.workprec(BITS):
@@ -175,15 +175,15 @@ def test_preselection_matches_full_scan(monkeypatch):
 
 def test_preselection_matches_full_scan_higher_degree(monkeypatch):
     # the certify-witness degrees, where the float-chosen truncation L is
-    # longest, on the K circle, at r = N/n and on fixed-depth ladders
+    # longest, on the K circle, at r = N/n and at r = 2
     alpha = make_alpha(0.0, 0.5)
     cases = []
-    for n, depth in ((4, 1), (5, 3)):
+    for n in (4, 5):
         w = build_witness(n, alpha, BITS)
         f = compose_to_expsum(w.p, alpha, BITS)
         cases.append((f"n={n} K", lambda p=w.p: norm_on_K(p, alpha, 128, BITS)))
-        cases.append((f"n={n} r=N/n", lambda f=f, r=w.r: norm_on_circle(f, r, 128, BITS, depth=0)))
-        cases.append((f"n={n} r=2 depth={depth}", lambda f=f, d=depth: norm_on_circle(f, 2, 128, BITS, depth=d)))
+        cases.append((f"n={n} r=N/n", lambda f=f, r=w.r: norm_on_circle(f, r, 128, BITS, certify=False)))
+        cases.append((f"n={n} r=2", lambda f=f: norm_on_circle(f, 2, 128, BITS)))
     fast = {tag: run() for tag, run in cases}
     monkeypatch.setattr(_CircleGrid, "level_max", _full_scan_level_max)
     for tag, run in cases:
@@ -193,8 +193,8 @@ def test_preselection_matches_full_scan_higher_degree(monkeypatch):
 
 
 def test_float_scan_within_window():
-    # every float grid value of levels j <= 3 lies within E of the
-    # working-precision value, E the bound the preselection window uses
+    # every float grid value lies within E of the working-precision
+    # value, E the bound the preselection window uses
     sums = {}
     for n in (1, 2, 3):
         for re, im in STANDARD_ALPHAS[:2]:
@@ -207,19 +207,15 @@ def test_float_scan_within_window():
     with mp.workprec(BITS):
         for tag, f in sums.items():
             coeffs = [mp.mpc(c) for c, _ in f.terms]
-            exps = [mp.mpc(a) for _, a in f.terms]
             for r in (1, 2):
                 grid = _CircleGrid(_Moments(f.terms, BITS), mp.mpf(r), 64)
-                scaled = coeffs
-                for j in range(4):
-                    vals, n, size, extra, S = grid.scan(j)
-                    E = mp.mpf(_window(float(np.abs(vals).max()), n, size, extra))
-                    for i, v in enumerate(vals.tolist()):
-                        s = mp.mpc(0)
-                        for d, e in zip(scaled, grid.row(i)):
-                            s += d * e
-                        assert abs(mp.mpc(v) - s * mp.ldexp(1, -S)) <= E, f"{tag} r={r} j={j} i={i}"
-                    scaled = [d * a for d, a in zip(scaled, exps)]
+                vals, n, size, extra, S = grid.scan()
+                E = mp.mpf(_window(float(np.abs(vals).max()), n, size, extra))
+                for i, v in enumerate(vals.tolist()):
+                    s = mp.mpc(0)
+                    for d, e in zip(coeffs, grid.row(i)):
+                        s += d * e
+                    assert abs(mp.mpc(v) - s * mp.ldexp(1, -S)) <= E, f"{tag} r={r} i={i}"
 
 
 NEWTON_CASES = [(n, make_alpha(re, im)) for re, im in STANDARD_ALPHAS for n in range(1, 9)]
@@ -342,7 +338,7 @@ def test_newton_certificate_above_a_finer_grid():
         for n in range(1, 5):
             w = build_witness(n, alpha, BITS)
             est = newton_norm_on_K(w, 512)
-            fine = norm_on_K(w.p, alpha, 4096, BITS, depth=0)
+            fine = norm_on_K(w.p, alpha, 4096, BITS)
             with mp.workprec(BITS):
                 assert est.certified_upper >= fine.grid_max >= est.grid_max > 0, f"n={n} alpha={alpha}"
 
@@ -408,7 +404,7 @@ def test_integer_moments_within_their_bound(monkeypatch):
         sums[f"random {trial}"] = (compose_to_expsum(random_poly(rng, n), alpha, BITS), mp.mpf(space_dimension(n)) / n)
     for tag, (f, r) in sums.items():
         monkeypatch.setattr(norms, "_last_moments", None)
-        norm_on_circle(f, r, 512, BITS, depth=0)
+        norm_on_circle(f, r, 512, BITS, certify=False)
         table = norms._last_moments
         count, K = len(table.mu_f), len(f.terms)
         mu, abs_mu = _reference_moments(f.terms, count)
@@ -439,63 +435,99 @@ def test_large_exponents_match_full_scan(monkeypatch):
         assert fast[tag].certified_upper == slow.certified_upper, tag
 
 
-def test_ladder_stop_within_its_bound():
-    # the adaptive ladder stops once the tail term is 2^-64 of the best
-    # bound, and deeper levels lower the certificate by at most that tail:
-    # against the ladder run to the depth cap, the certificate is at most
-    # 2^-64 higher and never lower
-    for re, im in STANDARD_ALPHAS[:2]:
-        alpha = make_alpha(re, im)
-        for n in range(1, 6):
-            p = build_witness(n, alpha, BITS).p
-            cap = max(8, 2 * len(compose_to_expsum(p, alpha, BITS).terms) + 16)
-            adaptive = norm_on_K(p, alpha, 512, BITS).certified_upper
-            full = norm_on_K(p, alpha, 512, BITS, depth=cap).certified_upper
-            with mp.workprec(BITS):
-                assert 0 <= adaptive - full <= mp.ldexp(full, -64), f"n={n} alpha={re}+{im}i"
-
-
-# norm_on_K(p, 0.3+0.4i, 512, BITS).certified_upper by depth, for the
-# n = 3 witness and random_poly(random.Random(SEED + 8), 3)
+# norm_on_K(p, 0.3+0.4i, 512, BITS).certified_upper, the autocorrelation
+# bound, for the n = 3 witness and random_poly(random.Random(SEED + 8), 3)
 LADDER_PINS = {
-    ("witness", None): "0.000004030221869843211381907304116229355768468385754494090027111292302522485805753001",
-    ("witness", 1): "0.08469333670661606620187995211745547867941803422282367713812283363001117616829883",
-    ("witness", 3): "0.000005485035129219753954505398541432739307330705609060168129403377530120340632364209",
-    ("random", None): "20.05975736607527226182449969940253981664666165959402312639494116206357795618804",
-    ("random", 1): "20.20070533126688772073065814609749617582057862360467055311386600623209822732085",
-    ("random", 3): "20.05975953601060268252193687796179081815456613436807378011745417418105928023439",
+    "witness": "0.00000378222230779776929773641302043835073556933397923739060705255806892352476412254785903310317",
+    "random": "19.7347145077557474057532931692081010139878536791005388878158243297957672582724691404965265",
 }
 
 
 def test_ladder_certificates_pinned():
-    # the adaptive and the fixed-depth ladder certificates keep their
-    # exact working-precision values
+    # the circle certificates keep their exact working-precision values
     alpha = make_alpha(0.3, 0.4)
     polys = {"witness": build_witness(3, alpha, BITS).p, "random": random_poly(random.Random(SEED + 8), 3)}
-    for (tag, depth), want in LADDER_PINS.items():
-        est = norm_on_K(polys[tag], alpha, 512, BITS, depth=depth)
+    for tag, want in LADDER_PINS.items():
+        est = norm_on_K(polys[tag], alpha, 512, BITS)
         with mp.workprec(BITS):
-            assert est.certified_upper == mp.mpf(want), f"{tag} depth={depth}"
+            assert est.certified_upper == mp.mpf(want), tag
 
 
-def test_only_the_working_precision_circle_runs_the_ladder(monkeypatch):
-    # the Newton K certificate of witness_certificate runs no Taylor
-    # ladder; norm_on_K runs norms._ladder once per call, adaptive or at
-    # a fixed depth
-    calls = []
-    ladder = norms._ladder
+def _autocorrelation_sum(b):
+    """sum_{|k|<=L} |rho_k| of b_0..b_L, rho_k = sum_m b_{m+k} conj(b_m), at the current precision."""
+    total = abs(mp.fsum(abs(v) ** 2 for v in b))
+    for k in range(1, len(b)):
+        total += 2 * abs(mp.fsum(b[m + k] * mp.conj(b[m]) for m in range(len(b) - k)))
+    return total
 
-    def spy(grid, g0, cap, cutoff):
-        calls.append(cap)
-        return ladder(grid, g0, cap, cutoff)
 
-    monkeypatch.setattr(norms, "_ladder", spy)
+def test_integer_autocorrelation_within_its_allowance():
+    # the integer sum over the Gaussian integers B_m is at most 2L units
+    # above the exact sum_k |rho_k(B)|, and the certificate is
+    # sqrt(sum_k |rho_k(B)|) 2^-P + D + tail rounded up by less than four
+    # units of 2^-P.  Against a 2 BITS reference of the Taylor
+    # coefficients b_m = mu_m r^m/m!, the B_m 2^-P lie within D, tail
+    # bounds the next 100 terms of sum |c||a|^m r^m/m!, and the integer
+    # sum lies within 2 ||b||_1 D + D^2 + 2L 2^-2P of sum_k |rho_k(b)|
+    cases = {}
+    for n in (1, 2, 3):
+        for re, im in STANDARD_ALPHAS[:2]:
+            alpha = make_alpha(re, im)
+            w = build_witness(n, alpha, BITS)
+            cases[f"witness n={n} alpha={re}+{im}i K"] = (compose_to_expsum(w.p, alpha, BITS), 1)
+            cases[f"witness n={n} alpha={re}+{im}i r=N/n"] = (w.f, w.r)
+    rng = random.Random(SEED + 9)
+    for trial in range(3):
+        alpha = make_alpha(rng.uniform(-0.7, 0.7), rng.uniform(0.1, 0.7))
+        f = compose_to_expsum(random_poly(rng, rng.randint(1, 3)), alpha, BITS)
+        for r in (1, 2):
+            cases[f"random {trial} r={r}"] = (f, r)
+    for tag, (f, r) in cases.items():
+        with mp.workprec(BITS):
+            grid = _CircleGrid(_Moments(f.terms, BITS), mp.mpf(r), 64)
+            P, B = grid.coefficients()
+            _, total = grid.autocorrelation()
+        L = len(B) - 1
+        re, im = [x for x, _ in B], [y for _, y in B]
+        with mp.workprec(8 * BITS):  # exact enough for integers of 2 (BITS + 66) bits
+            moduli = [mp.sqrt((sum(map(mul, re[k:], re)) + sum(map(mul, im[k:], im))) ** 2
+                              + (sum(map(mul, im[k:], re)) - sum(map(mul, re[k:], im))) ** 2)
+                      for k in range(1, L + 1)]
+            exact = sum(map(mul, re, re)) + sum(map(mul, im, im)) + 2 * mp.fsum(moduli)
+            assert exact <= total <= exact + 2 * L, tag
+            D = grid.error + mp.ldexp(L + 1, 1 - P)
+            want = mp.ldexp(mp.sqrt(exact), -P) + D + grid.tail
+            assert want <= grid.certificate() <= want + mp.ldexp(4, -P), tag
+        mu, abs_mu = _reference_moments(f.terms, L + 101)
+        with mp.workprec(2 * BITS):
+            rfac = [mp.mpf(r) ** m / mp.factorial(m) for m in range(L + 101)]
+            b = [u * v for u, v in zip(mu, rfac)]
+            assert mp.fsum(abs(mp.mpc(mp.ldexp(x, -P), mp.ldexp(y, -P)) - v) for (x, y), v in zip(B, b)) <= D, tag
+            assert mp.fsum(map(mul, abs_mu[L + 1:], rfac[L + 1:])) <= grid.tail, tag
+            allowance = 2 * mp.fsum(abs(v) for v in b[: L + 1]) * D + D**2 + mp.ldexp(2 * L, -2 * P)
+            assert abs(mp.ldexp(total, -2 * P) - _autocorrelation_sum(b[: L + 1])) <= allowance, tag
+
+
+def test_circle_certificates_above_a_finer_grid():
+    # every certificate on 512 points bounds the sup, so it is at least
+    # the working-precision grid maximum on 16384 points: random P at
+    # r = 1, and witnesses at r = 1 and r = N/n
+    sums = []
+    rng = random.Random(SEED + 10)
+    for re, im in STANDARD_ALPHAS[:3]:
+        alpha = make_alpha(re, im)
+        for n in (1, 3, 6):
+            sums.append((f"random n={n} alpha={re}+{im}i", compose_to_expsum(random_poly(rng, n), alpha, BITS), 1))
     alpha = make_alpha(0.0, 0.5)
-    w = witness_certificate(2, alpha, bits=BITS)[0]
-    assert calls == []
-    for depth in (None, 3):
-        norm_on_K(w.p, alpha, 512, BITS, depth=depth)
-    assert calls == [2 * len(w.f.terms) + 16, 3]
+    for n in range(1, 6):
+        w = build_witness(n, alpha, BITS)
+        sums.append((f"witness n={n} K", compose_to_expsum(w.p, alpha, BITS), 1))
+        sums.append((f"witness n={n} r=N/n", w.f, w.r))
+    for tag, f, r in sums:
+        est = norm_on_circle(f, r, 512, BITS)
+        fine = norm_on_circle(f, r, 16384, BITS, certify=False)
+        with mp.workprec(BITS):
+            assert est.certified_upper >= fine.grid_max > 0, tag
 
 
 def _full_scan_bidisk(p, M):
@@ -608,25 +640,18 @@ def test_homogeneity():
             assert abs(b.certified_upper - 5 * a.certified_upper) <= tol * b.certified_upper
 
 
-def test_depth_one_matches_first_order_bound():
-    # depth=1 certificate is grid_max + (pi r/M) * sum |c||a|e^{r|a|}
+def test_certificate_at_most_first_order_bound():
+    # the certificate is at most grid_max + (pi r/M) * sum |c||a|e^{r|a|}
     alpha = make_alpha(0.3, 0.4)
     p = Poly2(2, {MultiIndex(1, 0): 1, MultiIndex(0, 1): -2j, MultiIndex(1, 1): 0.5})
     with mp.workprec(BITS):
-        est = norm_on_K(p, alpha, 128, depth=1)
+        est = norm_on_K(p, alpha, 128)
         f = compose_to_expsum(p, alpha)
         L = mp.mpf(0)
         for c, a in f.terms:
             L += abs(mp.mpc(c)) * abs(mp.mpc(a)) * mp.exp(abs(mp.mpc(a)))
         want = est.grid_max + mp.pi / 128 * L
-        assert abs(est.certified_upper - want) <= mp.mpf(2) ** (-200) * want
-        # adaptive depth never does worse
-        adaptive = norm_on_K(p, alpha, 128)
-        assert adaptive.certified_upper <= est.certified_upper * (1 + mp.mpf(2) ** (-200))
-    # any other depth is refused before the scan
-    for bad in (-1, 2.5):
-        with pytest.raises(ValueError, match="depth must be None or an int >= 0"):
-            norm_on_K(p, alpha, 128, depth=bad)
+        assert est.certified_upper <= want * (1 + mp.mpf(2) ** (-200))
 
 
 def test_bw_envelope():
