@@ -22,19 +22,28 @@ which for |alpha| <= 1 is at least N ln r - n r; the choice r = N/n
 yields the floor N ln(N/n) - N, which matches the bracket's lower
 endpoint up to the n^2/4 slack of sum k ln k >= (n^2 ln n)/2 - n^2/4.
 
-The weights span about N orders of magnitude, so the construction
-enforces bits >= 64 + ceil(N log2(n+2)) and checks the power sums
-mu_0..mu_N of the normalized witness after the fact, from the exact
-integer sums of the norms.moment_table that witness_certificate's
-r = N/n circle then reads at working precision; both failure modes
-raise with a message telling the caller to increase precision.  On the
-curve the witness is the Newton function [a_0..a_N] e^{a t} over wmax,
-so witness_certificate certifies its K norm (the unit circle) in
-float64 from that form, whose Taylor coefficients do not cancel: the
-squared sup is at most the sum of the moduli of their autocorrelations
-(norms.newton_norm_on_K).  The precision floor still matters there: the
-rounding of the stored coefficients is one of that certificate's
-allowances, and the stored coefficients cancel.
+The weights span about N orders of magnitude.  Each is one exact
+Gaussian-integer product of node differences (the nodes are dyadic at
+the working precision), rounded once.  The composed sum still cancels:
+its moments mu_m = sum c a^m vanish for m < N, and the Taylor
+coefficients mu_m/m! that the K certificate reads are far below
+sum |c||a|^m/m!.  So the construction enforces
+bits >= required_witness_bits(n) and checks the power sums mu_0..mu_N
+of the normalized witness after the fact, from the exact integer sums
+of the norms.moment_table; both failure modes raise with a message
+telling the caller to increase precision.  witness_certificate reads
+the same table for both of its circles: the K norm is the unit
+circle's certificate (norms.norm_on_circle, the autocorrelation sum of
+the Taylor coefficients), and the growth factor is the grid maximum at
+r = N/n.  The direct evaluation of the grid maximum cancels more than
+the moments do: on |t| = 1, f is about 1/(wmax N!) (Cauchy's estimate
+bounds its sup below by that Taylor coefficient), its terms about
+e^{max|a|}.  Where that leaves less than 64 bits above the rounding
+bound, witness_certificate evaluates the circle at the precision
+norm_on_circle names.  At the floor, the unit circle took 9 to 55 bits
+more for n <= 12 at 0.5i, 0.3+0.4i and 0.1+-0.1i, for n <= 7 at
+-0.2+0.6i and for n <= 2 at 3i; the r = N/n circle took more for
+n <= 2 (n <= 3 at 0.1+-0.1i).
 """
 
 from __future__ import annotations
@@ -56,8 +65,8 @@ from .core import (
 )
 from .norms import (
     NormEstimate,
+    PrecisionError,
     moment_table,
-    newton_norm_on_K,
     norm_on_circle,
     norm_on_K,
     require_grid,
@@ -78,7 +87,18 @@ __all__ = [
 
 
 def required_witness_bits(n: int) -> int:
-    """Precision floor for the witness at degree n."""
+    """Precision floor for the witness at degree n: 64 + ceil(N log2(n+2)).
+
+    The moment table truncates c and a once, which errs by about
+    2^-bits sum |c||a|^m in mu_m.  The witness's mu_m cancel: they
+    vanish for m < N, and at m = N..N+4 they lie below sum |c||a|^m by
+    fewer than N log2(n+2) bits (about 7 to 128 bits for n <= 12 at
+    0.5i, 0.3+0.4i, 0.1+0.1i and 3i).  So the floor keeps about 64 bits
+    of the moments that the vanishing check and the K certificate read.
+    It is a floor for the witness, not for the direct evaluation of its
+    K circle's grid maximum, which witness_certificate raises where it
+    needs more (see the module docstring).
+    """
     N = space_dimension(n)
     return 64 + math.ceil(N * math.log2(n + 2))
 
@@ -87,26 +107,36 @@ def divided_difference_weights(nodes, bits: int = DEFAULT_BITS):
     """Weights c_i = 1/prod_{j != i}(a_i - a_j) for distinct nodes.
 
     They satisfy sum c_i a_i^m = 0 for 0 <= m <= N-1 and
-    sum c_i a_i^N = 1, with N + 1 = len(nodes).
+    sum c_i a_i^N = 1, with N + 1 = len(nodes).  The nodes, rounded to
+    bits, are dyadic: a_i = A_i 2^-s with Gaussian integers A_i at one
+    scale.  So G_i = prod_{j != i}(A_i - A_j) is formed exactly, and
+    c_i = 2^{sN} conj(G_i)/|G_i|^2 is rounded once in each part.
     """
     with mp.workprec(bits):
         vals = [mp.mpc(a) for a in nodes]
-        scale = max(mp.mpf(1), max(abs(a) for a in vals))
-        sep = mp.mpf(2) ** (-(bits // 2)) * scale
-        # each pair i < j once: a_j - a_i is -(a_i - a_j) exactly, and every
-        # product still takes its factors in increasing j
-        prods = [mp.mpc(1)] * len(vals)
-        for i, ai in enumerate(vals):
-            for j in range(i + 1, len(vals)):
-                d = ai - vals[j]
-                if abs(d) < sep:
+        parts = [x for a in vals for x in (a.real, a.imag)]
+        s = max([0] + [-x.exp for x in parts if x])  # x.exp: x = man 2^exp, man odd
+        A = [(int(mp.ldexp(a.real, s)), int(mp.ldexp(a.imag, s))) for a in vals]
+        # |A_i - A_j| < 2^-(bits//2) max(2^s, max|A|) is a coincidence
+        sep = max([1 << 2 * s] + [x * x + y * y for x, y in A])
+        # each pair i < j once: A_j - A_i is -(A_i - A_j) exactly
+        prods = [(1, 0)] * len(A)
+        for i, (x, y) in enumerate(A):
+            for j in range(i + 1, len(A)):
+                u, v = x - A[j][0], y - A[j][1]
+                if (u * u + v * v) << 2 * (bits // 2) < sep:
                     raise ValueError(
                         f"nodes {i} and {j} coincide to working precision "
-                        f"(|diff| = {mp.nstr(abs(d), 5)}); need distinct nodes"
+                        f"(|diff| = {mp.nstr(abs(vals[i] - vals[j]), 5)}); need distinct nodes"
                     )
-                prods[i] *= d
-                prods[j] *= -d
-        return [1 / p for p in prods]
+                (p, q), (g, h) = prods[i], prods[j]
+                prods[i] = (p * u - q * v, p * v + q * u)
+                prods[j] = (h * v - g * u, -g * v - h * u)
+        shift, weights = s * (len(A) - 1), []
+        for p, q in prods:
+            norm = p * p + q * q
+            weights.append(mp.mpc(mp.ldexp(mp.fdiv(p, norm), shift), mp.ldexp(mp.fdiv(-q, norm), shift)))
+        return weights
 
 
 @dataclass(frozen=True)
@@ -216,22 +246,33 @@ def proof_lower_bound(n: int, bits: int = DEFAULT_BITS):
 def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits: int = DEFAULT_BITS):
     """Build the witness and evaluate its certified lower bound.
 
-    Returns (witness, normK, circle_sup, lower_bound).  The K norm is
-    certified in float64 Newton form by the autocorrelation sum of its
-    Taylor coefficients, and its grid maximum scans `grid` points
-    (norms.newton_norm_on_K reads the witness's f, wmax and bits); the
-    circle sup is the working-precision grid maximum at radius r
-    (default N/n) of the witness's own ExpSum w.f, read from the moment
-    table build_witness checked the vanishing order on (norms keeps the
-    latest table).  The grid and the radius are checked before the
-    witness is built.
+    Returns (witness, normK, circle_sup, lower_bound).  normK is
+    norms.norm_on_circle's estimate of the witness's own ExpSum w.f on
+    |t| = 1 over `grid` points: the working-precision grid maximum and
+    the autocorrelation certificate.  circle_sup is the grid maximum at
+    radius r (default N/n).  Both read the moment table build_witness
+    checked the vanishing order on (norms keeps the latest table), unless
+    a circle's grid maximum would be rounding noise at bits: that circle
+    is evaluated again at the precision norm_on_circle's PrecisionError
+    names.  The grid and the radius are checked before the witness is
+    built.
     """
     require_grid(grid)
     with mp.workprec(bits):
         radius = None if r is None else _checked_radius(r)
     w = build_witness(n, alpha, bits)
     radius = w.r if radius is None else radius
-    normk = newton_norm_on_K(w, grid)
-    circle = norm_on_circle(w.f, radius, grid, bits, certify=False)
+    # r = N/n first: a K circle evaluated again builds a table at more
+    # bits, and norms keeps only the latest
+    circle = _circle(w.f, radius, grid, bits, certify=False)
+    normk = _circle(w.f, 1, grid, bits)
     lower = witness_lower_bound(w, radius, normk, circle)
     return w, normk, circle, lower
+
+
+def _circle(f: ExpSum, r, grid: int, bits: int, certify: bool = True) -> NormEstimate:
+    """norm_on_circle at bits, or at the precision its PrecisionError names."""
+    try:
+        return norm_on_circle(f, r, grid, bits, certify)
+    except PrecisionError as ex:
+        return norm_on_circle(f, r, grid, ex.bits, certify)

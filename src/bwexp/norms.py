@@ -97,13 +97,6 @@ working precision.
   order), so grid_max is the value a full working-precision scan
   reports: an attained value.
 
-A witness's K norm takes the same autocorrelation bound in float64
-(newton_norm_on_K, whose docstring holds the proof): on the curve the
-witness is the Newton function [a_0..a_N] e^{a t} over wmax, whose Taylor
-coefficients h_j(a)/(N+j)! (homogeneous_sums, shared with the LP's
-Newton basis) carry no cancellation.  Every other circle reads the
-working-precision moment table above.
-
 Bidisk sup norms of polynomials are attained on the torus
 |z| = |w| = 1 (maximum principle in each variable separately), so the
 grid scans the torus points (w^a, w^b), w = e^{2 pi i/M}, only.  The
@@ -134,7 +127,6 @@ from operator import mul
 
 import numpy as np
 from mpmath import mp
-from numpy.fft import ifft
 
 from .core import DEFAULT_BITS, AlphaParam, ExpSum, Poly2, compose_to_expsum
 
@@ -153,6 +145,17 @@ class NormEstimate:
 
     grid_max: object  # mp.mpf, a true lower bound on the sup
     certified_upper: object  # mp.mpf upper bound, or None
+
+
+class PrecisionError(ValueError):
+    """A value would be rounding noise at the working precision.
+
+    bits is a precision at which the same call is expected to succeed.
+    """
+
+    def __init__(self, message: str, bits: int):
+        super().__init__(message)
+        self.bits = bits
 
 
 _UNIT = 2.0**-53  # float64 unit roundoff
@@ -323,6 +326,10 @@ class _CircleGrid:
         self.twiddle = np.exp(2j * np.pi * np.arange(M) / M)
         self.rows = {}  # grid index -> [e^{a t_i}]
         self.coef, self.S, self.tail, self.error = self.taylor()
+        # rounding of the direct evaluation, whose exponent a t_i carries
+        # an error of order r|a| 2^-bits (the integer moments' own error
+        # is taylor's bound)
+        self.work = 64 * (len(self.exps) + len(self.coef) + 7 + self.xmax) * self.noise
 
     def extend(self, m: int):
         """Make r^m/m! up to index m available, each mantissa rounded once."""
@@ -392,12 +399,8 @@ class _CircleGrid:
         np.add.at(folded, np.arange(L + 1) % M, coef)
         q = min(L + 1, M)
         vals = self.twiddle[np.outer(np.arange(M), np.arange(q)) % M] @ folded[:q]
-        # rounding of the direct evaluation, whose exponent a t_i carries
-        # an error of order r|a| 2^-bits (the integer moments' own error
-        # is taylor's bound)
-        work = 64 * (len(self.exps) + L + 8 + self.xmax) * self.noise
         # float underflow; truncation, moments and working precision
-        extra = (L + M + 8) * 2.0**-1060 + float(mp.ldexp(self.tail + self.error + work, -S))
+        extra = (L + M + 8) * 2.0**-1060 + float(mp.ldexp(self.tail + self.error + self.work, -S))
         # each coefficient carries three roundings (float moment, float
         # r^m/m!, their product); then twiddles, folding and the dot product
         return vals, 2 * L + 66, float(np.abs(coef).sum()), extra, S
@@ -464,244 +467,36 @@ def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, certify
     the autocorrelation bound (see the module docstring), or None with
     certify=False, which skips the exact integer sum.  f's moments come
     from one table shared with the previous estimate of the same f at
-    the same bits; that changes no value.
+    the same bits; that changes no value.  Both are 0 when every
+    coefficient of f is 0 at working precision.  Where the rounding
+    bound of the working-precision evaluation exceeds 2^-64 grid_max,
+    grid_max is rounding noise, no attained value, so it raises
+    PrecisionError, whose bits clear the bound by 8 more bits (L grows
+    a little with the precision, and the bound with L).
     """
     require_grid(M)
     with mp.workprec(bits):
         rr = mp.mpf(r)
         if not (rr > 0 and mp.isfinite(rr)):
             raise ValueError(f"radius must be positive and finite, got {mp.nstr(rr, 8)}")
-        if not f.terms:
+        if not any(mp.mpc(c) for c, _ in f.terms):
             return NormEstimate(mp.mpf(0), mp.mpf(0))
         grid = _CircleGrid(moment_table(f, bits), rr, M)
         grid_max = grid.level_max()
+        if grid.work > mp.ldexp(grid_max, -64):
+            # the bits missing; at least bits of them (inf when grid_max
+            # is 0) say no more than that the precision should double
+            short = 64 + _log2(grid.work) - _log2(grid_max)
+            need = bits + math.ceil(short) + 8 if short < bits else 2 * bits
+            raise PrecisionError(
+                f"rounding bound {mp.nstr(grid.work, 5)} exceeds 2^-64 of the grid maximum "
+                f"{mp.nstr(grid_max, 5)} at {bits} bits; increase precision to {need} bits",
+                need,
+            )
         if not certify:
             return NormEstimate(grid_max, None)
         T1 = sum(u * x for u, x in zip(grid.weights, grid.table.abs_exps))  # sum |c||a| e^{r|a|}
         return NormEstimate(grid_max, min(grid_max + mp.pi * rr / M * T1, grid.certificate()))
-
-
-def newton_terms(rho: float) -> int:
-    """J = ceil(e rho) + 60 Taylor terms of a Newton function over nodes |a_i| <= rho.
-
-    |h_j(a)| <= C(j+k, k) rho^j, so term j of [a_0..a_k] e^{a t} is at
-    most (e rho/j)^j/k! on |t| <= 1, and the tail past J below 2e-26/k!.
-    """
-    return math.ceil(math.e * rho) + 60
-
-
-def homogeneous_sums(a: np.ndarray, J: int) -> np.ndarray:
-    """h[j, ..., i] = h_j(a_0..a_i), the complete homogeneous sums, for j < J.
-
-    a is an array of nodes, the last axis running over i; h_0 = 1 and
-    h_j(a_0..a_i) = sum_{l<=i} a_l h_{j-1}(a_0..a_l), one product and one
-    np.cumsum per row (cumsum accumulates in index order).  Past the
-    float64 range the table holds inf and nan quietly; callers check.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = np.ones((J,) + a.shape, dtype=np.result_type(a, np.float64))
-        for j in range(1, J):
-            h[j] = np.cumsum(a * h[j - 1], axis=-1)
-    return h
-
-
-class _NewtonLevels:
-    """Float64 Taylor coefficients b_j of g = N! psi/t^N, psi = [a_0..a_N] e^{a t}, and g on t_i = e^{2 pi i i/M}.
-
-    See newton_norm_on_K for the series, the allowances and their proof.
-    """
-
-    def __init__(self, a: np.ndarray, M: int):
-        self.M = M
-        self.N = N = len(a) - 1
-        self.abs_a = np.abs(a)
-        self.rho = float(self.abs_a.max()) * (1 + 2.0**-50)  # >= every |a_i| and |float a_i|
-        self.J = J = newton_terms(self.rho)
-        h = homogeneous_sums(np.stack([a, self.abs_a.astype(a.dtype)]), J)[:, :, -1]
-        ratio = np.array([1 / math.perm(N + j, j) for j in range(J)])  # N!/(N+j)!, each a correctly rounded int / int
-        if not (np.isfinite(h[:, 1].real).all() and ratio[-1] >= 2.0**-1022):
-            raise self.range_error(f"h_j(|a|) or N!/(N+j)! for j < {J} is not a normal float64")
-        self.b, self.b_abs = h[:, 0] * ratio, h[:, 1].real * ratio  # b_j and beta_j
-        self.q = q = min(M, J)  # folded coefficients
-        self.folded = np.zeros(q, dtype=np.complex128)
-        np.add.at(self.folded, np.arange(J) % M, self.b)
-        # per term j: recurrence 4j + N and two roundings into b_j; then
-        # folding, twiddle 32, product 3, the dot product's q - 1 sums,
-        # the modulus 2 and 4 spare
-        self.coef_count = 4 * np.arange(J) + N + 2
-        self.count = self.coef_count + (J - 1) // M + q + 40
-        if float(self.count[-1]) * _UNIT > 2.0**-41:
-            raise self.range_error("rounding counts too large")
-
-    def range_error(self, why: str) -> ValueError:
-        """The error past the float64 range, which no precision mends: only a smaller degree does."""
-        return ValueError(f"the Newton form leaves the float64 range at N = {self.N}: {why}; use a smaller --n")
-
-    def tail(self) -> float:
-        """tau, an upper bound on sum_{j>=J} h_j(|a|) N!/(N+j)!.
-
-        h_j(|a|) <= C(j+N, N) rho^j, so term j is at most rho^j/j!, and
-        the ratio of consecutive bounds, rho/(j+1), falls with j; the
-        tail is at most the j = J bound over 1 - rho/(J+1), doubled for
-        the float logarithms.
-        """
-        J, rho = self.J, self.rho
-        log2 = J * math.log2(rho) - math.log2(math.factorial(J))
-        return 2 * 2.0**log2 / (1 - rho / (J + 1)) + 2.0**-1060
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """Float g(t_i) at the grid indices `points`, each one gathered twiddle row times the folded b_j."""
-        twiddle = np.exp(2j * np.pi * (np.multiply.outer(points, np.arange(self.q)) % self.M) / self.M)
-        return twiddle @ self.folded
-
-    def error(self) -> float:
-        """E, at least the error of every float value g(t_i)."""
-        return 1.0001 * _UNIT * float(self.count @ self.b_abs) + self.tail() + (self.q + self.M + 8) * 2.0**-1060
-
-    def level(self):
-        """The grid index of level 0's maximum, located by FFT, and the float g there.
-
-        The FFT only locates the point; its value is the one values()
-        forms, within E of g there, so its modulus less E is an attained
-        lower bound on the grid maximum.
-        """
-        i = int(np.argmax(np.abs(ifft(self.folded, self.M))))
-        return i, complex(self.values(np.array([i]))[0])
-
-    def autocorrelation(self):
-        """The float sum_k |rho_k| of the autocorrelations rho_k = sum_j b_{j+k} conj(b_j), |k| < J, and R >= its error."""
-        J = self.J
-        total = float(np.abs(np.correlate(self.b, self.b, "full")).sum())
-        s_b = float(self.b_abs.sum()) * (1 + 2.0**-38)
-        s_e = 1.0001 * _UNIT * float(self.coef_count @ self.b_abs) + J * 2.0**-1060
-        gamma = 2 * J * _UNIT / (1 - 2 * J * _UNIT)
-        return total, 2 * s_b * s_e + s_e**2 + 3 * gamma * (s_b + s_e) ** 2 + (J + 2) ** 2 * 2.0**-1060
-
-
-def newton_norm_on_K(w, M: int = 512) -> NormEstimate:
-    """Sup of |w.f| on |t| = 1 for a construct.WitnessResult w, certified in float64 Newton form.
-
-    f = sum c_i e^{a_i t}, wmax and bits are read from the witness, as
-    construct.build_witness stores them (bits >= 64): a_i the monomial
-    nodes j + alpha k rounded once to bits (alpha k is exact there),
-    c_i = w_i/wmax rounded, with w_i the divided-difference weights
-    construct.divided_difference_weights computes at bits and wmax the
-    stored maximum |w_i|.  With exact nodes a*_i and exact weights w*_i,
-    sum w*_i e^{a*_i t} is the Newton function psi* = [a*_0..a*_N] e^{a* t}, so
-
-        f(t) = psi*(t)/wmax + sum_i (c_i - w*_i/wmax) e^{a*_i t}.
-
-    psi = [a_0..a_N] e^{a t} over the float64 nodes a_i has the Taylor
-    series sum_j h_j(a) t^{N+j}/(N+j)!, h_j the complete homogeneous sums
-    (homogeneous_sums), so |N! psi| = |g| on |t| = 1 for
-    g(t) = sum_j b_j t^j, b_j = h_j(a) N!/(N+j)!.  The b_j carry no
-    cancellation: |b_j| <= beta_j = h_j(|a|) N!/(N+j)!, and b_0 = 1, so
-    sup_{|t|=1} |g| >= 1 (Cauchy).  With J = newton_terms(rho),
-    rho >= max|a|, g_J the sum over j < J and the autocorrelations
-    rho_k = sum_j b_{j+k} conj(b_j), |k| < J, on |t| = 1
-
-        |g_J(t)|^2 = sum_{j,l} b_j conj(b_l) t^{j-l} = sum_k rho_k t^k <= sum_k |rho_k|,
-
-    and |g - g_J| <= tau = sum_{j>=J} beta_j (tail), so
-    sup |g| <= sqrt(sum_k |rho_k|) + tau.  The float g_J at a grid point
-    is one row of the length-M DFT of the b_j (folded mod M, q = min(M, J)
-    columns), and the float rho_k one np.correlate.  Four allowances,
-    each stated at its size on g:
-
-    1. Float rounding.  The path of a monomial of h_j(a_0..a_N) through
-       the recurrence takes j complex products (at most gamma_3 each;
-       Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-       Lemma 3.5) and at most N + j running sums, so the float h_j is
-       within gamma_{4j+N} h_j(|a|) of h_j(a) (Lemma 3.1 and 3.3), and
-       the float h_j(|a|) within a relative gamma_{4j+N} of h_j(|a|)
-       (each |a_i| is rounded once).  Two more roundings (N!/(N+j)!, a
-       correctly rounded int / int, and the product) put the float b_j
-       within e_j = gamma_{4j+N+2} beta_j of b_j.  With S_b = sum beta_j
-       and S_e = sum e_j, the autocorrelations of the float b_j miss
-       those of the b_j by at most 2 S_b S_e + S_e^2 summed over k (each
-       pair (j, l) enters one rho_k).  Each real part of a float rho_k
-       is a sum of at most 2J real products, in whatever order
-       np.correlate adds them, so over k the float rho_k miss their
-       exact values by at most sqrt(2) gamma_{2J} (S_b + S_e)^2, and the
-       moduli and the (2J - 1)-term sum add gamma_{2J+1} (S_b + S_e)^2:
-       together at most 3 gamma_{2J} (S_b + S_e)^2.  R adds these and
-       (J + 2)^2 2^-1060 for underflow, the float sums S_b and S_e
-       raised by 1 + 2^-38 and 1.0001 (count_j u <= 2^-41), S_e by
-       J 2^-1060 for underflow: the float sum_k |rho_k| is within R of
-       the exact one.  R's own rounding, the square root and the two
-       sums after it are at most eight roundings, within the factor
-       1 + 2^-48.  On the grid, term j then takes the folding, a twiddle
-       factor (within 32 u of e^{2 pi i i j/M}), a complex product, at
-       most q - 1 sums of the dot product and the modulus: E is
-       u sum_j count_j beta_j, count_j = 4j + N + folds + q + 42, times
-       1.0001 for the second-order terms and the float evaluation of
-       that positive sum, plus tau and (q + M + 8) 2^-1060 for underflow.
-    2. Node rounding.  |a*_i - a_i| <= 2^-52 |a_i| (one rounding to bits,
-       one to float64), and by the Hermite-Genocchi formula
-       d psi/d a_i = [a_0..a_N, a_i] e^{a t} is at most e^{rho}/(N+1)! on
-       |t| <= 1 along the segment between the node sets, so
-       |N! psi* - N! psi| <= e^{rho} 2^-52 sum|a_i|/(N+1) on |t| <= 1.
-    3. Rounding of wmax.  The float bounds are divided by N! wmax, the
-       stored wmax, at bits: a few roundings of 2^{1-bits} each, covered
-       by the outward factors 1 -+ 2^{3-bits}.
-    4. The stored coefficients.  Each node difference a_i - a_j is
-       rounded once from nodes within u_b |a*| of exact (u_b = 2^{1-bits}),
-       each w_i takes N products and a reciprocal, and c_i one division
-       by wmax.  So c_i = (w*_i/wmax)(1 + theta_i), |theta_i| <= 2 u_b
-       sigma_i, sigma_i = sum_{j!=i} (2(|a_i| + |a_j|)/d_ij + 2) + 2N + 6,
-       d_ij a lower bound on |a*_i - a*_j| from the float nodes; and
-       |c_i - w*_i/wmax| <= 4 u_b sigma_i |c_i| while u_b sigma_i <= 1/4.
-       The allowance sum_i 4 u_b sigma_i |c_i| e^{|a_i|} is what needs
-       the precision construct.required_witness_bits asks for: the
-       coefficients cancel to ||f||_K from sum |c_i| e^{|a_i|}.
-
-    grid_max is (|float g(t_i)| - E - allowance 2)/(N! wmax) -
-    allowance 4 at the one grid point i where an FFT of the folded b_j
-    is largest in modulus, so it stays a true lower bound on the grid
-    maximum of |f| (the FFT only locates the point; the witness's lower
-    bound does not read grid_max); certified_upper is
-    (sqrt(float sum_k |rho_k| + R) + tau + allowance 2)/(N! wmax) +
-    allowance 4.  Past the float64 range (an
-    h_j(|a|) not finite or the least N!/(N+j)! not a normal float, as at
-    n = 24) it raises ValueError naming the one remedy, a smaller
-    degree; there is no fallback.  Inside it (J-1)! <= (N+J-1)!/N! <= 2^1022
-    keeps J <= 171, so rho and S_b <= e^rho stay small and every sum is
-    finite.
-    """
-    require_grid(M)
-    bits = w.bits
-    with mp.workprec(bits):
-        coeffs = np.array([float(abs(mp.mpc(c))) for c, _ in w.f.terms])
-        a = np.array([complex(mp.mpc(x)) for _, x in w.f.terms])
-        lev = _NewtonLevels(a, M)
-        N, abs_a = lev.N, lev.abs_a
-
-        # allowance 4, in units of u_b = 2^(1-bits)
-        diff = np.abs(a[:, None] - a[None, :]) * (1 - 2.0**-50)
-        pair = abs_a[:, None] + abs_a[None, :]
-        low = diff - 2.0**-51 * pair
-        np.fill_diagonal(low, 1.0)
-        if not (low > 0).all():
-            raise ValueError("witness nodes too close for the float64 Newton form")
-        np.fill_diagonal(pair, 0.0)
-        sigma = (2 * pair / low + 2).sum(axis=1) - 2 + 2 * N + 6
-        if float(sigma.max()) * 2.0 ** (1 - bits) > 0.25:
-            raise ValueError(f"coefficient rounding too large at {bits} bits; increase precision")
-        with np.errstate(over="ignore"):
-            spread = float(np.dot(coeffs * sigma, np.exp(abs_a * (1 + 2.0**-50))))
-        coeff_err = mp.ldexp(mp.mpf(4 * spread * (1 + 2.0**-30)), 1 - bits)
-        # allowance 2, on g
-        node_err = math.exp(lev.rho) * 2.0**-52 * float(abs_a.sum()) / (N + 1) * (1 + 2.0**-30)
-
-        _, top = lev.level()
-        low_max = max(0.0, (abs(top) - lev.error() - node_err) * (1 - 2.0**-50))
-        total, R = lev.autocorrelation()
-        upper = (math.sqrt(total + R) + lev.tail() + node_err) * (1 + 2.0**-48)
-
-        scale = math.factorial(N) * mp.mpf(w.wmax)
-        grid_max = max(mp.mpf(0), mp.mpf(low_max) / scale * (1 - mp.ldexp(1, 3 - bits)) - coeff_err)
-        certified = mp.mpf(upper) / scale * (1 + mp.ldexp(1, 3 - bits)) + coeff_err
-        return NormEstimate(grid_max, certified)
 
 
 def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEstimate:

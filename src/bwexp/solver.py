@@ -110,7 +110,7 @@ from .core import (
     require_degree,
     space_dimension,
 )
-from .norms import GRID_FLOOR, homogeneous_sums, newton_terms
+from .norms import GRID_FLOOR
 
 
 def _load_highs_core():
@@ -469,14 +469,38 @@ def _torus_monomials(n: int, M2: int) -> np.ndarray:
     return (jpow[:, None, :] * kpow[None, :, :]).reshape(M2 * M2, len(idx))
 
 
+def newton_terms(rho: float) -> int:
+    """J = ceil(e rho) + 60 Taylor terms of a Newton function over nodes |a_i| <= rho.
+
+    |h_j(a)| <= C(j+k, k) rho^j, so term j of [a_0..a_k] e^{a t} is at
+    most (e rho/j)^j/k! on |t| <= 1, and the tail past J below 2e-26/k!.
+    """
+    return math.ceil(math.e * rho) + 60
+
+
+def homogeneous_sums(a: np.ndarray, J: int) -> np.ndarray:
+    """h[j, i] = h_j(a_0..a_i), the complete homogeneous sums of the nodes a, for j < J.
+
+    h_0 = 1 and h_j(a_0..a_i) = sum_{l<=i} a_l h_{j-1}(a_0..a_l), one
+    product and one np.cumsum per row (cumsum accumulates in index
+    order).  Past the float64 range the table holds inf and nan quietly;
+    callers check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.ones((J, len(a)), dtype=np.result_type(a, np.float64))
+        for j in range(1, J):
+            h[j] = np.cumsum(a * h[j - 1])
+    return h
+
+
 def _newton_basis(a: np.ndarray, M1: int):
     """psi_k(t_i) = [a_0..a_k] e^{a t_i} at M1 circle points, and W with psi = e^{t a} W.
 
     psi_k(t) = sum_j h_j(a_0..a_k) t^{k+j}/(k+j)!, h_j the complete
-    homogeneous symmetric polynomial, from norms.homogeneous_sums (whose
-    table the witness's K certificate reads too).  J = newton_terms(rho)
-    terms, rho = max|a|, leave a tail below 2e-26/k!, while
-    max|psi_k| >= 1/k! (its t^k coefficient, by Cauchy's estimate).
+    homogeneous symmetric polynomial, from homogeneous_sums.
+    J = newton_terms(rho) terms, rho = max|a|, leave a tail below
+    2e-26/k!, while max|psi_k| >= 1/k! (its t^k coefficient, by Cauchy's
+    estimate).
     W[i,k] = 1/prod_{j<=k, j!=i}(a_i - a_j) for i <= k, else 0.
     """
     K = len(a)

@@ -32,7 +32,7 @@ from .analytic_bounds import (
     stirling_ratio,
     theorem2_bounds,
 )
-from .construct import build_witness, required_witness_bits
+from .construct import required_witness_bits, witness_certificate
 from .core import (
     DEFAULT_BITS,
     AlphaParam,
@@ -42,7 +42,7 @@ from .core import (
     make_alpha,
     space_dimension,
 )
-from .norms import newton_norm_on_K, norm_on_K, norm_on_circle
+from .norms import norm_on_K, norm_on_circle
 
 _SUITE_SEED = 20240815
 STANDARD_ALPHAS = (
@@ -194,16 +194,14 @@ def suite_inequalities(level: str, bits: int) -> Iterator[str | None]:
 
 
 def suite_witness(level: str, bits: int) -> Iterator[str | None]:
-    """Witness vanishing order: residuals, the K certificate and the r^N growth law.
+    """Witness vanishing order: residuals and the r^N growth law.
 
     A degree is one residual case (build_witness raises on a miss, and
-    then the degree has no further cases), one cross-check of the float64
-    Newton K certificate against the working-precision norm_on_K on the
-    same grid (at least its grid maximum, at most its exact-integer
-    autocorrelation certificate times 1 + 2^-40), and one case per
-    radius, whose growth is measured against the Newton certificate.  The residual check, norm_on_K and the radii read one
-    moment table: the radii read w.f, norm_on_K composes its terms, and
-    norms keeps the table.
+    then the degree has no further cases) and one case per radius, whose
+    growth is measured against the K certificate of witness_certificate;
+    the r = N/n circle is witness_certificate's too.  The residual
+    check, the K circle and the radii read one moment table: all read
+    w.f, and norms keeps the table.
     """
     n_max = 6 if level == "full" else 3
     wbits = 512 if level == "full" else bits
@@ -211,25 +209,16 @@ def suite_witness(level: str, bits: int) -> Iterator[str | None]:
     for n in range(1, n_max + 1):
         use_bits = max(wbits, required_witness_bits(n))
         try:
-            w = build_witness(n, a, use_bits)
+            w, normk, top, _ = witness_certificate(n, a, bits=use_bits)
         except ValueError as ex:
             yield f"n={n}: {ex}"
             continue
         yield None
         N = w.order
-        base = newton_norm_on_K(w, 512)
-        wide = norm_on_K(w.p, a, 512, use_bits)
-        with mp.workprec(use_bits):
-            cap = wide.certified_upper * (1 + mp.mpf(2) ** -40)
-            inside = wide.grid_max <= base.certified_upper <= cap
-        yield None if inside else (
-            f"n={n}: Newton K certificate {mp.nstr(base.certified_upper, 17)} outside "
-            f"[{mp.nstr(wide.grid_max, 17)}, {mp.nstr(cap, 17)}]"
-        )
         for r in (1.5, 2.0, N / n):
-            circ = norm_on_circle(w.f, r, 512, use_bits, certify=False)
+            circ = top if r == N / n else norm_on_circle(w.f, r, 512, use_bits, certify=False)
             with mp.workprec(use_bits):
-                gain = mp.log(circ.grid_max) - mp.log(base.certified_upper)
+                gain = mp.log(circ.grid_max) - mp.log(normk.certified_upper)
                 need = N * mp.log(r) - mp.mpf("1e-6")
             yield f"n={n} r={r}: growth {mp.nstr(gain, 10)} < N ln r" if gain < need else None
 

@@ -222,6 +222,19 @@ def test_witness_report_schema_and_known_coefficients(capsys):
     assert report["witness_lower"] >= 2.0 * math.log(2.0) - 2.0 - 1e-6
 
 
+def test_degree_nine_certifies_at_the_default_precision(capsys):
+    # at 256 bits the n = 9 witness's unit circle keeps fewer than 64 bits
+    # above its rounding bound; the certificate evaluates that circle at
+    # a higher precision instead of failing
+    code, out, _ = run_cli(capsys, ["witness", "--n", "9", "--alpha", "0.3+0.4i"])
+    assert code == EXIT_OK
+    assert json.loads(out)["witness_lower"] == pytest.approx(64.0019853251688, abs=1e-9)
+    argv = ["solve", "--n", "9", "--max-degree", "9", "--alpha", "0.3+0.4i"]
+    code, out, _ = run_cli(capsys, argv + ["--circle-points", "256"] + SMALL_FLAGS[2:])
+    assert code == EXIT_OK
+    assert json.loads(out)["witness_lower"] == pytest.approx(64.0019853251688, abs=1e-9)
+
+
 def test_witness_precision_floor_is_a_domain_error(capsys):
     code, _, err = run_cli(
         capsys, ["witness", "--n", "10", "--alpha", "0.0+0.5i"]

@@ -10,6 +10,7 @@ from bwexp import (
     compose_to_expsum,
     derivative_at_zero,
     make_alpha,
+    monomial_nodes,
     space_dimension,
 )
 from bwexp.analytic_bounds import theorem2_bounds
@@ -36,14 +37,13 @@ ALPHAS = [
 ]
 SMALL_LP = LPConfig(circle_points=64, polygon_sides=16, torus_points=8, phase_samples=8)
 # float(lower) of witness_certificate(n, 0.5i) for n = 1..5 at grid 512,
-# 256 bits, with the K norm certified in float64 Newton form from the
-# autocorrelations of its Taylor coefficients
+# 256 bits, with the K norm the unit circle's autocorrelation certificate
 CERT_LOWER = (
-    -0.21223006627750585,
-    0.7679675882469567,
-    3.2322960292770726,
-    7.415846020492064,
-    13.510793779187964,
+    -0.21223006627747362,
+    0.7679675882469962,
+    3.2322960292771206,
+    7.415846020492122,
+    13.510793779188035,
 )
 
 
@@ -82,6 +82,23 @@ def test_weights_power_sums():
                 assert abs(s) <= mp.mpf(2) ** (-(BITS // 4)) * scale
             s = sum(c * a**N for c, a in zip(w, nodes))
             assert abs(s - 1) <= mp.mpf(2) ** (-(BITS // 4)) * max(1, scale)
+
+
+def test_weights_rounded_once():
+    # each weight, formed from an exact product of the node differences,
+    # lies within 2^(1-bits) relative of a 4 bits reference over the same
+    # nodes; alphas with negative parts, and one node (weight 1)
+    for re, im in ((-0.2, 0.6), (0.1, -0.1)):
+        for n in (1, 3, 5):
+            bits = max(BITS, required_witness_bits(n))
+            nodes = [e.value for e in monomial_nodes(n, make_alpha(re, im), bits)]
+            w = divided_difference_weights(nodes, bits)
+            with mp.workprec(4 * bits):
+                for i, (c, a) in enumerate(zip(w, nodes)):
+                    ref = 1 / mp.fprod(a - b for j, b in enumerate(nodes) if j != i)
+                    assert abs(c - ref) <= mp.ldexp(abs(ref), 1 - bits), f"alpha={re}+{im}i n={n} i={i}"
+    with mp.workprec(BITS):
+        assert divided_difference_weights([mp.mpc(-0.3, 0.7)]) == [1]
 
 
 def test_weights_reject_duplicates():
@@ -168,6 +185,21 @@ def test_witness_precision_floor():
         build_witness(10, make_alpha(0.0, 0.5), bits=256)
     with pytest.raises(ValueError):
         build_witness(2, make_alpha(0.3, 0.0))
+
+
+def test_certificate_at_the_precision_floor():
+    # the floor serves the witness's moments; a circle whose direct
+    # evaluation keeps fewer than 64 bits above its rounding bound there
+    # (the unit circle for every n at 0.5i) is evaluated at the precision
+    # norm_on_circle names, so the certificate at the floor stands and
+    # agrees with one at twice the floor
+    for alpha in ALPHAS + [make_alpha(0.0, 3.0)]:
+        for n in range(1, 10):
+            bits = required_witness_bits(n)
+            lower = witness_certificate(n, alpha, bits=bits)[3]
+            wide = witness_certificate(n, alpha, bits=2 * bits)[3]
+            with mp.workprec(BITS):
+                assert abs(lower - wide) <= mp.mpf("1e-12"), f"n={n} alpha={alpha}: {mp.nstr(lower - wide, 5)}"
 
 
 def test_proof_lower_bound_values():
@@ -284,12 +316,9 @@ def table_builds(monkeypatch):
 
 
 def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
-    # the vanishing check and the r = N/n circle read one moment table,
-    # built once per certificate, and the circle reports exactly what an
-    # estimate with its own table reports; the float64 Newton K
-    # certificate lies between the working-precision grid maximum and
-    # certificate (1 + 2^-40) of norm_on_K on the same grid, and its grid
-    # maximum stays below that grid maximum
+    # the vanishing check, the K circle and the r = N/n circle read one
+    # moment table, built once per certificate, and both circles report
+    # exactly what an estimate with its own table reports
     for n in (1, 2, 3):
         table_builds.clear()
         w = build_witness(n, ALPHAS[0])
@@ -308,10 +337,7 @@ def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
             assert len(table_builds) == 1, f"n={n}"
             f = compose_to_expsum(w.p, alpha, BITS)
             monkeypatch.setattr(norms, "_last_moments", None)
-            wide = norm_on_K(w.p, alpha, 512, BITS)
-            with mp.workprec(BITS):
-                assert normk.grid_max <= wide.grid_max <= normk.certified_upper, f"n={n}"
-                assert normk.certified_upper <= wide.certified_upper * (1 + mp.mpf(2) ** -40), f"n={n}"
+            assert norm_on_K(w.p, alpha, 512, BITS) == normk, f"n={n}"
             monkeypatch.setattr(norms, "_last_moments", None)
             assert norm_on_circle(f, w.r, 512, BITS, certify=False) == circle, f"n={n}"
             if alpha is ALPHAS[0]:
@@ -327,8 +353,8 @@ def test_levels_formed_on_demand(table_builds):
 
 
 def test_suite_witness_reads_one_table_per_degree(table_builds):
-    # each degree's residual check, working-precision K cross-check and
-    # three radii share one table: five cases per degree
+    # each degree's residual check and three radii, measured against the
+    # K certificate, share one table: four cases per degree
     verdicts = list(suite_witness("quick", BITS))
-    assert (len(verdicts), sum(v is not None for v in verdicts)) == (15, 0)
+    assert (len(verdicts), sum(v is not None for v in verdicts)) == (12, 0)
     assert len(table_builds) == 3

@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp
 
-from bwexp import suites
+from bwexp import construct, suites
 from bwexp.analytic_bounds import INEQUALITIES
 from bwexp.norms import NormEstimate
 
@@ -35,16 +35,16 @@ def test_run_suites_counts_verdicts(monkeypatch):
 def test_suite_witness_reports_a_failed_build(monkeypatch):
     # a witness that misses its residual check is one failed case, and the
     # next degree still runs
-    build = suites.build_witness
+    build = construct.build_witness
 
     def failing_at_two(n, alpha, bits):
         if n == 2:
             raise ValueError("power-sum residual too large; increase precision")
         return build(n, alpha, bits)
 
-    monkeypatch.setattr(suites, "build_witness", failing_at_two)
+    monkeypatch.setattr(construct, "build_witness", failing_at_two)
     verdicts = list(suites.suite_witness("quick", BITS))
-    assert len(verdicts) == 11  # n = 1 and 3: a residual case, the K cross-check and three radii each
+    assert len(verdicts) == 9  # n = 1 and 3: a residual case and three radii each
     assert [v for v in verdicts if v is not None] == [
         "n=2: power-sum residual too large; increase precision"
     ]
