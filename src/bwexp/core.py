@@ -125,7 +125,7 @@ class ExpSum:
     def __post_init__(self) -> None:
         seen = set()
         for _, a in self.terms:
-            key = (mp.nstr(mp.mpmathify(a), 30),)
+            key = mp.mpmathify(a)  # exact: mpf and mpc hash and compare by value
             if key in seen:
                 raise ValueError("exponents within an ExpSum must be distinct")
             seen.add(key)

@@ -31,9 +31,10 @@ f_B = sum B_m 2^-P e^{i m theta}, sup|f| <= sup|f_B| + D + tail, and
 |rho_k(B)| (rho_{-k} = conj(rho_k)).  rho_0 = sum |B_m|^2 is exact, each
 other modulus is raised to isqrt(|rho_k|^2) + 1 in the integer total,
 and its root to isqrt(total) + 1.  So sup|f| is at most
-(isqrt(total) + 1 + 2(L+1) + ceil(2^P error) + ceil(2^P tail)) 2^-P,
-rounded up once to the working precision; the tail is formed with every
-rounding directed up, and error is an integer times a power of two.
+(isqrt(total) + 1 + ceil(2^P D) + ceil(2^P tail)) 2^-P, rounded up once
+to the working precision; the tail is formed with every rounding
+directed up, and error is an integer times a power of two, so D is
+formed exactly: 2^P D = 2^P error + 2(L+1).
 The integer sum costs O(L^2) products of F-bit integers; certify=False
 skips it where only grid_max is read.
 
@@ -58,15 +59,12 @@ working precision.
   a witness's vanishing check (construct.build_witness reads its
   mu_0..mu_N) and its r = N/n circle share one table and form each
   moment once.
-* The rest of the scan's set-up is float arithmetic on values stored
-  once each: each mu_k and r^m/m! is stored, when it is formed, as a
-  float64 mantissa of modulus below 1 and an exact binary exponent.
-  Both come from exact integers (mu_k's integer sum, and
-  r^m/m! = r_man^m 2^{m r_exp}/m!), so each mantissa part is one
-  correctly rounded int / int division.  L and a power-of-two scale
-  2^-S are picked from the table's log2 values, and each scaled
-  coefficient is the product of the mantissas of mu_m and r^m/m!,
-  shifted exactly by ldexp.
+* The scan reads the certificate's Gaussian integers B_m, formed once
+  per grid.  L and S are picked from float log2 values of the table's
+  integers and of r^m/m! = r_man^m 2^{m r_exp}/m!, and since
+  P + S = F + 2, each scaled coefficient 2^-S b_m is about
+  B_m 2^-(F+2): each part is one correctly rounded int / int division,
+  which cannot overflow.
 * Cauchy's estimate gives |b_m| <= sup_{|t|=r} |f|, so no term of the
   float sum exceeds the maximum and its rounding error is small
   relative to it, even where the terms c e^{a t} of f cancel by many
@@ -75,17 +73,15 @@ working precision.
 * A grid point is kept when its float modulus is within 2E of the float
   maximum, where E bounds |float value - working-precision value| at
   every grid point.  E adds the float rounding
-  2 gamma_{2L+66} sum|b_m| (gamma_n = n u/(1 - n u)) with an underflow
-  allowance, the tail, the moments' error, and the working-precision
-  rounding of the direct evaluation, a multiple of 2^-bits T_0 with
-  T_0 = sum |c| e^{r|a|}.  The gamma count covers three roundings of
-  each coefficient (the float mantissas of mu_m and of r^m/m!, and
-  their product; the shifts are exact), the twiddle factors, folding
-  and the dot product; a product of n factors (1 + delta), |delta| <= u,
-  is 1 + theta with |theta| <= gamma_n (Higham, Accuracy and Stability
-  of Numerical Algorithms, 2nd ed., Lemma 3.1), so the two roundings a
-  coefficient carries beyond a single float conversion add 2 to the
-  count.
+  2 gamma_{2L+64} sum|b_m| (gamma_n = n u/(1 - n u)) with an underflow
+  allowance, the allowance D (the moments' error and the floors of B),
+  the tail, and the working-precision rounding of the direct
+  evaluation, a multiple of 2^-bits T_0 with T_0 = sum |c| e^{r|a|}.
+  The gamma count covers the one rounding of each coefficient, the
+  twiddle factors, folding and the dot product; a product of n factors
+  (1 + delta), |delta| <= u, is 1 + theta with |theta| <= gamma_n
+  (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+  Lemma 3.1).
 * L is the first index at which the tail's float log2 value drops below
   that of the float rounding of max|b_m| or of 2^-bits T_0, so it is no
   parameter.  The tail for the chosen L is formed once, at working
@@ -216,21 +212,20 @@ class _Moments:
     exact moment of the working-precision c and a.  For every k formed
     so far the table holds:
 
-    * sums[k], the integer sum (re, im) of the powers, and mu_f[k], its
-      float split (m, e, log2|mu_k|), each part of m rounded once;
+    * sums[k], the integer sum (re, im) of the powers;
     * errors[k] >= |sums[k] - mu_k 2^-e_k|: truncating c errs by less
       than 2 per term, and each step multiplies the bound by
       (max floor|A| + 3) 2^-F and adds 2 sum U_k 2^-F for a's truncation
       and 2 per term for the floor;
     * abs_sums[k] = sum U_k >= sum |c||a|^k 2^-e_k, from the per-term
-      bounds U_0 = floor|C| + 3, U_{k+1} = ceil(U_k (floor|A| + 3) 2^-F);
-    * the float log2 values of errors[k] 2^e_k and abs_sums[k] 2^e_k.
+      bounds U_0 = floor|C| + 3, U_{k+1} = ceil(U_k (floor|A| + 3) 2^-F).
 
-    errors and abs_sums only feed bounds, and being integers, they
-    cannot overflow; nor can a_up, the per-term bounds
-    floor|A| + 3 >= |a| 2^(F-ea).  None of it depends on the circle, so
-    every radius and grid of the ExpSum reads one table.  Build and call
-    inside mp.workprec(bits).
+    The table holds only integers, so nothing in it can overflow, nor
+    can a_up, the per-term bounds floor|A| + 3 >= |a| 2^(F-ea); a circle
+    forms the float log2 values it picks its truncation by from them and
+    scale(k).  None of it depends on the circle, so every radius and
+    grid of the ExpSum reads one table.  Build and call inside
+    mp.workprec(bits).
     """
 
     def __init__(self, terms, bits: int):
@@ -250,8 +245,7 @@ class _Moments:
         self.up = [math.isqrt(x * x + y * y) + 3 for x, y in zip(self.re, self.im)]  # U_k
         self.a_up = [math.isqrt(x * x + y * y) + 3 for x, y in zip(self.a_re, self.a_im)]
         self.error = 2 * len(terms)  # the next moment's error bound
-        self.sums, self.mu_f, self.errors, self.abs_sums = [], [], [], []
-        self.err_log, self.abs_log = [], []  # log2 of errors[k] 2^e_k and abs_sums[k] 2^e_k
+        self.sums, self.errors, self.abs_sums = [], [], []
 
     def scale(self, k: int) -> int:
         """e_k, the binary exponent of moment k's integers."""
@@ -260,17 +254,11 @@ class _Moments:
     def extend(self, k: int):
         """Make moments up to index k available."""
         F = self.F
-        while len(self.mu_f) <= k:
-            e = self.scale(len(self.mu_f))
-            re, im, up = sum(self.re), sum(self.im), sum(self.up)
-            b = max(re.bit_length(), im.bit_length()) + 1  # |re + i im| < 2^b
-            m = complex(re / (1 << b), im / (1 << b))  # int / int rounds once
-            self.sums.append((re, im))
-            self.mu_f.append((m, b + e, b + e + math.log2(abs(m)) if m else -math.inf))
+        while len(self.sums) <= k:
+            up = sum(self.up)
+            self.sums.append((sum(self.re), sum(self.im)))
             self.errors.append(self.error)
-            self.err_log.append(e + math.log2(self.error))
             self.abs_sums.append(up)
-            self.abs_log.append(e + math.log2(up))
             self.error = -(-self.error * max(self.a_up) >> F) - (-2 * up >> F) + 2 * len(self.up)
             pairs = list(zip(self.re, self.im, self.a_re, self.a_im))
             self.re = [(x * u - y * v) >> F for x, y, u, v in pairs]
@@ -310,8 +298,8 @@ def moment_table(f: ExpSum, bits: int) -> _Moments:
 class _CircleGrid:
     """The grid maximum max_i |f(t_i)| on t_i = r e^{2 pi i i/M}, and the circle's certificate.
 
-    Both read the Taylor coefficients (see the module docstring).  Build
-    and call inside mp.workprec(table.bits).
+    Both read the Gaussian integers B_m, formed once (see the module
+    docstring).  Build and call inside mp.workprec(table.bits).
     """
 
     def __init__(self, table: _Moments, r, M: int):
@@ -319,34 +307,23 @@ class _CircleGrid:
         self.exps = table.exps
         self.xmax = r * table.amax  # r max|a|
         self.r_man, self.r_exp = r.man_exp  # r = r_man 2^r_exp exactly (r > 0)
-        self.rfac_f = []  # (u, e, log2 r^m/m!) with r^m/m! = u 2^e, |u| < 1
         self.weights = [abs(c) * mp.exp(r * x) for c, x in zip(table.coeffs, table.abs_exps)]  # |c| e^{r|a|}
         self.noise = mp.ldexp(sum(self.weights), -table.bits)  # 2^-bits T_0
         self.step = 2 * mp.pi / M
         self.twiddle = np.exp(2j * np.pi * np.arange(M) / M)
-        self.rows = {}  # grid index -> [e^{a t_i}]
-        self.coef, self.S, self.tail, self.error = self.taylor()
+        self.P, self.B, self.tail, self.error = self.taylor()
         # rounding of the direct evaluation, whose exponent a t_i carries
         # an error of order r|a| 2^-bits (the integer moments' own error
         # is taylor's bound)
-        self.work = 64 * (len(self.exps) + len(self.coef) + 7 + self.xmax) * self.noise
-
-    def extend(self, m: int):
-        """Make r^m/m! up to index m available, each mantissa rounded once."""
-        while len(self.rfac_f) <= m:
-            k = len(self.rfac_f)
-            num, den = self.r_man**k, math.factorial(k)
-            shift = den.bit_length() - num.bit_length() - 1  # num 2^shift / den in (1/4, 1)
-            u = (num << shift) / den if shift >= 0 else num / (den << -shift)
-            e = k * self.r_exp - shift
-            self.rfac_f.append((u, e, e + math.log2(u)))
+        self.work = 64 * (len(self.exps) + len(self.B) + 7 + self.xmax) * self.noise
 
     def taylor(self):
-        """Float 2^-S b_m, b_m = mu_m r^m/m! for m <= L; S, the tail past L and the moments' error.
+        """P, the Gaussian integers B_m for m <= L, the tail past L and the moments' error.
 
         The closed-form tail sum |c| sum_{m>L} (r|a|)^m/m! is at most
         r^{L+1}/(L+1)! sum |c||a|^{L+1} / (1 - r max|a|/(L+2)).  L is
-        picked from the float table's log2 values: the first index with
+        picked from float log2 values of the table's integers and of
+        r^m/m! = r_man^m 2^{m r_exp}/m!: the first index with
         L + 2 > r max|a| at which the tail drops below the float
         rounding of the largest b_m or below noise = 2^-bits T_0, the
         scale of working-precision rounding.  The tail for the chosen
@@ -356,34 +333,48 @@ class _CircleGrid:
         moments' error, a bound on sum_{m<=L} errors[m] 2^e_m r^m/m!:
         L + 1 times its largest term by the float log2 values, doubled
         for their rounding.  S is the least integer with max|b_m| <= 2^S
-        by the same log2 values.
+        by the same log2 values, P = F + 2 - S, and B_m is b'_m 2^P
+        floored in each part.
         """
-        table = self.table
+        table, r_man, r_exp = self.table, self.r_man, self.r_exp
         log_noise = _log2(self.noise)
         xmax = float(self.xmax)
+        rfac = [(1, 1)]  # (r_man^m, m!): r^m/m! = r_man^m 2^{m r_exp}/m!
+        log_rfac = [0.0]  # log2 r^m/m!
         log_bmax, m = -math.inf, 0
         while True:
             table.extend(m + 1)
-            self.extend(m + 1)
-            log_bmax = max(log_bmax, table.mu_f[m][2] + self.rfac_f[m][2])
+            num, den = rfac[m][0] * r_man, rfac[m][1] * (m + 1)
+            rfac.append((num, den))
+            log_rfac.append(math.log2(num) - math.log2(den) + (m + 1) * r_exp)
+            re, im = table.sums[m]
+            if re or im:
+                log_bmax = max(log_bmax, table.scale(m) + math.log2(re * re + im * im) / 2 + log_rfac[m])
             shrink = 1 - xmax / (m + 2)  # > 0 only if m + 2 > r max|a| exactly
             if shrink > 0:
-                log_tail = table.abs_log[m + 1] + self.rfac_f[m + 1][2] - math.log2(shrink)
+                log_tail = table.scale(m + 1) + math.log2(table.abs_sums[m + 1]) + log_rfac[m + 1] - math.log2(shrink)
                 if log_tail <= log_bmax - 53 or log_tail <= log_noise:
                     break
             m += 1
         amax = mp.ldexp(mp.mpf(max(table.a_up), rounding="c"), table.ea - table.F)  # >= max|a|
-        rfac = mp.ldexp(mp.fdiv(self.r_man ** (m + 1), math.factorial(m + 1), rounding="u"), (m + 1) * self.r_exp)
+        rfac_up = mp.ldexp(mp.fdiv(*rfac[m + 1], rounding="u"), (m + 1) * r_exp)  # >= r^{L+1}/(L+1)!
         shrink = mp.fsub(1, mp.fdiv(mp.fmul(self.r, amax, rounding="u"), m + 2, rounding="u"), rounding="d")
-        tail = mp.fdiv(mp.fmul(table.abs_moment(m + 1), rfac, rounding="u"), shrink, rounding="u")
-        log_err = max(table.err_log[i] + self.rfac_f[i][2] for i in range(m + 1))
+        tail = mp.fdiv(mp.fmul(table.abs_moment(m + 1), rfac_up, rounding="u"), shrink, rounding="u")
+        log_err = max(table.scale(i) + math.log2(table.errors[i]) + log_rfac[i] for i in range(m + 1))
         error = mp.ldexp(m + 1, math.ceil(log_err) + 1)
-        S = math.ceil(log_bmax) if log_bmax > -math.inf else 0
-        mu, rf = table.mu_f[: m + 1], self.rfac_f[: m + 1]
-        # Re and Im of each float moment times the float r^m/m!, scaled exactly
-        mant = np.array([u for u, _, _ in mu]).view(np.float64) * np.repeat([v for v, _, _ in rf], 2)
-        shift = np.repeat([e + g - S for (_, e, _), (_, g, _) in zip(mu, rf)], 2)
-        return np.ldexp(mant, shift).view(np.complex128), S, tail, error
+        P = table.F + 2 - (math.ceil(log_bmax) if log_bmax > -math.inf else 0)
+        B = []
+        for i, ((re, im), (num, den)) in enumerate(zip(table.sums, rfac[: m + 1])):
+            shift = table.scale(i) + i * r_exp + P
+            if shift >= 0:
+                B.append(((re * num << shift) // den, (im * num << shift) // den))
+            else:
+                B.append((re * num // (den << -shift), im * num // (den << -shift)))
+        return P, B, tail, error
+
+    def allowance(self):
+        """D = error + 2^{1-P} (L+1) >= sum_{m<=L} |b_m - B_m 2^-P|, formed exactly."""
+        return mp.fadd(self.error, mp.ldexp(len(self.B), 1 - self.P), exact=True)
 
     def scan(self):
         """Float values 2^-S f(t_i) at every grid point, and the window's inputs.
@@ -393,59 +384,43 @@ class _CircleGrid:
         |vals_i - 2^-S f(t_i)|, f(t_i) evaluated at working precision as
         level_max does.
         """
-        M, coef, S = self.M, self.coef, self.S
-        L = len(coef) - 1
+        M, L, S = self.M, len(self.B) - 1, self.table.F + 2 - self.P
+        unit = 1 << (self.table.F + 2)  # 2^-S b_m is about B_m 2^-(P+S), P + S = F + 2
+        coef = np.array([complex(re / unit, im / unit) for re, im in self.B])  # int / int rounds once
         folded = np.zeros(M, dtype=np.complex128)
         np.add.at(folded, np.arange(L + 1) % M, coef)
         q = min(L + 1, M)
         vals = self.twiddle[np.outer(np.arange(M), np.arange(q)) % M] @ folded[:q]
-        # float underflow; truncation, moments and working precision
-        extra = (L + M + 8) * 2.0**-1060 + float(mp.ldexp(self.tail + self.error + self.work, -S))
-        # each coefficient carries three roundings (float moment, float
-        # r^m/m!, their product); then twiddles, folding and the dot product
-        return vals, 2 * L + 66, float(np.abs(coef).sum()), extra, S
+        # float underflow; the allowance D, truncation and working precision
+        extra = (L + M + 8) * 2.0**-1060 + float(mp.ldexp(self.allowance() + self.tail + self.work, -S))
+        # one rounding per coefficient; then twiddles, folding and the dot product
+        return vals, 2 * L + 64, float(np.abs(coef).sum()), extra, S
 
     def row(self, i: int):
-        row = self.rows.get(i)
-        if row is None:
-            t = self.r * mp.exp(mp.mpc(0, i * self.step))
-            row = self.rows[i] = [mp.exp(a * t) for a in self.exps]
-        return row
+        """[e^{a t_i}] at grid point i, at working precision."""
+        t = self.r * mp.exp(mp.mpc(0, i * self.step))
+        return [mp.exp(a * t) for a in self.exps]
 
     def level_max(self):
         """Grid max of |f| = |sum c_k e^{a_k t}|, an attained value."""
         vals, n, size, extra, _ = self.scan()
         return _largest(self.table.coeffs, map(self.row, _near_max(vals, n, size, extra).tolist()))
 
-    def coefficients(self):
-        """P and the Gaussian integers B_m, b'_m 2^P floored in each part, for m <= L."""
-        table, P = self.table, self.table.F + 2 - self.S
-        B, num, den = [], 1, 1
-        for m in range(len(self.coef)):
-            (re, im), shift = table.sums[m], table.scale(m) + m * self.r_exp + P
-            if shift >= 0:
-                B.append(((re * num << shift) // den, (im * num << shift) // den))
-            else:
-                B.append((re * num // (den << -shift), im * num // (den << -shift)))
-            num, den = num * self.r_man, den * (m + 1)
-        return P, B
-
     def autocorrelation(self):
-        """P and rho_0 + 2 sum_{k>=1} (isqrt |rho_k|^2 + 1) >= sum_{|k|<=L} |rho_k|, rho_k = sum_m B_{m+k} conj(B_m)."""
-        P, B = self.coefficients()
-        re, im = [x for x, _ in B], [y for _, y in B]
+        """rho_0 + 2 sum_{k>=1} (isqrt |rho_k|^2 + 1) >= sum_{|k|<=L} |rho_k|, rho_k = sum_m B_{m+k} conj(B_m)."""
+        re, im = [x for x, _ in self.B], [y for _, y in self.B]
         total = sum(map(mul, re, re)) + sum(map(mul, im, im))  # rho_0
-        for k in range(1, len(B)):
+        for k in range(1, len(self.B)):
             u = sum(map(mul, re[k:], re)) + sum(map(mul, im[k:], im))
             v = sum(map(mul, im[k:], re)) - sum(map(mul, re[k:], im))
             total += 2 * (math.isqrt(u * u + v * v) + 1)
-        return P, total
+        return total
 
     def certificate(self):
         """The autocorrelation bound sqrt(sum_k |rho_k|) + D + tail on sup |f|, rounded up (see the module docstring)."""
-        P, total = self.autocorrelation()
-        units = math.isqrt(total) + 1 + 2 * len(self.coef)  # the root, and 2^{1-P} (L+1) for the floors of B
-        units += int(mp.ceil(mp.ldexp(self.error, P))) + int(mp.ceil(mp.ldexp(self.tail, P)))
+        P = self.P
+        units = math.isqrt(self.autocorrelation()) + 1  # the root
+        units += int(mp.ceil(mp.ldexp(self.allowance(), P))) + int(mp.ceil(mp.ldexp(self.tail, P)))
         return mp.ldexp(mp.mpf(units, rounding="c"), -P)
 
 

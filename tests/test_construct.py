@@ -344,12 +344,12 @@ def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
                 assert float(lower) == CERT_LOWER[n - 1], f"n={n}"
 
 
-def test_levels_formed_on_demand(table_builds):
+def test_moments_formed_on_demand(table_builds):
     # the certificate's one working-precision scan, the grid-only r = N/n
     # circle, reads the integer power sums its float scan needs: 73 moments
     witness_certificate(5, ALPHAS[0])
     (table,) = table_builds
-    assert len(table.mu_f) == 73
+    assert len(table.sums) == 73
 
 
 def test_suite_witness_reads_one_table_per_degree(table_builds):

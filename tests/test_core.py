@@ -293,3 +293,13 @@ def test_poly2_validation():
 def test_expsum_rejects_duplicate_exponents():
     with pytest.raises(ValueError):
         ExpSum(((1, 1), (2, 1)))
+    with pytest.raises(ValueError):
+        ExpSum(((1, 1), (2, mp.mpc(1))))  # the same value, as mpf and as mpc
+
+
+def test_expsum_tells_apart_exponents_that_differ_at_working_precision():
+    # 1 and 1 + 2^-230 agree to 69 decimal digits but differ at 256 bits
+    with mp.workprec(256):
+        near = 1 + mp.mpf(2) ** -230
+    f = ExpSum(((1, 1), (-1, near)))
+    assert len(f.terms) == 2

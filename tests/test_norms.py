@@ -145,23 +145,14 @@ def test_norm_on_bidisk_known_values():
 
 def _full_scan_level_max(grid):
     """Reference grid max: every grid point at working precision."""
-    scaled = grid.table.coeffs
-    table = grid.__dict__.get("full_table")
-    if table is None:
-        step = 2 * mp.pi / grid.M
-        table = []
-        for i in range(grid.M):
-            t = grid.r * mp.exp(mp.mpc(0, i * step))
-            table.append([mp.exp(a * t) for a in grid.exps])
-        grid.full_table = table
+    step = 2 * mp.pi / grid.M
     best = mp.mpf(0)
-    for row in table:
+    for i in range(grid.M):
+        t = grid.r * mp.exp(mp.mpc(0, i * step))
         s = mp.mpc(0)
-        for d, e in zip(scaled, row):
-            s += d * e
-        v = abs(s)
-        if v > best:
-            best = v
+        for d, a in zip(grid.table.coeffs, grid.exps):
+            s += d * mp.exp(a * t)
+        best = max(best, abs(s))
     return best
 
 
@@ -233,27 +224,38 @@ def test_preselection_matches_full_scan_higher_degree(monkeypatch):
 def test_float_scan_within_window():
     # every float grid value lies within E of the working-precision
     # value, E the bound the preselection window uses
-    sums = {}
+    cases = []
     for n in (1, 2, 3):
         for re, im in STANDARD_ALPHAS[:2]:
             alpha = make_alpha(re, im)
-            sums[f"witness n={n} alpha={re}+{im}i"] = compose_to_expsum(build_witness(n, alpha, BITS).p, alpha, BITS)
+            f = compose_to_expsum(build_witness(n, alpha, BITS).p, alpha, BITS)
+            cases += [(f"witness n={n} alpha={re}+{im}i r={r}", f, r) for r in (1, 2)]
     rng = random.Random(SEED + 6)
     for trial in range(3):
         alpha = make_alpha(rng.uniform(-0.7, 0.7), rng.uniform(0.1, 0.7))
-        sums[f"random {trial}"] = compose_to_expsum(random_poly(rng, rng.randint(1, 3)), alpha, BITS)
+        f = compose_to_expsum(random_poly(rng, rng.randint(1, 3)), alpha, BITS)
+        cases += [(f"random {trial} r={r}", f, r) for r in (1, 2)]
+    # the witnesses' r = N/n circles at 0.5i, and the radii 14/3 and 27/5
+    # on the same sums: r_man is then a full-precision integer, and the
+    # floors of B_m enter the window
+    for n, ratio in ((3, (14, 3)), (5, (27, 5))):
+        w = build_witness(n, make_alpha(0.0, 0.5), BITS)
+        with mp.workprec(BITS):
+            cases += [(f"witness n={n} r=N/n", w.f, w.r), (f"witness n={n} r={ratio}", w.f, mp.mpf(ratio[0]) / ratio[1])]
+    # |a| = 150 and 400: sum |c||a|^k far past the float64 range
+    cases.append(("cosh 150 t", ExpSum(((1, 150), (1, -150))), 1))
+    cases.append(("|a| = 400", ExpSum(((1, 400), (-1j, 400j), (mp.mpc(0.5, 0.5), mp.mpc(-240, 320)))), 1))
     with mp.workprec(BITS):
-        for tag, f in sums.items():
+        for tag, f, r in cases:
             coeffs = [mp.mpc(c) for c, _ in f.terms]
-            for r in (1, 2):
-                grid = _CircleGrid(_Moments(f.terms, BITS), mp.mpf(r), 64)
-                vals, n, size, extra, S = grid.scan()
-                E = mp.mpf(_window(float(np.abs(vals).max()), n, size, extra))
-                for i, v in enumerate(vals.tolist()):
-                    s = mp.mpc(0)
-                    for d, e in zip(coeffs, grid.row(i)):
-                        s += d * e
-                    assert abs(mp.mpc(v) - s * mp.ldexp(1, -S)) <= E, f"{tag} r={r} i={i}"
+            grid = _CircleGrid(_Moments(f.terms, BITS), mp.mpf(r), 64)
+            vals, n, size, extra, S = grid.scan()
+            E = mp.mpf(_window(float(np.abs(vals).max()), n, size, extra))
+            for i, v in enumerate(vals.tolist()):
+                s = mp.mpc(0)
+                for d, e in zip(coeffs, grid.row(i)):
+                    s += d * e
+                assert abs(mp.mpc(v) - s * mp.ldexp(1, -S)) <= E, f"{tag} i={i}"
 
 
 def _reference_moments(terms, count):
@@ -298,7 +300,7 @@ def test_integer_moments_within_their_bound(monkeypatch):
         monkeypatch.setattr(norms, "_last_moments", None)
         norm_on_circle(f, r, 512, BITS, certify=False)
         table = norms._last_moments
-        count, K = len(table.mu_f), len(f.terms)
+        count, K = len(table.sums), len(f.terms)
         mu, abs_mu = _reference_moments(f.terms, count)
         with mp.workprec(2 * BITS):
             for k in range(count):
@@ -377,8 +379,8 @@ def test_integer_autocorrelation_within_its_allowance():
     for tag, (f, r) in cases.items():
         with mp.workprec(BITS):
             grid = _CircleGrid(_Moments(f.terms, BITS), mp.mpf(r), 64)
-            P, B = grid.coefficients()
-            _, total = grid.autocorrelation()
+            P, B = grid.P, grid.B
+            total = grid.autocorrelation()
         L = len(B) - 1
         re, im = [x for x, _ in B], [y for _, y in B]
         with mp.workprec(8 * BITS):  # exact enough for integers of 2 (BITS + 66) bits
