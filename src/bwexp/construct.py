@@ -32,18 +32,19 @@ bits >= required_witness_bits(n) and checks the power sums mu_0..mu_N
 of the normalized witness after the fact, from the exact integer sums
 of the norms.moment_table; both failure modes raise with a message
 telling the caller to increase precision.  witness_certificate reads
-the same table for both of its circles: the K norm is the unit
-circle's certificate (norms.norm_on_circle, the autocorrelation sum of
-the Taylor coefficients), and the growth factor is the grid maximum at
-r = N/n.  The direct evaluation of the grid maximum cancels more than
-the moments do: on |t| = 1, f is about 1/(wmax N!) (Cauchy's estimate
-bounds its sup below by that Taylor coefficient), its terms about
-e^{max|a|}.  Where that leaves less than 64 bits above the rounding
-bound, witness_certificate evaluates the circle at the precision
-norm_on_circle names.  At the floor, the unit circle took 9 to 55 bits
-more for n <= 12 at 0.5i, 0.3+0.4i and 0.1+-0.1i, for n <= 7 at
--0.2+0.6i and for n <= 2 at 3i; the r = N/n circle took more for
-n <= 2 (n <= 3 at 0.1+-0.1i).
+the same table for both of its circles (norms.moment_table keeps two,
+so a circle evaluated again at more bits does not evict it): the K
+norm is the unit circle's certificate (norms.norm_on_circle, the
+autocorrelation sum of the Taylor coefficients), and the growth factor
+is the grid maximum at r = N/n.  The direct evaluation of the grid
+maximum cancels more than the moments do: on |t| = 1, f is about
+1/(wmax N!) (Cauchy's estimate bounds its sup below by that Taylor
+coefficient), its terms about e^{max|a|}.  Where that leaves less than
+64 bits above the rounding bound, witness_certificate evaluates the
+circle at the precision norm_on_circle names.  At the floor, the unit
+circle took 9 to 55 bits more for n <= 12 at 0.5i, 0.3+0.4i and
+0.1+-0.1i, for n <= 7 at -0.2+0.6i and for n <= 2 at 3i; the r = N/n
+circle took more for n <= 2 (n <= 3 at 0.1+-0.1i).
 """
 
 from __future__ import annotations
@@ -251,19 +252,17 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
     |t| = 1 over `grid` points: the working-precision grid maximum and
     the autocorrelation certificate.  circle_sup is the grid maximum at
     radius r (default N/n).  Both read the moment table build_witness
-    checked the vanishing order on (norms keeps the latest table), unless
-    a circle's grid maximum would be rounding noise at bits: that circle
-    is evaluated again at the precision norm_on_circle's PrecisionError
-    names.  The grid and the radius are checked before the witness is
-    built.
+    checked the vanishing order on (norms.moment_table keeps the last
+    two), unless a circle's grid maximum would be rounding noise at bits:
+    that circle is evaluated again at the precision norm_on_circle's
+    PrecisionError names, on a table of its own.  The grid and the
+    radius are checked before the witness is built.
     """
     require_grid(grid)
     with mp.workprec(bits):
         radius = None if r is None else _checked_radius(r)
     w = build_witness(n, alpha, bits)
     radius = w.r if radius is None else radius
-    # r = N/n first: a K circle evaluated again builds a table at more
-    # bits, and norms keeps only the latest
     circle = _circle(w.f, radius, grid, bits, certify=False)
     normk = _circle(w.f, 1, grid, bits)
     lower = witness_lower_bound(w, radius, normk, circle)

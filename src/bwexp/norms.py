@@ -44,6 +44,15 @@ exponentials and M K multiply-adds, so the grid is scanned in float64
 first and only the candidates it cannot rule out are evaluated at
 working precision.
 
+Every float64 grid scan, here and in solver, reads one table of the M
+roots of unity, unit_roots(M), whose entry m is within 23u (u = 2^-53)
+of e^{2 pi i m/M}.  NumPy forms the phase as fl(fl(2 fl(pi) m) fl(1/M)),
+dividing by the complex M through its rounded reciprocal: pi's rounding
+(0.36u) and three more put it within 3.4u of 2 pi m/M relative, below
+21.4u absolute, and its cos and sin are each within one ulp of a value
+below 1 in modulus, at most u.  Measured: at most 14.4u (M = 196) over
+M = 8..199 and ten larger M.
+
 * f(t_i) = sum_m b_m w^{im}, w = e^{2 pi i/M}: a length-M DFT of the
   Taylor coefficients, folded mod M, evaluated as a float64
   matrix-vector product.
@@ -55,10 +64,11 @@ working precision.
   integer bound on the truncation error of each moment, at most
   (k + K + 2) 2^-bits sum |c||a|^k on the witnesses and random sums
   the tests check, is kept beside it.  So are integer upper bounds on
-  sum |c||a|^k, which cannot overflow.  The latest table is kept, so
-  a witness's vanishing check (construct.build_witness reads its
-  mu_0..mu_N) and its r = N/n circle share one table and form each
-  moment once.
+  sum |c||a|^k, which cannot overflow.  The last two tables are kept
+  (moment_table), so a witness's vanishing check
+  (construct.build_witness reads its mu_0..mu_N) and its circles share
+  one table and form each moment once, even where one circle is
+  evaluated again at more bits.
 * The scan reads the certificate's Gaussian integers B_m, formed once
   per grid.  L and S are picked from float log2 values of the table's
   integers and of r^m/m! = r_man^m 2^{m r_exp}/m!, and since
@@ -78,7 +88,8 @@ working precision.
   the tail, and the working-precision rounding of the direct
   evaluation, a multiple of 2^-bits T_0 with T_0 = sum |c| e^{r|a|}.
   The gamma count covers the one rounding of each coefficient, the
-  twiddle factors, folding and the dot product; a product of n factors
+  roots' 23u each (gamma_23, see above), folding and the dot product,
+  gamma_{2L+30} in all; a product of n factors
   (1 + delta), |delta| <= u, is 1 + theta with |theta| <= gamma_n
   (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
   Lemma 3.1).
@@ -100,23 +111,26 @@ certified upper is the coefficient sum ||P||_{bidisk} <= sum |c_jk|.
 The grid maximum is found like a circle's, but needs no moments.
 
 * P(w^a, w^b) = sum c_jk w^{(aj+bk) mod M}: a float64 sum of T terms
-  over one table of the M roots w^m (made at working precision), the
-  coefficients scaled by a power of two.
+  over the table unit_roots(M), the coefficients scaled by a power of
+  two.
 * A point is kept when its float modulus is within 2E of the float
-  maximum.  E adds the float rounding 2 gamma_{T+64} sum|c| (conversion
-  of coefficients and roots, products, sum), an underflow allowance and
+  maximum.  E adds the float rounding 2 gamma_{T+64} sum|c| (the
+  conversion of each coefficient, the roots' 23u each as above, the
+  products and the sum: gamma_{T+26} in all), an underflow allowance and
   the working-precision rounding 8 (T + 4) 2^-bits sum|c|.  With every
   degree below M, Parseval on the grid gives max |P| >= sum|c|/sqrt(T),
   so the window is narrow relative to the maximum.
 * Each distinct tuple of phase indices (aj+bk) mod M among the kept
   points, which fixes the working-precision value, is evaluated once by
   _largest: exact ties collapse (the M^2 points of z w share M tuples).
+  Only the working-precision roots w^m those tuples read are formed.
   The working-precision maximizer is always kept, so grid_max is the
   maximum of a full working-precision scan: an attained value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -133,6 +147,11 @@ def require_grid(M: int) -> None:
     """Raise unless a circle or torus grid has at least GRID_FLOOR points."""
     if M < GRID_FLOOR:
         raise ValueError(f"grid needs at least {GRID_FLOOR} points, got {M}")
+
+
+def unit_roots(M: int) -> np.ndarray:
+    """The float64 table of the M roots e^{2 pi i m/M}, each within 23u of its value (see the module docstring)."""
+    return np.exp(2j * np.pi * np.arange(M) / M)
 
 
 @dataclass(frozen=True)
@@ -229,7 +248,7 @@ class _Moments:
     """
 
     def __init__(self, terms, bits: int):
-        self.terms, self.bits = terms, bits
+        self.bits = bits
         self.coeffs = [mp.mpc(c) for c, _ in terms]
         self.exps = [mp.mpc(a) for _, a in terms]
         self.abs_exps = [abs(a) for a in self.exps]
@@ -277,22 +296,18 @@ class _Moments:
         return mp.ldexp(mp.mpf(self.abs_sums[k], rounding="c"), self.scale(k))
 
 
-_last_moments = None  # the latest table asked for
+_cached_moments = functools.lru_cache(maxsize=2)(_Moments)
 
 
 def moment_table(f: ExpSum, bits: int) -> _Moments:
-    """f's moment table at bits, the latest one again when f.terms and bits match.
+    """f's moment table at bits, one of the last two again when f.terms and bits match.
 
-    One entry is kept, so the uses of one ExpSum that come in a row (a
-    witness's vanishing check and its r = N/n circle) share a table, and
-    no more than one table outlives its call.  Call inside
+    Two entries are kept, so the uses of one ExpSum (a witness's
+    vanishing check and its circles, one of them at more bits) share a
+    table, and no more than two tables outlive their calls.  Call inside
     mp.workprec(bits).
     """
-    global _last_moments
-    terms = tuple(f.terms)  # a copy if a caller passed a list it may change
-    if _last_moments is None or (_last_moments.terms, _last_moments.bits) != (terms, bits):
-        _last_moments = _Moments(terms, bits)
-    return _last_moments
+    return _cached_moments(tuple(f.terms), bits)  # hashable, and a copy of a list a caller may change
 
 
 class _CircleGrid:
@@ -310,7 +325,6 @@ class _CircleGrid:
         self.weights = [abs(c) * mp.exp(r * x) for c, x in zip(table.coeffs, table.abs_exps)]  # |c| e^{r|a|}
         self.noise = mp.ldexp(sum(self.weights), -table.bits)  # 2^-bits T_0
         self.step = 2 * mp.pi / M
-        self.twiddle = np.exp(2j * np.pi * np.arange(M) / M)
         self.P, self.B, self.tail, self.error = self.taylor()
         # rounding of the direct evaluation, whose exponent a t_i carries
         # an error of order r|a| 2^-bits (the integer moments' own error
@@ -390,10 +404,10 @@ class _CircleGrid:
         folded = np.zeros(M, dtype=np.complex128)
         np.add.at(folded, np.arange(L + 1) % M, coef)
         q = min(L + 1, M)
-        vals = self.twiddle[np.outer(np.arange(M), np.arange(q)) % M] @ folded[:q]
+        vals = unit_roots(M)[np.outer(np.arange(M), np.arange(q)) % M] @ folded[:q]
         # float underflow; the allowance D, truncation and working precision
         extra = (L + M + 8) * 2.0**-1060 + float(mp.ldexp(self.allowance() + self.tail + self.work, -S))
-        # one rounding per coefficient; then twiddles, folding and the dot product
+        # one rounding per coefficient; then the roots, folding and the dot product
         return vals, 2 * L + 64, float(np.abs(coef).sum()), extra, S
 
     def row(self, i: int):
@@ -491,10 +505,8 @@ def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEsti
         if csum == 0:
             return NormEstimate(mp.mpf(0), mp.mpf(0))
         T = len(coeffs)
-        step = 2 * mp.pi / M
-        roots = [mp.exp(mp.mpc(0, m * step)) for m in range(M)]
         scale = mp.ldexp(1, -mp.mag(max(abs(c) for c in coeffs)))
-        twiddle = np.array([complex(w) for w in roots])
+        twiddle = unit_roots(M)
         jk = np.array([ix for ix, _ in items])
         ar = np.arange(M)
         vals = np.zeros((M, M), dtype=np.complex128)
@@ -505,8 +517,10 @@ def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEsti
         a, b = np.divmod(_near_max(vals, T + 64, float(csum * scale), extra), M)
         keys = (np.outer(a, jk[:, 0]) + np.outer(b, jk[:, 1])) % M
         keys = keys[np.lexsort(keys.T)]  # equal keys adjacent, evaluated once
-        distinct = keys[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]].tolist()
-        return NormEstimate(_largest(coeffs, ([roots[m] for m in key] for key in distinct)), csum)
+        distinct = keys[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]]
+        step = 2 * mp.pi / M
+        roots = {m: mp.exp(mp.mpc(0, m * step)) for m in set(distinct.ravel().tolist())}
+        return NormEstimate(_largest(coeffs, ([roots[m] for m in key] for key in distinct.tolist())), csum)
 
 
 def bw_envelope(z, w, normk, en, n: int, bits: int = DEFAULT_BITS):

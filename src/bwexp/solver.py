@@ -16,7 +16,15 @@ from both sides:
     by ln(bidisk grid max / first-order K bound), a float64 lower
     estimate without a rounding allowance.  That circle is the LP's
     only at the default circle_points; a coarser LP (circle_points=128,
-    say) still scores the oracle on 512 points.
+    say) still scores the oracle on 512 points.  Candidates are scored
+    in chunks of _BOUND_CHUNK, and a chunk of random trials is skipped
+    when a cheap upper bound on each of its scores (sum|c| over the
+    torus, every 16th circle point below) lies below the best score so
+    far.  On the benchmark's solve inputs (n = 1, 2, 3 at 0.5i, 1000
+    trials) the deterministic candidates of the first chunk beat every
+    trial's bound by 0.3 nats or more at seeds 0 to 4, so no other chunk
+    is scored.  Both grids, like every float64 grid here, read
+    norms.unit_roots.
 
 The LP's variables are Newton coefficients d: f = Psi d and c = W d,
 where column k of Psi is psi_k(t) = [a_0..a_k] e^{a t} over the nodes,
@@ -110,7 +118,7 @@ from .core import (
     require_degree,
     space_dimension,
 )
-from .norms import GRID_FLOOR
+from .norms import GRID_FLOOR, unit_roots
 
 
 def _load_highs_core():
@@ -282,7 +290,7 @@ class _WorkingSetLP:
         self.psi = psi
         self.M1 = psi.shape[0]
         self.S = S
-        self.phases = np.exp(2j * np.pi * np.arange(S) / S)
+        self.phases = unit_roots(S)
         # at least one circle point per coefficient, or the first LP is unbounded
         stride = self.M1 // max(_BASE_POINTS, psi.shape[1])
         self.base = {
@@ -403,6 +411,12 @@ class _DualBounds:
          incumbent's dual support, where the neighbouring candidates'
          optima lean on the same constraints); inf when T has fewer than
          N points or A A^H is singular.
+
+    Every tier carries the factor sec(pi/S), 1.0012 at S = 64, so a
+    candidate whose LP value lies closer than that below the incumbent
+    is seldom skipped: at 0.5i the two such candidates (n = 2 and 3,
+    0.052 % and 0.046 % below) stayed above it even with weights near
+    the l1 optimum on the support.
     """
 
     def __init__(self, psi: np.ndarray, S: int, rows: np.ndarray):
@@ -463,7 +477,7 @@ class _DualBounds:
 def _torus_monomials(n: int, M2: int) -> np.ndarray:
     """Monomial vectors m (rows, canonical order) at the M2 x M2 torus grid points."""
     idx = canonical_indices(n)
-    zgrid = np.exp(2j * np.pi * np.arange(M2) / M2)
+    zgrid = unit_roots(M2)
     jpow = np.array([[z ** jk.j for jk in idx] for z in zgrid])
     kpow = np.array([[z ** jk.k for jk in idx] for z in zgrid])
     return (jpow[:, None, :] * kpow[None, :, :]).reshape(M2 * M2, len(idx))
@@ -505,7 +519,7 @@ def _newton_basis(a: np.ndarray, M1: int):
     """
     K = len(a)
     J = newton_terms(float(np.abs(a).max()))
-    t = np.exp(2j * np.pi * np.arange(M1) / M1)
+    t = unit_roots(M1)
     m = np.arange(K + J - 1)
     inv_fact = np.cumprod(np.concatenate([[1.0], 1.0 / m[1:]]))
     h = homogeneous_sums(a, J)
@@ -591,7 +605,9 @@ def en_random_search(
     M = _ORACLE_CIRCLE_POINTS = 512 points, whatever the LP's
     circle_points.  That K bound is first order and evaluated in float64
     with no rounding allowance, so the score is an estimate of a lower
-    bound on e_n(alpha), not a certified one.
+    bound on e_n(alpha), not a certified one.  Chunks of trials that
+    cannot beat the best score so far are skipped (see the module
+    docstring), which changes no value.
     """
     require_degree(n)
     _require_search_inputs(trials, seed)
@@ -599,8 +615,7 @@ def en_random_search(
     idx = canonical_indices(n)
     ncoef = len(idx)
     nodes = _nodes_f64(n, alpha, bits)
-    t = np.exp(2j * np.pi * np.arange(_ORACLE_CIRCLE_POINTS) / _ORACLE_CIRCLE_POINTS)
-    E = np.exp(np.outer(t, nodes))
+    E = np.exp(np.outer(unit_roots(_ORACLE_CIRCLE_POINTS), nodes))
     mono = _torus_monomials(n, grid_points)
     deriv_weight = (np.pi / _ORACLE_CIRCLE_POINTS) * np.abs(nodes) * np.exp(np.abs(nodes))
 
@@ -613,8 +628,17 @@ def en_random_search(
     v = default_rng(seed).standard_normal((trials, 2 * ncoef))
     cols = np.concatenate([fixed, v[:, :ncoef] + 1j * v[:, ncoef:]]).T
 
+    # a column scores at most ln sum|c| - ln(max over every 16th circle
+    # point |E c| + deriv_weight @ |c|): |P| <= sum|c| on the torus, and a
+    # subset's maximum is at most the full one
+    absc = np.abs(cols)
+    bound = np.log(absc.sum(axis=0)) - np.log(np.abs(E[::16] @ cols).max(axis=0) + deriv_weight @ absc)
     best = -math.inf
     for lo in range(0, cols.shape[1], _BOUND_CHUNK):
+        # chunk 0 holds the deterministic candidates; 1e-9 dwarfs the
+        # float rounding of either side (about 1e-14)
+        if lo and bound[lo:lo + _BOUND_CHUNK].max() < best - 1e-9:
+            continue
         c = cols[:, lo:lo + _BOUND_CHUNK]
         top = np.abs(mono @ c).max(axis=0)
         certk = np.abs(E @ c).max(axis=0) + deriv_weight @ np.abs(c)

@@ -201,7 +201,7 @@ def suite_witness(level: str, bits: int) -> Iterator[str | None]:
     growth is measured against the K certificate of witness_certificate;
     the r = N/n circle is witness_certificate's too.  The residual
     check, the K circle and the radii read one moment table: all read
-    w.f, and norms keeps the table.
+    w.f, and norms.moment_table keeps it.
     """
     n_max = 6 if level == "full" else 3
     wbits = 512 if level == "full" else bits

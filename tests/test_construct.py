@@ -311,11 +311,11 @@ def table_builds(monkeypatch):
         init(table, *args)
 
     monkeypatch.setattr(norms._Moments, "__init__", counting_init)
-    monkeypatch.setattr(norms, "_last_moments", None)
+    norms._cached_moments.cache_clear()
     return builds
 
 
-def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
+def test_certificate_circles_share_one_moment_table(table_builds):
     # the vanishing check, the K circle and the r = N/n circle read one
     # moment table, built once per certificate, and both circles report
     # exactly what an estimate with its own table reports
@@ -327,7 +327,7 @@ def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
         assert len(table_builds) == 1, f"n={n}"
         # the oracle rebuilds the certificate's witness from its table
         table_builds.clear()
-        monkeypatch.setattr(norms, "_last_moments", None)
+        norms._cached_moments.cache_clear()
         en_bracket(n, ALPHAS[0], SMALL_LP, trials=10)
         assert len(table_builds) == 1, f"n={n}"
     for alpha in ALPHAS[:2]:
@@ -336,9 +336,9 @@ def test_certificate_circles_share_one_moment_table(table_builds, monkeypatch):
             w, normk, circle, lower = witness_certificate(n, alpha)
             assert len(table_builds) == 1, f"n={n}"
             f = compose_to_expsum(w.p, alpha, BITS)
-            monkeypatch.setattr(norms, "_last_moments", None)
+            norms._cached_moments.cache_clear()
             assert norm_on_K(w.p, alpha, 512, BITS) == normk, f"n={n}"
-            monkeypatch.setattr(norms, "_last_moments", None)
+            norms._cached_moments.cache_clear()
             assert norm_on_circle(f, w.r, 512, BITS, certify=False) == circle, f"n={n}"
             if alpha is ALPHAS[0]:
                 assert float(lower) == CERT_LOWER[n - 1], f"n={n}"

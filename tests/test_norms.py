@@ -23,6 +23,7 @@ from bwexp.norms import (
     norm_on_bidisk,
     norm_on_circle,
     norm_on_K,
+    unit_roots,
 )
 
 SEED = 20240814
@@ -221,6 +222,15 @@ def test_preselection_matches_full_scan_higher_degree(monkeypatch):
         assert fast[tag].certified_upper == slow.certified_upper, tag
 
 
+def test_unit_roots_within_their_bound():
+    # each float root is within the 23u the grid windows allow for it
+    with mp.workprec(BITS):
+        for M in (8, 12, 64, 512, 4096):
+            step = 2 * mp.pi / M
+            for m, w in enumerate(unit_roots(M).tolist()):
+                assert abs(mp.mpc(w) - mp.exp(mp.mpc(0, m * step))) <= 23 * mp.mpf(2) ** -53, f"M={M} m={m}"
+
+
 def test_float_scan_within_window():
     # every float grid value lies within E of the working-precision
     # value, E the bound the preselection window uses
@@ -280,7 +290,7 @@ def _reference_moments(terms, count):
     return mu, abs_mu
 
 
-def test_integer_moments_within_their_bound(monkeypatch):
+def test_integer_moments_within_their_bound():
     # each integer power sum is within its tracked bound of mu_k, and the
     # bound is at most (k + K + 2) 2^-bits sum|c||a|^k, the rounding
     # allowance of a working-precision power sum; the abs sums are upper
@@ -297,9 +307,11 @@ def test_integer_moments_within_their_bound(monkeypatch):
         alpha = make_alpha(rng.uniform(-0.7, 0.7), rng.uniform(0.1, 0.7))
         sums[f"random {trial}"] = (compose_to_expsum(random_poly(rng, n), alpha, BITS), mp.mpf(space_dimension(n)) / n)
     for tag, (f, r) in sums.items():
-        monkeypatch.setattr(norms, "_last_moments", None)
+        norms._cached_moments.cache_clear()
         norm_on_circle(f, r, 512, BITS, certify=False)
-        table = norms._last_moments
+        with mp.workprec(BITS):
+            table = norms.moment_table(f, BITS)
+        assert norms._cached_moments.cache_info().currsize == 1, tag
         count, K = len(table.sums), len(f.terms)
         mu, abs_mu = _reference_moments(f.terms, count)
         with mp.workprec(2 * BITS):
@@ -469,7 +481,8 @@ def test_bidisk_preselection_matches_full_scan():
             polys[f"z + w + {sign} 2^-60 z w"] = Poly2(
                 2, {MultiIndex(1, 0): 1, MultiIndex(0, 1): 1, MultiIndex(1, 1): sign * tiny}
             )
-    for M in (16, 32):
+    # M = 12: the roots' float error is the largest measured
+    for M in (12, 16, 32):
         for tag, p in polys.items():
             est = norm_on_bidisk(p, M, BITS)
             grid_max, csum = _full_scan_bidisk(p, M)

@@ -37,6 +37,7 @@ from bwexp.solver import (
     _lp_problem,
     _newton_basis,
     _nodes_f64,
+    _torus_monomials,
     _WorkingSetLP,
     en_bracket,
     en_lp_estimate,
@@ -483,6 +484,61 @@ def test_oracle_matches_per_trial_reference(monkeypatch, n, grid_points):
             assert got == pytest.approx(want, abs=1e-12), (trials, seed)
             if trials == 200:
                 assert got > fixed_only + 1e-6, seed
+
+
+def _chunk_loop_reference(n, alpha, trials, seed, grid_points, witness, bits=256):
+    """The oracle scoring every chunk of 64 candidates, none skipped."""
+    idx = canonical_indices(n)
+    ncoef = len(idx)
+    nodes = _nodes_f64(n, alpha, bits)
+    t = np.exp(2j * np.pi * np.arange(512) / 512)
+    E = np.exp(np.outer(t, nodes))
+    mono = _torus_monomials(n, grid_points)
+    deriv_weight = (np.pi / 512) * np.abs(nodes) * np.exp(np.abs(nodes))
+    fixed = np.zeros((3, ncoef), dtype=np.complex128)
+    fixed[0, idx.index((1, 0))] = 1.0
+    fixed[1, idx.index((0, 1))] = 1.0
+    fixed[2] = [complex(witness.p.coefficient(jk.j, jk.k)) for jk in idx]
+    v = np.random.default_rng(seed).standard_normal((trials, 2 * ncoef))
+    cols = np.concatenate([fixed, v[:, :ncoef] + 1j * v[:, ncoef:]]).T
+    best = -math.inf
+    for lo in range(0, cols.shape[1], 64):
+        c = cols[:, lo:lo + 64]
+        top = np.abs(mono @ c).max(axis=0)
+        certk = np.abs(E @ c).max(axis=0) + deriv_weight @ np.abs(c)
+        best = max(best, float(np.max(np.log(top) - np.log(certk))))
+    return best
+
+
+class _CountingMatrix(np.ndarray):
+    """A matrix that counts the products taken with it on the left."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return self.view(np.ndarray) @ other
+
+
+def test_oracle_skips_only_chunks_that_cannot_win(monkeypatch):
+    # skipped chunks change no bit of the value, also where random trials
+    # win (z in place of the witness); on the solve-default inputs the
+    # deterministic candidates win by far and only their chunk is scored
+    for re, im in ((0.0, 0.5), (0.3, 0.4), (0.0, 3.0), (0.5, 0.05)):
+        alpha = make_alpha(re, im)
+        for n in (1, 2, 3):
+            z = SimpleNamespace(p=Poly2(n, {MultiIndex(1, 0): 1.0}))
+            w = construct.build_witness(n, alpha, max(256, required_witness_bits(n)))
+            for witness, trials, seed, grid in ((w, 1000, 1, 32), (w, 200, 7, 16), (z, 2000, 3, 16)):
+                got = en_random_search(n, alpha, trials, seed, grid_points=grid, witness=witness)
+                want = _chunk_loop_reference(n, alpha, trials, seed, grid, witness)
+                assert repr(got) == repr(want), (re, im, n, trials)
+    monkeypatch.setattr(solver, "_torus_monomials", lambda n, M2: _torus_monomials(n, M2).view(_CountingMatrix))
+    for n in (1, 2, 3):
+        for seed in (0, 1, 2):
+            _CountingMatrix.products = 0
+            en_random_search(n, A05, 1000, seed)
+            assert _CountingMatrix.products == 1, (n, seed)
 
 
 def test_base_pattern_spans_the_coefficients():
