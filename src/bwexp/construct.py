@@ -27,24 +27,26 @@ Gaussian-integer product of node differences (the nodes are dyadic at
 the working precision), rounded once.  The composed sum still cancels:
 its moments mu_m = sum c a^m vanish for m < N, and the Taylor
 coefficients mu_m/m! that the K certificate reads are far below
-sum |c||a|^m/m!.  So the construction enforces
-bits >= required_witness_bits(n) and checks the power sums mu_0..mu_N
-of the normalized witness after the fact, from the exact integer sums
-of the norms.moment_table; both failure modes raise with a message
-telling the caller to increase precision.  witness_certificate reads
-the same table for both of its circles (norms.moment_table keeps two,
-so a circle evaluated again at more bits does not evict it): the K
-norm is the unit circle's certificate (norms.norm_on_circle, the
-autocorrelation sum of the Taylor coefficients), and the growth factor
-is the grid maximum at r = N/n.  The direct evaluation of the grid
-maximum cancels more than the moments do: on |t| = 1, f is about
-1/(wmax N!) (Cauchy's estimate bounds its sup below by that Taylor
-coefficient), its terms about e^{max|a|}.  Where that leaves less than
-64 bits above the rounding bound, witness_certificate evaluates the
-circle at the precision norm_on_circle names.  At the floor, the unit
-circle took 9 to 55 bits more for n <= 12 at 0.5i, 0.3+0.4i and
-0.1+-0.1i, for n <= 7 at -0.2+0.6i and for n <= 2 at 3i; the r = N/n
-circle took more for n <= 2 (n <= 3 at 0.1+-0.1i).
+sum |c||a|^m/m!.  So the construction works at no fewer than
+required_witness_bits(n) bits (a request below that floor is built at
+the floor, and WitnessResult.bits records the precision used) and
+checks the power sums mu_0..mu_N of the normalized witness after the
+fact, from the exact integer sums of the norms.moment_table; a miss
+raises with a message telling the caller to increase precision.
+witness_certificate scans both of its circles at w.bits, reading that
+same table: the K norm is the unit circle's certificate
+(norms.norm_on_circle, the autocorrelation sum of the Taylor
+coefficients), and the growth factor is the grid maximum at r = N/n.
+The direct evaluation of the grid maximum cancels more than the
+moments do: on |t| = 1, f is about 1/(wmax N!) (Cauchy's estimate
+bounds its sup below by that Taylor coefficient), its terms about
+e^{max|a|}.  Where that leaves less than 64 bits above the rounding
+bound, norm_on_circle evaluates the circle again at the precision its
+rule names, on a table of its own (norms.moment_table keeps two, so
+the witness's table is not evicted).  At the floor, the unit circle
+took 9 to 55 bits more for n <= 12 at 0.5i, 0.3+0.4i and 0.1+-0.1i,
+for n <= 7 at -0.2+0.6i and for n <= 2 at 3i; the r = N/n circle took
+more for n <= 2 (n <= 3 at 0.1+-0.1i).
 """
 
 from __future__ import annotations
@@ -64,14 +66,7 @@ from .core import (
     require_degree,
     space_dimension,
 )
-from .norms import (
-    NormEstimate,
-    PrecisionError,
-    moment_table,
-    norm_on_circle,
-    norm_on_K,
-    require_grid,
-)
+from .norms import NormEstimate, moment_table, norm_on_circle, norm_on_K, require_grid
 
 # norm_on_K is re-exported, unused here: the benchmark's tracer
 # (perfbench/tracing.py) wraps construct.norm_on_K
@@ -96,9 +91,10 @@ def required_witness_bits(n: int) -> int:
     fewer than N log2(n+2) bits (about 7 to 128 bits for n <= 12 at
     0.5i, 0.3+0.4i, 0.1+0.1i and 3i).  So the floor keeps about 64 bits
     of the moments that the vanishing check and the K certificate read.
-    It is a floor for the witness, not for the direct evaluation of its
-    K circle's grid maximum, which witness_certificate raises where it
-    needs more (see the module docstring).
+    build_witness raises a lower request to it.  It is a floor for the
+    witness, not for the direct evaluation of its K circle's grid
+    maximum, which norm_on_circle raises where it needs more (see the
+    module docstring).
     """
     N = space_dimension(n)
     return 64 + math.ceil(N * math.log2(n + 2))
@@ -158,7 +154,7 @@ class WitnessResult:
     order: int  # N, the vanishing order at t = 0
     max_residual: object  # mp.mpf, at most 2^-(bits//4)
     r: object  # mp.mpf, the evaluation radius N/n
-    bits: int
+    bits: int  # the precision used: the caller's, or required_witness_bits(n) if more
     alpha: AlphaParam
     f: ExpSum
     wmax: object  # mp.mpf
@@ -168,18 +164,15 @@ def build_witness(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> Witnes
     """Construct the order-N witness for (n, alpha).
 
     Coefficients are the divided-difference weights over the canonical
-    exponent nodes, rescaled to max |coefficient| = 1.  Raises if the
-    precision floor is not met or a power sum mu_m of the composed
-    witness misses its value (0 for m < N, 1/max|weight| at m = N) by
-    more than 2^-(bits//4) in the relative terms of max_residual.
+    exponent nodes, rescaled to max |coefficient| = 1.  The witness is
+    built at max(bits, required_witness_bits(n)) bits, which its bits
+    field records.  Raises if a power sum mu_m of the composed witness
+    misses its value (0 for m < N, 1/max|weight| at m = N) by more than
+    2^-(bits//4) in the relative terms of max_residual.
     """
     require_degree(n)
     require_alpha(alpha)
-    floor = required_witness_bits(n)
-    if bits < floor:
-        raise ValueError(
-            f"insufficient precision for n={n}: need >= {floor} bits, got {bits}"
-        )
+    bits = max(bits, required_witness_bits(n))
     N = space_dimension(n)
     with mp.workprec(bits):
         nodes = monomial_nodes(n, alpha, bits)
@@ -251,27 +244,18 @@ def witness_certificate(n: int, alpha: AlphaParam, r=None, grid: int = 512, bits
     norms.norm_on_circle's estimate of the witness's own ExpSum w.f on
     |t| = 1 over `grid` points: the working-precision grid maximum and
     the autocorrelation certificate.  circle_sup is the grid maximum at
-    radius r (default N/n).  Both read the moment table build_witness
-    checked the vanishing order on (norms.moment_table keeps the last
-    two), unless a circle's grid maximum would be rounding noise at bits:
-    that circle is evaluated again at the precision norm_on_circle's
-    PrecisionError names, on a table of its own.  The grid and the
-    radius are checked before the witness is built.
+    radius r (default N/n).  Both are scanned at w.bits, the witness's
+    precision (bits or its floor), and read the moment table
+    build_witness checked the vanishing order on, unless norm_on_circle
+    evaluates a circle again at more bits.  The grid and the radius are
+    checked before the witness is built.
     """
     require_grid(grid)
     with mp.workprec(bits):
         radius = None if r is None else _checked_radius(r)
     w = build_witness(n, alpha, bits)
     radius = w.r if radius is None else radius
-    circle = _circle(w.f, radius, grid, bits, certify=False)
-    normk = _circle(w.f, 1, grid, bits)
+    circle = norm_on_circle(w.f, radius, grid, w.bits, certify=False)
+    normk = norm_on_circle(w.f, 1, grid, w.bits)
     lower = witness_lower_bound(w, radius, normk, circle)
     return w, normk, circle, lower
-
-
-def _circle(f: ExpSum, r, grid: int, bits: int, certify: bool = True) -> NormEstimate:
-    """norm_on_circle at bits, or at the precision its PrecisionError names."""
-    try:
-        return norm_on_circle(f, r, grid, bits, certify)
-    except PrecisionError as ex:
-        return norm_on_circle(f, r, grid, ex.bits, certify)

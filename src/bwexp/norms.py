@@ -104,6 +104,16 @@ M = 8..199 and ten larger M.
   order), so grid_max is the value a full working-precision scan
   reports: an attained value.
 
+One routine keeps the circle's precision rule.  grid_max is an attained
+value only where the rounding bound of its direct evaluation (work, a
+multiple of 2^-bits T_0) is below 2^-64 grid_max; where it is not,
+norm_on_circle evaluates the circle once more at the precision the
+bound names and raises only if that falls short too, so a caller passes
+the precision it wants and never acts on the rule.  r max|a| is capped
+at SPAN_MAX before any table is built: L exceeds r max|a|, and the
+exact pairs (r_man^m, m!) and the integer autocorrelation grow as its
+square.
+
 Bidisk sup norms of polynomials are attained on the torus
 |z| = |w| = 1 (maximum principle in each variable separately), so the
 grid scans the torus points (w^a, w^b), w = e^{2 pi i/M}, only.  The
@@ -141,6 +151,7 @@ from mpmath import mp
 from .core import DEFAULT_BITS, AlphaParam, ExpSum, Poly2, compose_to_expsum
 
 GRID_FLOOR = 8
+SPAN_MAX = 4096  # the largest r max|a| a circle accepts: its tables grow as (r max|a|)^2
 
 
 def require_grid(M: int) -> None:
@@ -160,17 +171,6 @@ class NormEstimate:
 
     grid_max: object  # mp.mpf, a true lower bound on the sup
     certified_upper: object  # mp.mpf upper bound, or None
-
-
-class PrecisionError(ValueError):
-    """A value would be rounding noise at the working precision.
-
-    bits is a precision at which the same call is expected to succeed.
-    """
-
-    def __init__(self, message: str, bits: int):
-        super().__init__(message)
-        self.bits = bits
 
 
 _UNIT = 2.0**-53  # float64 unit roundoff
@@ -457,11 +457,14 @@ def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, certify
     certify=False, which skips the exact integer sum.  f's moments come
     from one table shared with the previous estimate of the same f at
     the same bits; that changes no value.  Both are 0 when every
-    coefficient of f is 0 at working precision.  Where the rounding
-    bound of the working-precision evaluation exceeds 2^-64 grid_max,
-    grid_max is rounding noise, no attained value, so it raises
-    PrecisionError, whose bits clear the bound by 8 more bits (L grows
-    a little with the precision, and the bound with L).
+    coefficient of f is 0 at working precision.  r max|a| above
+    SPAN_MAX raises before any table is built.  Where the rounding bound
+    of the working-precision evaluation exceeds 2^-64 grid_max, grid_max
+    is rounding noise, no attained value, so the circle is evaluated
+    once more, on a table of its own, at a precision that clears the
+    bound by 8 more bits (L grows a little with the precision, and the
+    bound with L), and both values come from there; it raises only if
+    that precision falls short too.
     """
     require_grid(M)
     with mp.workprec(bits):
@@ -470,22 +473,29 @@ def norm_on_circle(f: ExpSum, r, M: int = 512, bits: int = DEFAULT_BITS, certify
             raise ValueError(f"radius must be positive and finite, got {mp.nstr(rr, 8)}")
         if not any(mp.mpc(c) for c, _ in f.terms):
             return NormEstimate(mp.mpf(0), mp.mpf(0))
-        grid = _CircleGrid(moment_table(f, bits), rr, M)
-        grid_max = grid.level_max()
-        if grid.work > mp.ldexp(grid_max, -64):
-            # the bits missing; at least bits of them (inf when grid_max
-            # is 0) say no more than that the precision should double
-            short = 64 + _log2(grid.work) - _log2(grid_max)
-            need = bits + math.ceil(short) + 8 if short < bits else 2 * bits
-            raise PrecisionError(
+        span = rr * max(abs(mp.mpc(a)) for _, a in f.terms)
+        if span > SPAN_MAX:
+            raise ValueError(f"r max|a| = {mp.nstr(span, 8)} exceeds {SPAN_MAX}, the largest a circle accepts")
+    prec = bits
+    while True:
+        with mp.workprec(prec):
+            grid = _CircleGrid(moment_table(f, prec), rr, M)
+            grid_max = grid.level_max()
+            if grid.work <= mp.ldexp(grid_max, -64):
+                if not certify:
+                    return NormEstimate(grid_max, None)
+                T1 = sum(u * x for u, x in zip(grid.weights, grid.table.abs_exps))  # sum |c||a| e^{r|a|}
+                return NormEstimate(grid_max, min(grid_max + mp.pi * rr / M * T1, grid.certificate()))
+        # the bits missing; at least prec of them (inf when grid_max is 0)
+        # say no more than that the precision should double
+        short = 64 + _log2(grid.work) - _log2(grid_max)
+        need = prec + math.ceil(short) + 8 if short < prec else 2 * prec
+        if prec > bits:
+            raise ValueError(
                 f"rounding bound {mp.nstr(grid.work, 5)} exceeds 2^-64 of the grid maximum "
-                f"{mp.nstr(grid_max, 5)} at {bits} bits; increase precision to {need} bits",
-                need,
+                f"{mp.nstr(grid_max, 5)} at {prec} bits; increase precision to {need} bits"
             )
-        if not certify:
-            return NormEstimate(grid_max, None)
-        T1 = sum(u * x for u, x in zip(grid.weights, grid.table.abs_exps))  # sum |c||a| e^{r|a|}
-        return NormEstimate(grid_max, min(grid_max + mp.pi * rr / M * T1, grid.certificate()))
+        prec = need
 
 
 def norm_on_bidisk(p: Poly2, M: int = 256, bits: int = DEFAULT_BITS) -> NormEstimate:

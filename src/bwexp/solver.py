@@ -108,7 +108,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .analytic_bounds import theorem2_bounds
-from .construct import WitnessResult, build_witness, required_witness_bits, witness_certificate
+from .construct import WitnessResult, build_witness, witness_certificate
 from .core import (
     DEFAULT_BITS,
     AlphaParam,
@@ -620,7 +620,7 @@ def en_random_search(
     deriv_weight = (np.pi / _ORACLE_CIRCLE_POINTS) * np.abs(nodes) * np.exp(np.abs(nodes))
 
     if witness is None:
-        witness = build_witness(n, alpha, max(bits, required_witness_bits(n)))
+        witness = build_witness(n, alpha, bits)
     fixed = np.zeros((3, ncoef), dtype=np.complex128)
     fixed[0, idx.index((1, 0))] = 1.0
     fixed[1, idx.index((0, 1))] = 1.0
@@ -666,7 +666,7 @@ def en_bracket(
     lo, up = theorem2_bounds(n, alpha, bits)
     _require_search_inputs(trials, seed)
     _candidate_guard(n, cfg, max_degree)
-    w, _, _, wlower = witness_certificate(n, alpha, bits=max(bits, required_witness_bits(n)))
+    w, _, _, wlower = witness_certificate(n, alpha, bits=bits)
     oracle_val = en_random_search(
         n, alpha, trials, seed, grid_points=cfg.torus_points, bits=bits, witness=w
     )

@@ -32,7 +32,7 @@ from .analytic_bounds import (
     stirling_ratio,
     theorem2_bounds,
 )
-from .construct import required_witness_bits, witness_certificate
+from .construct import witness_certificate
 from .core import (
     DEFAULT_BITS,
     AlphaParam,
@@ -199,25 +199,26 @@ def suite_witness(level: str, bits: int) -> Iterator[str | None]:
     A degree is one residual case (build_witness raises on a miss, and
     then the degree has no further cases) and one case per radius, whose
     growth is measured against the K certificate of witness_certificate;
-    the r = N/n circle is witness_certificate's too.  The residual
-    check, the K circle and the radii read one moment table: all read
-    w.f, and norms.moment_table keeps it.
+    the r = N/n circle is witness_certificate's too.  Every circle is
+    scanned at w.bits, the witness's precision.  The residual check, the
+    K circle and the radii read one moment table: all read w.f, and
+    norms.moment_table keeps it; a circle that norm_on_circle evaluates
+    again at more bits reads a table of its own.
     """
     n_max = 6 if level == "full" else 3
     wbits = 512 if level == "full" else bits
     a = make_alpha(*STANDARD_ALPHAS[0])
     for n in range(1, n_max + 1):
-        use_bits = max(wbits, required_witness_bits(n))
         try:
-            w, normk, top, _ = witness_certificate(n, a, bits=use_bits)
+            w, normk, top, _ = witness_certificate(n, a, bits=wbits)
         except ValueError as ex:
             yield f"n={n}: {ex}"
             continue
         yield None
         N = w.order
         for r in (1.5, 2.0, N / n):
-            circ = top if r == N / n else norm_on_circle(w.f, r, 512, use_bits, certify=False)
-            with mp.workprec(use_bits):
+            circ = top if r == N / n else norm_on_circle(w.f, r, 512, w.bits, certify=False)
+            with mp.workprec(w.bits):
                 gain = mp.log(circ.grid_max) - mp.log(normk.certified_upper)
                 need = N * mp.log(r) - mp.mpf("1e-6")
             yield f"n={n} r={r}: growth {mp.nstr(gain, 10)} < N ln r" if gain < need else None

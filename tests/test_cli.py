@@ -24,6 +24,7 @@ from bwexp.cli import (
     _parse_n_range,
     main,
 )
+from bwexp.suites import SUITES
 
 SMALL_FLAGS = [
     "--circle-points", "64", "--polygon-sides", "16",
@@ -235,12 +236,14 @@ def test_degree_nine_certifies_at_the_default_precision(capsys):
     assert json.loads(out)["witness_lower"] == pytest.approx(64.0019853251688, abs=1e-9)
 
 
-def test_witness_precision_floor_is_a_domain_error(capsys):
-    code, _, err = run_cli(
-        capsys, ["witness", "--n", "10", "--alpha", "0.0+0.5i"]
-    )
-    assert code == EXIT_DOMAIN
-    assert "298" in err and "256" in err
+def test_witness_below_the_precision_floor_builds_at_the_floor(capsys):
+    # at 256 bits the n = 10 witness is built at its 298-bit floor, and
+    # the report prints the requested precision, as solve does
+    code, out, _ = run_cli(capsys, ["witness", "--n", "10", "--alpha", "0.0+0.5i"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["precision_bits"] == 256
+    assert report["witness_lower"] == pytest.approx(77.63738291120441, abs=1e-9)
 
 
 @pytest.mark.parametrize("r", ["nan", "inf"])
@@ -251,6 +254,21 @@ def test_witness_radius_outside_the_hypothesis_is_a_domain_error(capsys, r):
     assert code == EXIT_DOMAIN
     assert "radius" in err
     assert out == ""
+
+
+def test_witness_huge_radius_is_a_domain_error():
+    # r max|a| is bounded before the circle's tables, which grow as its
+    # square, are built; the run is capped at 1 GB of address space and a
+    # timeout, so a missing bound fails here without exhausting memory
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from bwexp.cli import main\n"
+        "sys.exit(main(['witness', '--n', '2', '--alpha', '0.0+0.5i', '--r', '1e300']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == EXIT_DOMAIN, proc.stderr
+    assert "r max|a| = 2.0e+300 exceeds" in proc.stderr
 
 
 # ------------------------------------------------------------------ solve
@@ -460,6 +478,16 @@ def test_verify_quick_reports_every_suite(capsys):
                  "norm-refinement", "envelope-domination"):
         assert name in out, name
     assert "FAIL" not in out
+
+
+def test_verify_quick_at_the_least_precision(capsys):
+    # every suite reaches its verdicts at 64 bits: a circle whose grid
+    # maximum is rounding noise there is evaluated again at more bits
+    code, out, _ = run_cli(capsys, ["verify", "--level", "quick", "--precision", "64"])
+    assert code == EXIT_OK
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == list(SUITES)
+    assert all(r[2] == "0" and r[4] == "ok" for r in rows)
 
 
 def test_verify_failure_exits_four(capsys, monkeypatch):

@@ -180,9 +180,12 @@ def test_witness_residual_at_512_bits():
 
 
 def test_witness_precision_floor():
+    # below the floor the witness is built at the floor
     assert required_witness_bits(1) == 64 + 4
-    with pytest.raises(ValueError):
-        build_witness(10, make_alpha(0.0, 0.5), bits=256)
+    assert required_witness_bits(10) == 298
+    w = build_witness(10, make_alpha(0.0, 0.5), bits=256)
+    assert w.bits == 298
+    assert w == build_witness(10, make_alpha(0.0, 0.5), bits=298)
     with pytest.raises(ValueError):
         build_witness(2, make_alpha(0.3, 0.0))
 

@@ -15,7 +15,7 @@ from bwexp import ExpSum, MultiIndex, Poly2, canonical_indices, compose_to_expsu
 from bwexp.analytic_bounds import coeff_log_upper, theorem2_bounds
 from bwexp.construct import build_witness
 from bwexp.norms import (
-    PrecisionError,
+    SPAN_MAX,
     _CircleGrid,
     _Moments,
     _window,
@@ -99,25 +99,61 @@ def test_all_zero_coefficients_return_zero():
     assert est.grid_max == 0 and est.certified_upper == 0
 
 
-def test_grid_max_in_rounding_noise_raises():
+# repr at 313 bits of norm_on_circle(near[0], 1, 64, 313) below: the
+# precision the rounding rule names for it at 256 bits
+NEAR_AT_313 = (
+    "NormEstimate(grid_max=mpf('5.79563461044909591520583698240923402277854889163770071353152568872349739005846288859218467451797e-70'), "
+    "certified_upper=mpf('5.79563461044909591520583634616818673963682100635002887841471383854972598214275718946894558511061e-70'))"
+)
+
+
+def test_grid_max_in_rounding_noise_is_evaluated_again():
     # e^{a t} - e^{(a + d) t} is about -d t on |t| = 1 for tiny a: at
     # d = 2^-230 and 256 bits the rounding bound of the working-precision
-    # evaluation exceeds 2^-64 of the grid maximum, so no attained value
-    # is reported; at d = 2^-100 it is far below and the estimate stands
+    # evaluation exceeds 2^-64 of the grid maximum, so the circle is
+    # evaluated again at the precision the bound names, 313 bits; at
+    # d = 2^-100 it is far below and the estimate stands
     with mp.workprec(BITS):
         near = [ExpSum(((1, a), (-1, a + a * mp.mpf(2) ** -30)))
                 for a in (mp.mpf(2) ** -200, mp.mpf(2) ** -70)]
-    with pytest.raises(PrecisionError, match="increase precision") as raised:
-        norm_on_circle(near[0], 1, 64, BITS)
-    # the precision the error names clears the bound: grid_max is within
-    # 2^-64 of an attained value (here 2^-83 above the certificate, which
-    # is exact to about 2^-200)
-    est = norm_on_circle(near[0], 1, 64, raised.value.bits)
-    with mp.workprec(raised.value.bits):
+    est = norm_on_circle(near[0], 1, 64, BITS)
+    with mp.workprec(313):
+        assert repr(est) == NEAR_AT_313
+        # grid_max is within 2^-64 of an attained value (here 2^-83 above
+        # the certificate, which is exact to about 2^-200)
         assert 0 < est.grid_max * (1 - mp.mpf(2) ** -64) <= est.certified_upper <= 4 * mp.mpf(2) ** -230
     est = norm_on_circle(near[1], 1, 64, BITS)
     with mp.workprec(BITS):
         assert 0 < est.grid_max <= est.certified_upper <= 4 * mp.mpf(2) ** -100
+
+
+def test_grid_max_in_rounding_noise_at_the_named_precision_too_raises(monkeypatch):
+    # the nodes 2^-3 and 2^-3 (1 + 2^-2000) coincide at 256 and at 512
+    # bits, so f is 0 at every grid point there: the circle is evaluated
+    # once more, at twice the bits, and then the call raises
+    builds = []
+    init = _CircleGrid.__init__
+
+    def counting_init(grid, *args):
+        builds.append(grid)
+        init(grid, *args)
+
+    monkeypatch.setattr(_CircleGrid, "__init__", counting_init)
+    with mp.workprec(2200):
+        f = ExpSum(((1, mp.mpf(2) ** -3), (-1, mp.mpf(2) ** -3 * (1 + mp.mpf(2) ** -2000))))
+    with pytest.raises(ValueError, match="at 512 bits; increase precision"):
+        norm_on_circle(f, 1, 64, BITS)
+    assert len(builds) == 2
+
+
+def test_span_above_the_bound_raises_before_any_table():
+    # r max|a| is checked with the radius, before a table whose size
+    # grows as (r max|a|)^2 is built: at the bound the call stands
+    f = ExpSum(((1, 2), (-1, 1)))
+    est = norm_on_circle(f, SPAN_MAX / 2, 8, 64, certify=False)
+    assert est.grid_max > 0
+    with pytest.raises(ValueError, match=rf"r max\|a\| = {2 * SPAN_MAX}\.0 exceeds {SPAN_MAX}"):
+        norm_on_circle(f, SPAN_MAX, 8, 64)
 
 
 def test_norm_on_bidisk_known_values():

@@ -19,7 +19,7 @@ from mpmath import mp
 from scipy.optimize import linprog
 
 from bwexp import construct, solver
-from bwexp.construct import divided_difference_weights, required_witness_bits
+from bwexp.construct import divided_difference_weights
 from bwexp.core import (
     MultiIndex,
     Poly2,
@@ -458,7 +458,7 @@ def _reference_random_search(n, alpha, trials, seed, grid_points, bits=256):
     fixed = [np.zeros(ncoef, dtype=np.complex128) for _ in range(2)]
     fixed[0][idx.index((1, 0))] = 1.0
     fixed[1][idx.index((0, 1))] = 1.0
-    witness = solver.build_witness(n, alpha, max(bits, required_witness_bits(n)))
+    witness = solver.build_witness(n, alpha, bits)
     fixed.append(np.array([complex(witness.p.coefficient(jk.j, jk.k)) for jk in idx]))
     best = max(score(c) for c in fixed)
     rng = np.random.default_rng(seed)
@@ -528,7 +528,7 @@ def test_oracle_skips_only_chunks_that_cannot_win(monkeypatch):
         alpha = make_alpha(re, im)
         for n in (1, 2, 3):
             z = SimpleNamespace(p=Poly2(n, {MultiIndex(1, 0): 1.0}))
-            w = construct.build_witness(n, alpha, max(256, required_witness_bits(n)))
+            w = construct.build_witness(n, alpha, 256)
             for witness, trials, seed, grid in ((w, 1000, 1, 32), (w, 200, 7, 16), (z, 2000, 3, 16)):
                 got = en_random_search(n, alpha, trials, seed, grid_points=grid, witness=witness)
                 want = _chunk_loop_reference(n, alpha, trials, seed, grid, witness)
