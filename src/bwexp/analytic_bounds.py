@@ -161,11 +161,25 @@ class AnnihilatorData:
         return len(self.coeffs) - 1
 
 
+def _expansion_bits(bits: int) -> int:
+    """Precision of R_lm's expanded coefficients and of their Horner sum.
+
+    Evaluating the expansion at a node cancels about N log2(node
+    spread) bits: sum_t |a_t||lambda|^t exceeds |beta_lm| by at most
+    2^57 for n <= 5 and 2^132 for n <= 8 at the suites' four standard
+    alphas.  2 bits + 64 spends bits + 64 >= 128 bits above bits on it.
+    """
+    return 2 * bits + 64
+
+
 def annihilator(l: int, m: int, n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> AnnihilatorData:
     """Build R_lm(lambda) = prod_{(j,k) != (l,m)} (lambda - j - k*alpha).
 
-    The expansion runs by sequential linear-factor convolution; beta_lm
-    is the same product evaluated at the target node l + m*alpha.
+    The roots are the nodes at bits, the ones compose_to_expsum gives f.
+    The expansion runs by sequential linear-factor convolution at
+    _expansion_bits(bits), since apply_annihilator's sum cancels the
+    coefficients' rounding by far more than bits can spare; beta_lm is
+    the product evaluated at the target node l + m*alpha, at bits.
     """
     _require_target(l, m, n)
     require_alpha(alpha)
@@ -173,20 +187,20 @@ def annihilator(l: int, m: int, n: int, alpha: AlphaParam, bits: int = DEFAULT_B
     with mp.workprec(bits):
         nodes = monomial_nodes(n, alpha, bits)
         tval = [e.value for e in nodes if e.index == target][0]
-        coeffs = [mp.mpc(1)]
+        roots = [e.value for e in nodes if e.index != target]
         beta = mp.mpc(1)
-        for e in nodes:
-            if e.index == target:
-                continue
-            r = e.value
+        for r in roots:
             beta *= tval - r
+    with mp.workprec(_expansion_bits(bits)):
+        coeffs = [mp.mpc(1)]
+        for r in roots:
             # multiply running polynomial by (lambda - r)
             nxt = [mp.mpc(0)] * (len(coeffs) + 1)
             for t, a in enumerate(coeffs):
                 nxt[t + 1] += a
                 nxt[t] -= a * r
             coeffs = nxt
-        return AnnihilatorData(target, n, tuple(coeffs), beta, bits)
+    return AnnihilatorData(target, n, tuple(coeffs), beta, bits)
 
 
 def apply_annihilator(data: AnnihilatorData, f: ExpSum, bits: int = DEFAULT_BITS):
@@ -194,12 +208,10 @@ def apply_annihilator(data: AnnihilatorData, f: ExpSum, bits: int = DEFAULT_BITS
 
     For f composed from a degree-n polynomial this equals c_lm * beta_lm:
     R vanishes at every node except the target.  Horner evaluation of the
-    expanded coefficients is badly conditioned (the cancellation at the
-    roots costs about N log2(node spread) bits), so the Horner loop runs
-    at elevated internal precision and the result is rounded back.
+    expanded coefficients is badly conditioned, so the Horner loop runs
+    at the expansion's precision and the result is rounded back.
     """
-    work = 2 * bits + 64
-    with mp.workprec(work):
+    with mp.workprec(_expansion_bits(bits)):
         total = mp.mpc(0)
         for c, a in f.terms:
             aa = mp.mpc(a)

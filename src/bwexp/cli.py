@@ -10,9 +10,13 @@ invalid math arguments (a named hypothesis is violated), 3 solver
 remediation needed (a working-set LP ended with a nonzero HiGHS
 status), 4 verification failure.
 
-Every command is deterministic given its full flag set.  Sweep rows are
-computed by a share-nothing worker pool and assembled in sorted (n,
-alpha_re, alpha_im) order, so --jobs never changes the output bytes.
+Every command is deterministic given its full flag set.  Sweep rows
+come from one bracket per conjugate pair: e_n(alpha) = e_n(conj alpha)
+(solver.en_bracket), so alpha and conj(alpha) share the bracket of
+re + i|im|, computed once.  A share-nothing worker pool computes the
+brackets, and the rows are assembled in sorted (n, alpha_re, alpha_im)
+order, so --jobs never changes the output bytes.  A row whose alpha
+violates a hypothesis names that alpha in its error.
 Floats in CSV are printed with 17 significant digits ('.' decimal
 separator); extended-precision fields in the witness report are printed
 as full-precision decimal strings.
@@ -25,6 +29,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re as _re
 import sys
 import time
@@ -162,17 +167,26 @@ def _parse_n_range(text: str):
 
 
 def _parse_axis(text: str):
-    """'0.1..0.9:5' -> 5 evenly spaced values; '0' -> [0.0]."""
+    """'0.1..0.9:5' -> 5 evenly spaced values; '0' -> [0.0].
+
+    Each value is the exact (lo (count-1-i) + hi i)/(count-1), rounded
+    once (a Python int / int is correctly rounded), so the endpoints are
+    lo and hi, a symmetric axis holds exact negatives (conjugate pairs
+    share a bracket) and its midpoint is 0.
+    """
     t = text.strip()
     m = _re.match(r"^([^.]*(?:\.[^.]*)?)\.\.([^:]+):(\d+)$", t)
     if m:
         lo, hi, count = float(m.group(1)), float(m.group(2)), int(m.group(3))
         if count < 1:
             raise ValueError(f"axis count must be >= 1 in {text!r}")
+        if not math.isfinite(lo) or not math.isfinite(hi):
+            raise ValueError(f"axis endpoints must be finite in {text!r}")
         if count == 1:
             return [lo]
-        step = (hi - lo) / (count - 1)
-        return [lo + i * step for i in range(count)]
+        (lp, lq), (hp, hq) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        return [(lp * hq * (count - 1 - i) + hp * lq * i) / (lq * hq * (count - 1))
+                for i in range(count)]
     return [float(t)]
 
 
@@ -316,7 +330,7 @@ def cmd_solve(args) -> int:
 
 
 def _sweep_worker(task):
-    """One (n, alpha) sweep row; returns a dict, never raises."""
+    """One (n, alpha) bracket as a sweep row; returns a dict, never raises."""
     n, re, im, cfg, trials, seed, bits, max_degree = task
     try:
         est = en_bracket(
@@ -331,6 +345,18 @@ def _sweep_worker(task):
     return row
 
 
+def _mirror_row(row: dict, re: float, im: float) -> dict:
+    """The sweep row of alpha = re + i im from the row of re + i|im|.
+
+    A hypothesis error names alpha, so it is stated for this alpha.
+    """
+    try:
+        _checked_alpha(re, im)
+    except ValueError as ex:
+        row = {**row, "error": str(ex)}
+    return {**row, "alpha_im": im}
+
+
 def cmd_sweep(args) -> int:
     try:
         ns = _parse_n_range(args.n_range)
@@ -339,20 +365,22 @@ def cmd_sweep(args) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_PARSE
     cfg = _cfg_from_args(args)  # validate before spawning workers
+    points = [(n, re, im) for n in sorted(ns) for re, im in sorted(alphas)]
+    pairs = sorted({(n, re, abs(im)) for n, re, im in points})
     tasks = [
-        (n, re, im, cfg, args.trials, args.seed, args.precision, args.max_degree)
-        for n in sorted(ns)
-        for re, im in sorted(alphas)
+        (*pair, cfg, args.trials, args.seed, args.precision, args.max_degree)
+        for pair in pairs
     ]
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
         from multiprocessing import Pool  # about 7 ms, paid only with --jobs > 1
 
         with Pool(processes=jobs) as pool:
-            rows = pool.map(_sweep_worker, tasks)
+            results = pool.map(_sweep_worker, tasks)
     else:
-        rows = [_sweep_worker(t) for t in tasks]
-    rows.sort(key=lambda r: (r["n"], r["alpha_re"], r["alpha_im"]))
+        results = [_sweep_worker(t) for t in tasks]
+    brackets = dict(zip(pairs, results))
+    rows = [_mirror_row(brackets[n, re, abs(im)], re, im) for n, re, im in points]
 
     any_error = any("error" in r for r in rows)
     if args.format == "csv":

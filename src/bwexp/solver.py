@@ -99,7 +99,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
 from types import SimpleNamespace
@@ -113,6 +113,7 @@ from .core import (
     DEFAULT_BITS,
     AlphaParam,
     canonical_indices,
+    make_alpha,
     monomial_nodes,
     require_alpha,
     require_degree,
@@ -662,7 +663,40 @@ def en_bracket(
     The oracle's trials and seed and the LP's size guard are checked
     first, so a bad one fails before the certificate and the LP run; the
     oracle then scores the certificate's witness, built once.
+
+    An alpha with Im alpha < 0 is answered by the bracket of conj(alpha),
+    reported under alpha.  P -> P*(z, w) = conj(P(conj z, conj w))
+    conjugates the coefficients and keeps every bidisk value's modulus,
+    and P*(e^t, e^{conj(alpha) t}) = conj(f(conj t)) with f the curve
+    restriction of P at alpha; t -> conj t maps |t| <= 1 onto itself,
+    so E_n(alpha) = E_n(conj alpha).  Each discretized quantity has the
+    same symmetry, so the bracket of conj(alpha) is one of alpha with
+    the same guarantees:
+
+      * the circle points, the torus grid and the polygon directions are
+        roots of unity, closed under conjugation, and the nodes of
+        conj(alpha) are the conjugated nodes;
+      * the LP's objective Re(e^{i theta} P(z0, w0)) equals
+        Re(e^{-i theta} P*(conj z0, conj w0)), and the phases 2 pi q/Q
+        are closed under negation, so their residues modulo 2 pi/S are
+        too: the two LPs have the same candidates and the same optimum;
+      * the witness of conj(alpha) is P* of the witness of alpha (its
+        divided-difference weights are conjugated), and its circle
+        certificates read conjugated Taylor coefficients on conjugation-
+        closed grids, so they certify the same norms;
+      * the oracle's z and w are real, its witness is P*, and a random
+        trial c scores at conj(alpha) what conj(c) scores at alpha: a
+        conjugated standard normal sample is equally distributed;
+      * theorem2_bounds reads |Im alpha| only.
+
+    Computed at alpha itself the two brackets differ only by rounding
+    (lp_estimate by at most 1.4e-14 on circle 128, polygon 32, torus 16,
+    phases 8; the conjugate-symmetry verify suite compares them).
     """
+    if alpha.im < 0:
+        require_alpha(alpha, theorem=True)  # an error names alpha itself
+        est = en_bracket(n, make_alpha(alpha.re, -alpha.im), cfg, trials, seed, bits, max_degree)
+        return replace(est, alpha=alpha)
     lo, up = theorem2_bounds(n, alpha, bits)
     _require_search_inputs(trials, seed)
     _candidate_guard(n, cfg, max_degree)

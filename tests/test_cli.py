@@ -132,6 +132,9 @@ def test_axis_and_grid_parsers():
     got = _parse_axis("0.1..0.9:5")
     assert got == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9])
     assert _parse_axis("0.2..0.9:1") == [0.2]
+    # exact endpoints, exact mirrors and an exact 0 on a symmetric axis
+    assert _parse_axis("-0.9..0.9:7") == [-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9]
+    assert _parse_axis("-0.5..0.5:2") == [-0.5, 0.5]
     grid = _parse_alpha_grid("im:0.1..0.9:5,re:0")
     assert len(grid) == 5
     assert all(r == 0.0 for r, _ in grid)
@@ -290,6 +293,19 @@ def test_solve_deterministic_modulo_runtime(capsys):
     assert r1["trials"] == 50 and r1["seed"] == 0
 
 
+def test_solve_at_conj_alpha_reports_the_bracket_of_alpha(capsys):
+    reports = []
+    for alpha in ("0.0+0.5i", "0.0-0.5i"):
+        code, out, _ = run_cli(capsys, ["solve", "--n", "2", "--alpha", alpha] + SMALL_FLAGS)
+        assert code == EXIT_OK
+        reports.append(json.loads(out))
+    plus, minus = reports
+    assert minus["alpha"] == {"re": 0.0, "im": -0.5}
+    for r in reports:
+        r.pop("runtime_ms"), r.pop("alpha")
+    assert minus == plus
+
+
 def test_solve_csv_row_shares_sweep_schema(capsys):
     argv = ["solve", "--n", "1", "--alpha", "0.0+0.5i",
             "--format", "csv"] + SMALL_FLAGS
@@ -374,6 +390,44 @@ def test_sweep_csv_contract_and_parallel_byte_identity(tmp_path, capsys):
     assert keys == sorted(keys)
 
 
+def test_sweep_brackets_each_conjugate_pair_once(tmp_path, capsys, monkeypatch):
+    import bwexp.cli
+    from bwexp.core import make_alpha
+
+    bracket, calls = bwexp.cli.en_bracket, []
+
+    def counting(n, alpha, *args, **kwargs):
+        calls.append((n, alpha))
+        return bracket(n, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(bwexp.cli, "en_bracket", counting)
+    serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
+    argv = ["sweep", "--n-range", "1..2", "--alpha-grid", "im:-0.5..0.5:2,re:0",
+            "--format", "json"] + SMALL_FLAGS
+    assert run_cli(capsys, argv + ["--out", str(serial)])[0] == EXIT_OK
+    assert calls == [(1, make_alpha(0.0, 0.5)), (2, make_alpha(0.0, 0.5))]
+    rows = json.loads(serial.read_text())
+    assert [(r["n"], r["alpha_im"]) for r in rows] == [(1, -0.5), (1, 0.5), (2, -0.5), (2, 0.5)]
+    for mirror, partner in zip(rows[::2], rows[1::2]):
+        assert {**mirror, "alpha_im": 0.5} == partner
+    # two pairs, two workers: the pool writes the same bytes
+    assert run_cli(capsys, argv + ["--out", str(parallel), "--jobs", "2"])[0] == EXIT_OK
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_sweep_symmetric_axis_writes_an_error_row_at_zero(tmp_path, capsys):
+    out = tmp_path / "axis.csv"
+    argv = ["sweep", "--n-range", "1", "--alpha-grid", "im:-0.9..0.9:7,re:0",
+            "--out", str(out)] + SMALL_FLAGS
+    assert run_cli(capsys, argv)[0] == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [r[2] for r in rows] == ["-0.90000000000000002", "-0.59999999999999998",
+                                    "-0.29999999999999999", "0", "0.29999999999999999",
+                                    "0.59999999999999998", "0.90000000000000002"]
+    assert "alpha_2 must be nonzero (alpha = 0+0i)" in rows[3][-1]
+    assert all(r[-1] == "" for r in rows[:3] + rows[4:])
+
+
 def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys):
     for jobs in (0, -2):
         code, _, err = run_cli(capsys, sweep_argv(tmp_path / "none.csv", jobs=jobs))
@@ -437,6 +491,12 @@ def test_sweep_total_failure_exits_domain(tmp_path, capsys):
     code, _, err = run_cli(capsys, argv)
     assert code == EXIT_DOMAIN
     assert "every sweep row failed" in err
+    # a conjugate pair shares a bracket, but each error names its own alpha
+    argv[4] = "im:-0.9..0.9:2,re:0.9"
+    assert run_cli(capsys, argv)[0] == EXIT_DOMAIN
+    errors = [line.split(",")[-1] for line in out.read_text().strip().splitlines()[1:]]
+    assert errors == [f"alpha must satisfy |alpha| < 1 (alpha = 0.9{im}i)"
+                      for im in ("-0.9", "+0.9")]
 
 
 def test_sweep_grid_parse_errors_exit_one(capsys):
@@ -445,6 +505,7 @@ def test_sweep_grid_parse_errors_exit_one(capsys):
         ["--n-range", "x", "--alpha-grid", "im:0.5,re:0"],
         ["--n-range", "1", "--alpha-grid", "re:0"],
         ["--n-range", "1", "--alpha-grid", "foo:1,re:0,im:0.5"],
+        ["--n-range", "1", "--alpha-grid", "im:-inf..inf:3,re:0"],
     ):
         code, _, err = run_cli(capsys, ["sweep"] + args + SMALL_FLAGS)
         assert code == EXIT_PARSE, args
@@ -475,7 +536,7 @@ def test_verify_quick_reports_every_suite(capsys):
     for name in ("endpoint-formulas", "interval-product-lemma",
                  "stirling-bounds", "annihilator-identity",
                  "closed-form-inequalities", "witness-vanishing",
-                 "norm-refinement", "envelope-domination"):
+                 "norm-refinement", "envelope-domination", "conjugate-symmetry"):
         assert name in out, name
     assert "FAIL" not in out
 

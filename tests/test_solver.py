@@ -369,6 +369,17 @@ def test_lp_conjugate_symmetry(alpha):
         ), f"n={n}"
 
 
+def test_bracket_of_conj_alpha_is_the_bracket_of_alpha():
+    # en_bracket answers Im alpha < 0 with the bracket of conj(alpha);
+    # test_lp_conjugate_symmetry and the conjugate-symmetry verify suite
+    # compare the two sides computed directly
+    a, conj = make_alpha(0.3, 0.4), make_alpha(0.3, -0.4)
+    est = en_bracket(2, conj, SMALL, trials=10, seed=0)
+    assert est == replace(en_bracket(2, a, SMALL, trials=10, seed=0), alpha=conj)
+    with pytest.raises(ValueError, match=r"\(alpha = 0\.9-0\.9i\)"):
+        en_bracket(1, make_alpha(0.9, -0.9), SMALL)
+
+
 def test_lp_deterministic():
     a = en_lp_estimate(2, A05, SMALL)
     b = en_lp_estimate(2, A05, SMALL)

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp
 
 from bwexp import construct, suites
+from bwexp.core import make_alpha
 from bwexp.analytic_bounds import INEQUALITIES
 from bwexp.norms import NormEstimate
 
@@ -76,3 +77,24 @@ def test_inequality_scan_counts_the_n_it_scanned(monkeypatch):
     scan = suites.suite_inequalities("quick", prec + 64)
     next(scan)
     assert mp.prec == prec
+
+
+def test_annihilator_identity_holds_at_the_least_precision():
+    # the expansion is formed at the precision its Horner sum runs at, so
+    # 64 bits leave no isolation residual above the suite's 2^-32
+    assert [v for v in suites.suite_annihilator("full", 64) if v is not None] == []
+
+
+def test_conjugate_symmetry_computes_both_sides(monkeypatch):
+    # an LP that reads the sign of Im alpha fails the LP cases, and only them
+    real = suites.en_lp_estimate
+
+    def skewed(n, alpha, cfg, bits):
+        return real(n, alpha, cfg, bits) + (1e-6 if alpha.im < 0 else 0.0)
+
+    monkeypatch.setattr(suites, "en_lp_estimate", skewed)
+    verdicts = list(suites.suite_conjugate_symmetry("quick", BITS))
+    cases = [(n, make_alpha(*a)) for a in suites.STANDARD_ALPHAS[:2] for n in (1, 2, 3)]
+    assert len(verdicts) == 2 * len(cases)  # an LP and a witness case each
+    assert verdicts[1::2] == [None] * len(cases)
+    assert [v.split(": lp ")[0] for v in verdicts[::2]] == [f"n={n} alpha={a}" for n, a in cases]
