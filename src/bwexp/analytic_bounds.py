@@ -56,6 +56,18 @@ def _require_target(l: int, m: int, n: int) -> None:
         raise ValueError(f"target ({l},{m}) outside total degree {n}")
 
 
+def _require_product_range(x: int, y: int, k: int) -> None:
+    if x > y:
+        raise ValueError(f"empty range: x={x} > y={y}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _require_order(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+
+
 def theorem2_bounds(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS):
     """Bracket endpoints for e_n(alpha).
 
@@ -78,10 +90,7 @@ def nearest_integer(x) -> int:
 
 def lemma_product_exact(x: int, y: int, k: int, alpha: AlphaParam, bits: int = DEFAULT_BITS):
     """prod_{j=x}^{y} |j - k*alpha| at working precision."""
-    if x > y:
-        raise ValueError(f"empty range: x={x} > y={y}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_product_range(x, y, k)
     with mp.workprec(bits):
         ka = k * mp.mpc(alpha.re, alpha.im)
         prod = mp.mpf(1)
@@ -105,10 +114,7 @@ def lemma_product_lower(x: int, y: int, k: int, alpha: AlphaParam, bits: int = D
         split would claim 1 here, and the product can genuinely dip
         below 1: x=y=1, k=5, alpha near 0.031-0.101i gives ~0.983.)
     """
-    if x > y:
-        raise ValueError(f"empty range: x={x} > y={y}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_product_range(x, y, k)
     require_alpha(alpha)
     with mp.workprec(bits):
         d = y - x
@@ -123,8 +129,7 @@ def lemma_product_lower(x: int, y: int, k: int, alpha: AlphaParam, bits: int = D
 
 def stirling_ratio(m: int, bits: int = DEFAULT_BITS):
     """m! / ((m/e)^m sqrt(m)); lies in [e^{7/8}, e] for every m >= 1."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _require_order(m)
     with mp.workprec(bits):
         mm = mp.mpf(m)
         return mp.factorial(m) / ((mm / mp.e) ** m * mp.sqrt(mm))
@@ -132,8 +137,7 @@ def stirling_ratio(m: int, bits: int = DEFAULT_BITS):
 
 def half_integer_product(m: int, bits: int = DEFAULT_BITS):
     """prod_{j=1}^{m} (j - 1/2), equal to (2m)!/(2^{2m} m!)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _require_order(m)
     with mp.workprec(bits):
         prod = mp.mpf(1)
         for j in range(1, m + 1):

@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: bounds (analytic endpoints only), witness (construction
-report), solve (full three-way bracket), sweep (parameter grid to CSV
-or JSON), verify (invariant suites), plot (SVG or plot-ready CSV from a
-sweep file).
+report), solve (full bracket: analytic endpoints, witness, oracle and
+LP), sweep (parameter grid to CSV or JSON), verify (invariant suites),
+plot (SVG or plot-ready CSV from a sweep file).
 
 Exit codes are a stable contract: 0 success, 1 parse or I/O error, 2
 invalid math arguments (a named hypothesis is violated), 3 solver
@@ -591,7 +591,7 @@ def _build_parser() -> _Parser:
                    help="certificate radius (default N/n)")
     p.set_defaults(handler=cmd_witness)
 
-    p = sub.add_parser("solve", help="full three-way bracket for one (n, alpha)")
+    p = sub.add_parser("solve", help="full bracket (endpoints, witness, oracle, LP) for one (n, alpha)")
     _add_point(p)
     _add_solver_flags(p)
     p.set_defaults(handler=cmd_solve)

@@ -44,18 +44,23 @@ exponentials and M K multiply-adds, so the grid is scanned in float64
 first and only the candidates it cannot rule out are evaluated at
 working precision.
 
-Every float64 grid scan, here and in solver, reads one table of the M
-roots of unity, unit_roots(M), whose entry m is within 23u (u = 2^-53)
-of e^{2 pi i m/M}.  NumPy forms the phase as fl(fl(2 fl(pi) m) fl(1/M)),
+Every float64 grid value, here and in solver, is read from one table of
+the M roots of unity, unit_roots(M), whose entry m is within 23u
+(u = 2^-53) of e^{2 pi i m/M}, at the exact integer phase of its term:
+w_i^m on the circle is entry (i m) mod M (unit_powers), the torus
+monomial z^j w^k at (w^a, w^b) is entry (a j + b k) mod M, and a
+polygon direction s of S is entry s of unit_roots(S).  No root is raised
+to a power or rebuilt from an angle, so each carries the one rounding
+stated here.  NumPy forms the phase as fl(fl(2 fl(pi) m) fl(1/M)),
 dividing by the complex M through its rounded reciprocal: pi's rounding
 (0.36u) and three more put it within 3.4u of 2 pi m/M relative, below
 21.4u absolute, and its cos and sin are each within one ulp of a value
 below 1 in modulus, at most u.  Measured: at most 14.4u (M = 196) over
 M = 8..199 and ten larger M.
 
-* f(t_i) = sum_m b_m w^{im}, w = e^{2 pi i/M}: a length-M DFT of the
-  Taylor coefficients, folded mod M, evaluated as a float64
-  matrix-vector product.
+* f(t_i) = sum_{m<=L} b_m w^{(i m) mod M}, w = e^{2 pi i/M}: a DFT of
+  the Taylor coefficients, each term the product of a coefficient and
+  an entry of unit_powers(M, L + 1), summed in float64.
 * The moments do not depend on r, so one table per ExpSum and
   precision holds them for every circle.  Each mu_k is an exact sum of
   Python integers: c and a are truncated once to multiples of 2^-F
@@ -87,12 +92,15 @@ M = 8..199 and ten larger M.
   allowance, the allowance D (the moments' error and the floors of B),
   the tail, and the working-precision rounding of the direct
   evaluation, a multiple of 2^-bits T_0 with T_0 = sum |c| e^{r|a|}.
-  The gamma count covers the one rounding of each coefficient, the
-  roots' 23u each (gamma_23, see above), folding and the dot product,
-  gamma_{2L+30} in all; a product of n factors
-  (1 + delta), |delta| <= u, is 1 + theta with |theta| <= gamma_n
-  (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-  Lemma 3.1).
+  The direct sum rounds each coefficient once (each part a correctly
+  rounded division, gamma_1), reads each root within 23u (gamma_23,
+  see above), rounds each complex product within sqrt(2) gamma_2
+  <= gamma_3 and the sum of the L + 1 terms within sqrt(2) gamma_L
+  <= gamma_{2L} of the sum of their moduli: gamma_{2L+27} in all, below
+  the count 2L + 64 the window is given (a larger count only widens
+  it).  A product of n factors (1 + delta), |delta| <= u, is 1 + theta
+  with |theta| <= gamma_n (Higham, Accuracy and Stability of Numerical
+  Algorithms, 2nd ed., Lemmas 3.1, 3.3 and 3.5).
 * L is the first index at which the tail's float log2 value drops below
   that of the float rounding of max|b_m| or of 2^-bits T_0, so it is no
   parameter.  The tail for the chosen L is formed once, at working
@@ -163,6 +171,11 @@ def require_grid(M: int) -> None:
 def unit_roots(M: int) -> np.ndarray:
     """The float64 table of the M roots e^{2 pi i m/M}, each within 23u of its value (see the module docstring)."""
     return np.exp(2j * np.pi * np.arange(M) / M)
+
+
+def unit_powers(M: int, count: int) -> np.ndarray:
+    """The M x count table unit_roots(M)[(i m) mod M]: row i holds w_i^m, w_i = e^{2 pi i i/M}, for m < count."""
+    return unit_roots(M)[np.outer(np.arange(M), np.arange(count)) % M]
 
 
 @dataclass(frozen=True)
@@ -380,10 +393,8 @@ class _CircleGrid:
         B = []
         for i, ((re, im), (num, den)) in enumerate(zip(table.sums, rfac[: m + 1])):
             shift = table.scale(i) + i * r_exp + P
-            if shift >= 0:
-                B.append(((re * num << shift) // den, (im * num << shift) // den))
-            else:
-                B.append((re * num // (den << -shift), im * num // (den << -shift)))
+            up, down = max(shift, 0), max(-shift, 0)
+            B.append(((re * num << up) // (den << down), (im * num << up) // (den << down)))
         return P, B, tail, error
 
     def allowance(self):
@@ -401,13 +412,12 @@ class _CircleGrid:
         M, L, S = self.M, len(self.B) - 1, self.table.F + 2 - self.P
         unit = 1 << (self.table.F + 2)  # 2^-S b_m is about B_m 2^-(P+S), P + S = F + 2
         coef = np.array([complex(re / unit, im / unit) for re, im in self.B])  # int / int rounds once
-        folded = np.zeros(M, dtype=np.complex128)
-        np.add.at(folded, np.arange(L + 1) % M, coef)
-        q = min(L + 1, M)
-        vals = unit_roots(M)[np.outer(np.arange(M), np.arange(q)) % M] @ folded[:q]
+        terms = unit_powers(M, L + 1)
+        terms *= coef
+        vals = terms.sum(axis=1)
         # float underflow; the allowance D, truncation and working precision
         extra = (L + M + 8) * 2.0**-1060 + float(mp.ldexp(self.allowance() + self.tail + self.work, -S))
-        # one rounding per coefficient; then the roots, folding and the dot product
+        # one rounding per coefficient; then the roots, the products and the sum
         return vals, 2 * L + 64, float(np.abs(coef).sum()), extra, S
 
     def row(self, i: int):

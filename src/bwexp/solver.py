@@ -23,8 +23,8 @@ from both sides:
     far.  On the benchmark's solve inputs (n = 1, 2, 3 at 0.5i, 1000
     trials) the deterministic candidates of the first chunk beat every
     trial's bound by 0.3 nats or more at seeds 0 to 4, so no other chunk
-    is scored.  Both grids, like every float64 grid here, read
-    norms.unit_roots.
+    is scored.  The points of both grids, like every float64 grid value
+    here, are entries of norms.unit_roots read at exact integer phases.
 
 The LP's variables are Newton coefficients d: f = Psi d and c = W d,
 where column k of Psi is psi_k(t) = [a_0..a_k] e^{a t} over the nodes,
@@ -119,7 +119,7 @@ from .core import (
     require_degree,
     space_dimension,
 )
-from .norms import GRID_FLOOR, unit_roots
+from .norms import GRID_FLOOR, unit_powers, unit_roots
 
 
 def _load_highs_core():
@@ -198,7 +198,7 @@ class LPConfig:
 
 @dataclass(frozen=True)
 class EnEstimate:
-    """Three-way estimate report for one (n, alpha)."""
+    """The full bracket for one (n, alpha): analytic endpoints, witness, oracle and LP."""
 
     n: int
     alpha: AlphaParam
@@ -285,6 +285,11 @@ class _WorkingSetLP:
     maximize() call starts from every row an earlier call needed.  Each
     new objective starts from the slack basis; its cut rounds hot-start
     from the previous basis.
+
+    After each solve the acceptance scan scores every circle point i by
+    the row the model would hold for it, Re(phases[s*] f_i) with s* the
+    nearest polygon direction (the one that maximizes the row over s),
+    read from the same table phases = unit_roots(S) as _rows.
     """
 
     def __init__(self, psi: np.ndarray, S: int):
@@ -337,10 +342,9 @@ class _WorkingSetLP:
                 return None
             cost = None
             f = self.psi @ (x[:ncoef] + 1j * x[ncoef:])
-            ang = np.angle(f)
             # nearest polygon direction maximizes Re(e^{i phi_s} f_i) over s
-            sstar = np.mod(np.round(-ang * self.S / (2 * np.pi)), self.S).astype(int)
-            vals = np.abs(f) * np.cos(ang + 2 * np.pi * sstar / self.S)
+            sstar = np.mod(np.round(-np.angle(f) * self.S / (2 * np.pi)), self.S).astype(int)
+            vals = (self.phases[sstar] * f).real
             bad = np.flatnonzero(vals > 1 + FEASIBILITY_TOL)
             if bad.size:
                 order = bad[np.argsort(-vals[bad], kind="stable")][:_CUTS_PER_ROUND]
@@ -476,12 +480,16 @@ class _DualBounds:
 
 
 def _torus_monomials(n: int, M2: int) -> np.ndarray:
-    """Monomial vectors m (rows, canonical order) at the M2 x M2 torus grid points."""
-    idx = canonical_indices(n)
-    zgrid = unit_roots(M2)
-    jpow = np.array([[z ** jk.j for jk in idx] for z in zgrid])
-    kpow = np.array([[z ** jk.k for jk in idx] for z in zgrid])
-    return (jpow[:, None, :] * kpow[None, :, :]).reshape(M2 * M2, len(idx))
+    """Monomial vectors m (rows, canonical order) at the M2 x M2 torus grid points.
+
+    Row a M2 + b holds z^j w^k at (z, w) = (w^a, w^b), w = e^{2 pi i/M2},
+    as the one table entry unit_roots(M2)[(a j + b k) mod M2], the phase
+    norms.norm_on_bidisk evaluates.
+    """
+    j, k = np.array(canonical_indices(n)).T
+    a = np.arange(M2)[:, None]
+    phase = (a * j)[:, None, :] + (a * k)[None, :, :]  # (a, b, term)
+    return unit_roots(M2)[phase % M2].reshape(M2 * M2, len(j))
 
 
 def newton_terms(rho: float) -> int:
@@ -520,7 +528,6 @@ def _newton_basis(a: np.ndarray, M1: int):
     """
     K = len(a)
     J = newton_terms(float(np.abs(a).max()))
-    t = unit_roots(M1)
     m = np.arange(K + J - 1)
     inv_fact = np.cumprod(np.concatenate([[1.0], 1.0 / m[1:]]))
     h = homogeneous_sums(a, J)
@@ -529,7 +536,7 @@ def _newton_basis(a: np.ndarray, M1: int):
     with np.errstate(over="ignore", invalid="ignore"):
         band = np.zeros((K + J - 1, K), dtype=np.complex128)
         band[np.arange(J)[:, None] + np.arange(K), np.arange(K)] = h
-        psi = (t[np.outer(np.arange(M1), m) % M1] * inv_fact) @ band
+        psi = (unit_powers(M1, K + J - 1) * inv_fact) @ band
     D = a[:, None] - a[None, :] + np.eye(K)
     return psi, np.triu(1 / np.cumprod(D, axis=1))
 

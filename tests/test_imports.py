@@ -1,6 +1,6 @@
 """Every import in the package is used, every public name resolves,
 durations use a monotonic clock, every verify suite is registered, and
-each shared input check is stated once (a stdlib stand-in for a linter)."""
+each input check is stated once (a stdlib stand-in for a linter)."""
 
 import ast
 import subprocess
@@ -149,18 +149,31 @@ def test_every_suite_is_registered_and_reported():
     assert [line.split()[0] for line in proc.stdout.splitlines()[1:]] == list(SUITES)
 
 
+def raising_functions(source: str) -> dict:
+    """{message head: names of the functions that raise it}, each raise
+    counted in its innermost function.  A message's head is its literal
+    text before the first substitution."""
+    out = {}
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call) and child.exc.args:
+                message = child.exc.args[0]
+                head = message.values[0] if isinstance(message, ast.JoinedStr) else message
+                if function and isinstance(head, ast.Constant) and isinstance(head.value, str):
+                    out.setdefault(head.value, set()).add(function)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return out
+
+
 def raised_messages(source: str, functions) -> list:
-    """The literal text before the first substitution of each message that
-    the named functions raise, sorted."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.FunctionDef) and node.name in functions:
-            for raise_ in ast.walk(node):
-                if isinstance(raise_, ast.Raise) and isinstance(raise_.exc, ast.Call):
-                    message = raise_.exc.args[0]
-                    head = message.values[0] if isinstance(message, ast.JoinedStr) else message
-                    out.append(head.value)
-    return sorted(out)
+    """The heads of the messages that the named functions raise, sorted."""
+    return sorted(head for head, where in raising_functions(source).items() if where & set(functions))
 
 
 def test_detector_sees_raised_messages():
@@ -184,3 +197,23 @@ def test_shared_checks_are_stated_once():
     assert not {name: found for name, found in copies.items() if found}
     core = (PACKAGE / "core.py").read_text()
     assert all(core.count(m) == 1 for m in messages)
+
+
+def test_detector_sees_each_raise_in_its_innermost_function():
+    source = (
+        "def outer(x):\n    def inner():\n        raise ValueError(f'bad {x}')\n"
+        "    raise ValueError('plain')\n"
+        "def other(x):\n    raise TypeError(f'bad {x}')\n    raise ValueError(x)\n"
+    )
+    assert raising_functions(source) == {"bad ": {"inner", "other"}, "plain": {"outer"}}
+
+
+def test_every_check_is_stated_once():
+    # a message raised by two functions is a check stated twice; one
+    # helper states it, and both callers call the helper
+    raisers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for head, functions in raising_functions(path.read_text()).items():
+            raisers.setdefault(head, set()).update(f"{path.name}:{name}" for name in functions)
+    assert raisers
+    assert not {head: sorted(where) for head, where in raisers.items() if len(where) > 1}

@@ -28,7 +28,9 @@ from bwexp.core import (
     monomial_nodes,
     space_dimension,
 )
+from bwexp.norms import unit_roots
 from bwexp.solver import (
+    FEASIBILITY_TOL,
     EnEstimate,
     LPConfig,
     SolverGridError,
@@ -309,6 +311,42 @@ def test_working_set_matches_cold_full_grid_solve(alpha):
                           method="highs", options=tolerances)
             assert ref.status == 0
             assert lp.maximize(d) == pytest.approx(-ref.fun, rel=1e-8), (n, p)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_torus_rows_read_one_root_per_phase(n):
+    # z^j w^k at (w^a, w^b) is the table entry at phase (a j + b k) mod M,
+    # the value norm_on_bidisk evaluates, not a product of complex powers
+    for M in (8, 12, 32):
+        roots = unit_roots(M)
+        ref = [[roots[(a * jk.j + b * jk.k) % M] for jk in canonical_indices(n)]
+               for a in range(M) for b in range(M)]
+        assert np.array_equal(_torus_monomials(n, M), np.array(ref)), M
+
+
+@pytest.mark.parametrize("alpha", [(0.0, 0.5), (0.3, 0.4)])
+def test_accepted_points_satisfy_every_row(monkeypatch, alpha):
+    # the acceptance scan scores each circle point by the row it would
+    # add; at every point it accepts, each row of the full discretization
+    # outside the working set, as the model holds it, is within tolerance
+    a = make_alpha(*alpha)
+    real = _WorkingSetLP.maximize
+    accepted = []
+
+    def checked(lp, d, abandon_below=-math.inf):
+        val = real(lp, d, abandon_below)
+        if val is not None:
+            x = np.array(lp.model.getSolution().col_value)
+            ids = np.arange(lp.M1 * lp.S)
+            outside = ids[~np.isin(ids, sorted(lp.working))]
+            assert (lp._rows(outside) @ x).max() <= 1 + FEASIBILITY_TOL
+            accepted.append(val)
+        return val
+
+    monkeypatch.setattr(_WorkingSetLP, "maximize", checked)
+    for n in (1, 2, 3):
+        en_lp_estimate(n, a, SMALL)
+    assert accepted
 
 
 def test_unbounded_working_set_raises_status_3():
