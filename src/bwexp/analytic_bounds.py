@@ -44,6 +44,7 @@ from .core import (
     ExpSum,
     MultiIndex,
     monomial_nodes,
+    node_products,
     require_alpha,
     require_degree,
     space_dimension,
@@ -150,8 +151,9 @@ class AnnihilatorData:
     """Expanded annihilator R_lm and the isolated product beta_lm.
 
     coeffs holds a_0..a_N of R_lm(lambda) = sum a_t lambda^t; beta is
-    R_lm evaluated at the target node, as a direct product of the N
-    linear factors.
+    R_lm evaluated at the target node, the product of the N linear
+    factors: core.node_products's exact Gaussian-integer product at the
+    target, rounded once to bits in each part.
     """
 
     target: MultiIndex
@@ -182,19 +184,23 @@ def annihilator(l: int, m: int, n: int, alpha: AlphaParam, bits: int = DEFAULT_B
     The roots are the nodes at bits, the ones compose_to_expsum gives f.
     The expansion runs by sequential linear-factor convolution at
     _expansion_bits(bits), since apply_annihilator's sum cancels the
-    coefficients' rounding by far more than bits can spare; beta_lm is
-    the product evaluated at the target node l + m*alpha, at bits.
+    coefficients' rounding by far more than bits can spare.  beta_lm,
+    the product evaluated at the target node l + m*alpha, is
+    G[N][target] 2^{-sN} from core.node_products over the nodes (which
+    raises if two of them coincide), rounded once to bits.
     """
     _require_target(l, m, n)
     require_alpha(alpha)
     target = MultiIndex(l, m)
+    nodes = monomial_nodes(n, alpha, bits)
+    roots = [e.value for e in nodes if e.index != target]
+    s, columns = node_products([e.value for e in nodes], bits)
+    for last in columns:  # beta_lm reads the last column, G[N]
+        pass
+    p, q = last[[e.index for e in nodes].index(target)]
+    shift = -s * (len(nodes) - 1)
     with mp.workprec(bits):
-        nodes = monomial_nodes(n, alpha, bits)
-        tval = [e.value for e in nodes if e.index == target][0]
-        roots = [e.value for e in nodes if e.index != target]
-        beta = mp.mpc(1)
-        for r in roots:
-            beta *= tval - r
+        beta = mp.mpc(mp.ldexp(mp.mpf(p), shift), mp.ldexp(mp.mpf(q), shift))
     with mp.workprec(_expansion_bits(bits)):
         coeffs = [mp.mpc(1)]
         for r in roots:

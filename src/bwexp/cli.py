@@ -431,14 +431,15 @@ def _read_sweep_rows(path: str):
         reader = csv.DictReader(io.StringIO(text))
         raw_rows = list(reader)
     for raw in raw_rows:
-        if raw.get("error"):
-            continue
+        # a JSON row may be any value; int(str(...)) reads "2" and 2, not 2.7
         try:
+            if raw.get("error"):
+                continue
             rows.append({
-                "n": int(raw["n"]),
+                "n": int(str(raw["n"])),
                 **{key: float(raw[key]) for key in ("alpha_re", "alpha_im") + _VALUE_COLUMNS},
             })
-        except (KeyError, TypeError, ValueError) as ex:
+        except (AttributeError, KeyError, TypeError, ValueError) as ex:
             raise ValueError(f"malformed sweep row {raw!r}") from ex
     if not rows:
         raise ValueError("sweep file has no usable rows")

@@ -10,7 +10,8 @@ space is spanned in closed form by the divided-difference weights
 
 which in addition satisfy sum c_i a_i^N = 1 (the N-th divided
 difference of t^N).  Node distinctness (Im(alpha) != 0) is exactly the
-invertibility of the Vandermonde matrix, so it is checked directly.
+invertibility of the Vandermonde matrix; core.node_products, which
+forms the products, checks it.
 
 With h(t) = f(t)/t^N entire, the maximum principle gives
 sup_{|t|=r} |f| >= r^N sup_{|t|=1} |f| >= r^N ||P||_K for r >= 1.  On
@@ -23,9 +24,11 @@ yields the floor N ln(N/n) - N, which matches the bracket's lower
 endpoint up to the n^2/4 slack of sum k ln k >= (n^2 ln n)/2 - n^2/4.
 
 The weights span about N orders of magnitude.  Each is one exact
-Gaussian-integer product of node differences (the nodes are dyadic at
-the working precision), rounded once.  The composed sum still cancels:
-its moments mu_m = sum c a^m vanish for m < N, and the Taylor
+Gaussian-integer product of node differences from core.node_products
+(the nodes are dyadic at the working precision), rounded once; the
+LP's Newton weights (solver._newton_basis) read the same kind of table
+over the float64 nodes.  The composed sum still cancels: its moments
+mu_m = sum c a^m vanish for m < N, and the Taylor
 coefficients mu_m/m! that the K certificate reads are far below
 sum |c||a|^m/m!.  So the construction works at no fewer than
 required_witness_bits(n) bits (a request below that floor is built at
@@ -62,6 +65,7 @@ from .core import (
     ExpSum,
     Poly2,
     monomial_nodes,
+    node_products,
     require_alpha,
     require_degree,
     space_dimension,
@@ -104,36 +108,21 @@ def divided_difference_weights(nodes, bits: int = DEFAULT_BITS):
     """Weights c_i = 1/prod_{j != i}(a_i - a_j) for distinct nodes.
 
     They satisfy sum c_i a_i^m = 0 for 0 <= m <= N-1 and
-    sum c_i a_i^N = 1, with N + 1 = len(nodes).  The nodes, rounded to
-    bits, are dyadic: a_i = A_i 2^-s with Gaussian integers A_i at one
-    scale.  So G_i = prod_{j != i}(A_i - A_j) is formed exactly, and
+    sum c_i a_i^N = 1, with N + 1 = len(nodes).  core.node_products
+    forms G_i = prod_{j != i}(A_i - A_j) exactly over the nodes rounded
+    to bits, a_i = A_i 2^-s, and raises if two of them coincide;
     c_i = 2^{sN} conj(G_i)/|G_i|^2 is rounded once in each part.
     """
+    s, columns = node_products(nodes, bits)
+    last = []
+    for last in columns:  # G_i is the last column
+        pass
+    shift, weights = s * (len(last) - 1), []
     with mp.workprec(bits):
-        vals = [mp.mpc(a) for a in nodes]
-        parts = [x for a in vals for x in (a.real, a.imag)]
-        s = max([0] + [-x.exp for x in parts if x])  # x.exp: x = man 2^exp, man odd
-        A = [(int(mp.ldexp(a.real, s)), int(mp.ldexp(a.imag, s))) for a in vals]
-        # |A_i - A_j| < 2^-(bits//2) max(2^s, max|A|) is a coincidence
-        sep = max([1 << 2 * s] + [x * x + y * y for x, y in A])
-        # each pair i < j once: A_j - A_i is -(A_i - A_j) exactly
-        prods = [(1, 0)] * len(A)
-        for i, (x, y) in enumerate(A):
-            for j in range(i + 1, len(A)):
-                u, v = x - A[j][0], y - A[j][1]
-                if (u * u + v * v) << 2 * (bits // 2) < sep:
-                    raise ValueError(
-                        f"nodes {i} and {j} coincide to working precision "
-                        f"(|diff| = {mp.nstr(abs(vals[i] - vals[j]), 5)}); need distinct nodes"
-                    )
-                (p, q), (g, h) = prods[i], prods[j]
-                prods[i] = (p * u - q * v, p * v + q * u)
-                prods[j] = (h * v - g * u, -g * v - h * u)
-        shift, weights = s * (len(A) - 1), []
-        for p, q in prods:
+        for p, q in last:
             norm = p * p + q * q
             weights.append(mp.mpc(mp.ldexp(mp.fdiv(p, norm), shift), mp.ldexp(mp.fdiv(-q, norm), shift)))
-        return weights
+    return weights
 
 
 @dataclass(frozen=True)

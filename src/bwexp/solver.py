@@ -31,6 +31,11 @@ where column k of Psi is psi_k(t) = [a_0..a_k] e^{a t} over the nodes,
 scaled to max 1 on the circle (_newton_basis); a candidate's objective
 m.c is g.d, with g = W^T m over the scales.  At alpha = 0.5i, cond(Psi)
 is about 300 at n = 8, cond(exp(t (x) nodes)) 9e16 already at n = 5.
+W[i, k] = 1/prod_{j<=k, j!=i}(a_i - a_j) is core.node_products's exact
+Gaussian-integer product over the float64 nodes (the routine the
+witness weights read), rounded once, so conjugated nodes give exactly
+conj(W).  Its last column holds the divided-difference weights over
+those nodes.
 
 Two reductions keep the LP tractable.  First, rotating all coefficients
 by e^{2 pi i/S} permutes the constraint set, so objective phases that
@@ -115,6 +120,7 @@ from .core import (
     canonical_indices,
     make_alpha,
     monomial_nodes,
+    node_products,
     require_alpha,
     require_degree,
     space_dimension,
@@ -163,8 +169,10 @@ _ACCEPT_TOL = 1e-7
 
 
 class SolverGridError(RuntimeError):
-    """A working-set LP ended with status 3 (its rows leave the objective
-    unbounded) or 4 (any other nonzero HiGHS status, named in the message)."""
+    """The discretized LP cannot be solved: its Newton problem leaves the
+    float64 range, or a working-set LP ended with status 3 (its rows
+    leave the objective unbounded) or 4 (any other nonzero HiGHS status,
+    named in the message)."""
 
 
 @dataclass(frozen=True)
@@ -516,7 +524,7 @@ def homogeneous_sums(a: np.ndarray, J: int) -> np.ndarray:
     return h
 
 
-def _newton_basis(a: np.ndarray, M1: int):
+def _newton_basis(a: np.ndarray, M1: int, bits: int):
     """psi_k(t_i) = [a_0..a_k] e^{a t_i} at M1 circle points, and W with psi = e^{t a} W.
 
     psi_k(t) = sum_j h_j(a_0..a_k) t^{k+j}/(k+j)!, h_j the complete
@@ -524,30 +532,47 @@ def _newton_basis(a: np.ndarray, M1: int):
     J = newton_terms(rho) terms, rho = max|a|, leave a tail below
     2e-26/k!, while max|psi_k| >= 1/k! (its t^k coefficient, by Cauchy's
     estimate).
-    W[i,k] = 1/prod_{j<=k, j!=i}(a_i - a_j) for i <= k, else 0.
+    W[i,k] = 1/prod_{j<=k, j!=i}(a_i - a_j) for i <= k, else 0, is
+    2^{sk}/G[k][i] from core.node_products over the same float64 nodes
+    (which raises ValueError if two coincide at bits), rounded once in
+    each part by Python's int/int division.  Past the float64 range an
+    entry of W is inf, and the table and psi hold inf and nan quietly;
+    _lp_problem's finiteness check raises SolverGridError on them.
     """
+    s, columns = node_products(a.tolist(), bits)
     K = len(a)
+    W = np.zeros((K, K), dtype=np.complex128)
+    for k, col in enumerate(columns):
+        for i, (p, q) in enumerate(col):
+            norm = p * p + q * q
+            try:
+                W[i, k] = complex((p << s * k) / norm, (-q << s * k) / norm)
+            except OverflowError:
+                W[i, k] = math.inf
     J = newton_terms(float(np.abs(a).max()))
     m = np.arange(K + J - 1)
     inv_fact = np.cumprod(np.concatenate([[1.0], 1.0 / m[1:]]))
     h = homogeneous_sums(a, J)
-    # past the float64 range the table and psi hold inf and nan quietly;
-    # _lp_problem's finiteness check raises SolverGridError on them
     with np.errstate(over="ignore", invalid="ignore"):
         band = np.zeros((K + J - 1, K), dtype=np.complex128)
         band[np.arange(J)[:, None] + np.arange(K), np.arange(K)] = h
         psi = (unit_powers(M1, K + J - 1) * inv_fact) @ band
-    D = a[:, None] - a[None, :] + np.eye(K)
-    return psi, np.triu(1 / np.cumprod(D, axis=1))
+    return psi, W
 
 
 def _lp_problem(n: int, alpha: AlphaParam, cfg: LPConfig, bits: int):
-    """Newton matrix Psi, columns scaled to max 1, and torus rows g = W^T m over the scales."""
-    psi, W = _newton_basis(_nodes_f64(n, alpha, bits), cfg.circle_points)
+    """Newton matrix Psi, columns scaled to max 1, and torus rows g = W^T m over the scales.
+
+    Raises SolverGridError, before any solve, when a scale or a torus
+    row (so any entry of W) leaves the float64 range.
+    """
+    psi, W = _newton_basis(_nodes_f64(n, alpha, bits), cfg.circle_points, bits)
     scale = np.abs(psi).max(axis=0)
-    if not (np.isfinite(scale) & (scale > 0)).all():
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows = (_torus_monomials(n, cfg.torus_points) @ W) / scale
+    if not ((np.isfinite(scale) & (scale > 0)).all() and np.isfinite(rows).all()):
         raise SolverGridError(f"the Newton basis leaves the float64 range at n = {n}")
-    return psi / scale, (_torus_monomials(n, cfg.torus_points) @ W) / scale
+    return psi / scale, rows
 
 
 def en_lp_estimate(

@@ -661,6 +661,22 @@ def test_plot_malformed_inputs_exit_one(tmp_path, capsys):
     assert ".svg or .csv" in err
 
 
+def test_plot_rejects_malformed_json_rows(tmp_path, capsys):
+    good = {
+        "n": 1, "alpha_re": 0.0, "alpha_im": 0.5,
+        "analytic_lower": -1.0, "analytic_upper": 8.69,
+        "witness_lower": -0.3, "oracle_lower": 1.82, "lp_estimate": 2.25,
+    }
+    src = tmp_path / "sweep.json"
+    out = tmp_path / "plot.svg"
+    for rows in ([1, 2], [good, "row"], [{**good, "n": 2.7}], [{**good, "n": True}]):
+        src.write_text(json.dumps(rows))
+        code, _, err = run_cli(capsys, ["plot", "--input", str(src), "--out", str(out)])
+        assert code == EXIT_PARSE, rows
+        assert "malformed sweep row" in err
+        assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ entry point
 
 

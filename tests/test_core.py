@@ -36,6 +36,7 @@ from bwexp import (
 )
 from bwexp.analytic_bounds import a1_a2_products
 from bwexp.cli import _checked_alpha
+from bwexp.core import node_products
 
 SEED = 20240811
 
@@ -172,6 +173,28 @@ def test_monomial_nodes_count_and_distinctness():
                 abs(u - v) for i, u in enumerate(vals) for v in vals[i + 1 :]
             )
             assert dmin > 0, f"n={n} alpha={alpha}: coincident nodes"
+
+
+def test_node_products_every_prefix():
+    # nodes 0, 1, i/2, 1 + i/2 at scale s = 1: A = 0, 2, i, 2 + i
+    s, columns = node_products([0, 1, mp.mpc(0, 0.5), mp.mpc(1, 0.5)], 64)
+    A = [0, 2, 1j, 2 + 1j]
+    assert s == 1
+    G = list(columns)
+    assert [len(col) for col in G] == [1, 2, 3, 4]
+    for k, col in enumerate(G):
+        for i, (p, q) in enumerate(col):
+            want = 1
+            for j in range(k + 1):
+                if j != i:
+                    want *= A[i] - A[j]
+            assert complex(p, q) == want, (k, i)
+    # a difference of 2^-100 coincides at 128 bits (2^-64), not at 256
+    with mp.workprec(256):
+        near = 1 + mp.mpf(2) ** -100
+    with pytest.raises(ValueError, match="nodes 1 and 2 coincide to working precision"):
+        list(node_products([0, 1, near], 128)[1])
+    assert len(list(node_products([0, 1, near], 256)[1])) == 3
 
 
 def test_compose_examples():

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -97,14 +98,20 @@ def test_lp_guard_errors():
                                         torus_points=8, phase_samples=8))
     with pytest.raises(ValueError):
         en_lp_estimate(1, make_alpha(0.5, 0.0), SMALL)
-    # the Newton table overflows at |alpha| = 60 and its scales underflow at
-    # n = 20; the error is the only report, with no NumPy warning before it
+    # the Newton table overflows at |alpha| = 60, its scales underflow at
+    # n = 20, and W's entries leave the float64 range at n = 11, 1e-30i;
+    # the nodes at 1e-200i coincide at 256 bits.  The error is the only
+    # report, with no NumPy warning and no HiGHS solve before it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SolverGridError, match="float64 range"):
             en_lp_estimate(3, make_alpha(0.0, 60.0), SMALL)
         with pytest.raises(SolverGridError, match="float64 range"):
             en_lp_estimate(20, A05, LPConfig(circle_points=1024), max_degree=20)
+        with pytest.raises(SolverGridError, match="float64 range"):
+            en_lp_estimate(11, make_alpha(0.0, 1e-30), max_degree=11)
+        with pytest.raises(ValueError, match="coincide to working precision"):
+            en_lp_estimate(2, make_alpha(0.0, 1e-200), SMALL)
     assert [str(w.message) for w in caught] == []
 
 
@@ -151,10 +158,52 @@ def test_lp_solves_degree_four_on_a_coarse_grid():
 def test_newton_weights_are_divided_difference_weights(n):
     # W's last column is the divided difference over all nodes
     for alpha in (A05, make_alpha(0.1, 0.1)):
-        _, W = _newton_basis(_nodes_f64(n, alpha, 256), 64)
+        _, W = _newton_basis(_nodes_f64(n, alpha, 256), 64, 256)
         ref = np.array([complex(w) for w in divided_difference_weights(
             [e.value for e in monomial_nodes(n, alpha)])])
         assert np.abs(W[:, -1] - ref).max() <= 1e-13 * np.abs(ref).max(), alpha
+
+
+def _exact_newton_weight(nodes, i, k):
+    """1/prod_{j<=k, j!=i}(a_i - a_j) over float64 nodes, each part rounded once."""
+    re, im = Fraction(1), Fraction(0)
+    for j in range(k + 1):
+        if j != i:
+            u = Fraction(nodes[i].real) - Fraction(nodes[j].real)
+            v = Fraction(nodes[i].imag) - Fraction(nodes[j].imag)
+            re, im = re * u - im * v, re * v + im * u
+    norm = re * re + im * im
+    return complex(float(re / norm), float(-im / norm))
+
+
+@pytest.mark.parametrize("n, alpha", [(3, A05), (3, make_alpha(-0.2, 0.6)), (8, make_alpha(0.1, 0.1))],
+                         ids=str)
+def test_newton_weights_are_rounded_once(n, alpha):
+    # every entry of W is its exact value over the float64 nodes, rounded
+    # once; a float64 product of the differences misses it by up to 16 ulps
+    # of |W[i, k]| at n = 8, 0.1+0.1i
+    nodes = _nodes_f64(n, alpha, 256)
+    _, W = _newton_basis(nodes, 64, 256)
+    want = np.zeros_like(W)
+    for k in range(len(nodes)):
+        for i in range(k + 1):
+            want[i, k] = _exact_newton_weight(nodes, i, k)
+    assert np.array_equal(W, want)
+
+
+def test_conjugated_nodes_give_conjugated_weights():
+    # the exactness en_bracket's conjugate pairs rely on: W and the witness
+    # weights of conj(alpha) are bit for bit the conjugates of alpha's
+    for re, im in ((0.0, 0.5), (0.3, 0.4), (-0.2, 0.6)):
+        alpha, conj = make_alpha(re, im), make_alpha(re, -im)
+        for n in (1, 3, 5):
+            _, W = _newton_basis(_nodes_f64(n, alpha, 256), 64, 256)
+            _, Wc = _newton_basis(_nodes_f64(n, conj, 256), 64, 256)
+            assert np.array_equal(Wc, np.conj(W)), (alpha, n)
+            w = divided_difference_weights([e.value for e in monomial_nodes(n, alpha)])
+            wc = divided_difference_weights([e.value for e in monomial_nodes(n, conj)])
+            with mp.workprec(256):
+                assert wc == [mp.conj(c) for c in w], (alpha, n)
 
 
 @pytest.mark.parametrize("alpha", [(0.0, 0.5), (0.1, 0.1), (0.0, 0.9)])
@@ -164,7 +213,7 @@ def test_newton_basis_at_degree_eight(alpha):
     # is well conditioned where exp(t * nodes) is singular in float64
     a = make_alpha(*alpha)
     N = space_dimension(8)
-    psi, _ = _newton_basis(_nodes_f64(8, a, 256), 512)
+    psi, _ = _newton_basis(_nodes_f64(8, a, 256), 512, 256)
     with mp.workprec(64 + 16 * N):
         nodes = [e.value for e in monomial_nodes(8, a, 64 + 16 * N)]
         ts = [mp.expjpi(mp.mpf(i) / 256) for i in range(0, 512, 64)]
