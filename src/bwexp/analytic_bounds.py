@@ -17,7 +17,11 @@ which is implemented and property-tested here:
   * the annihilator polynomials R_lm(lambda)
     = prod_{(j,k) != (l,m)} (lambda - j - k*alpha), whose application to
     f = P(e^t, e^{alpha t}) as a differential operator at 0 isolates
-    c_lm * beta_lm with beta_lm = prod (l - j + (m - k) alpha);
+    c_lm * beta_lm with beta_lm = prod (l - j + (m - k) alpha).  R_lm
+    is expanded and applied in exact Gaussian integers over the nodes'
+    dyadic form (core.dyadic_form), so the identity holds to one final
+    rounding at every n and alpha2, however much the expansion's terms
+    cancel;
   * the re-indexed double products A1, A2 with A1*A2 <= |beta_lm|;
   * the Vieta majorant sum_t |a_t| N^t <= (N + n)^N for the expanded
     coefficients of R_lm;
@@ -30,6 +34,7 @@ which is implemented and property-tested here:
 
 Constants (3.7, 5.95, 9/4, 8) are implemented exactly as stated, with no
 tightening.
+Every routine works at the caller's bits and nowhere else.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .core import (
     AlphaParam,
     ExpSum,
     MultiIndex,
+    dyadic_form,
     monomial_nodes,
     node_products,
     require_alpha,
@@ -148,17 +154,21 @@ def half_integer_product(m: int, bits: int = DEFAULT_BITS):
 
 @dataclass(frozen=True)
 class AnnihilatorData:
-    """Expanded annihilator R_lm and the isolated product beta_lm.
+    """Exact expansion of the annihilator R_lm and the isolated product beta_lm.
 
-    coeffs holds a_0..a_N of R_lm(lambda) = sum a_t lambda^t; beta is
-    R_lm evaluated at the target node, the product of the N linear
-    factors: core.node_products's exact Gaussian-integer product at the
-    target, rounded once to bits in each part.
+    Over the nodes rounded to bits, a_i = A_i 2^-s (core.dyadic_form),
+    R_lm(lambda) = prod_{i != target}(lambda - a_i)
+    = sum_t C_t 2^{-s(N-t)} lambda^t.  coeffs holds C_0..C_N, each an
+    exact Gaussian integer as a pair (real, imag) of ints, C_N = (1, 0);
+    scale holds s.  beta is R_lm at the target node, the product of the
+    N linear factors: core.node_products's exact Gaussian-integer
+    product at the target, rounded once to bits in each part.
     """
 
     target: MultiIndex
     degree: int
-    coeffs: tuple
+    coeffs: tuple  # of (real, imag) int pairs, lowest degree first
+    scale: int
     beta: object  # mp.mpc
     bits: int
 
@@ -167,70 +177,71 @@ class AnnihilatorData:
         return len(self.coeffs) - 1
 
 
-def _expansion_bits(bits: int) -> int:
-    """Precision of R_lm's expanded coefficients and of their Horner sum.
-
-    Evaluating the expansion at a node cancels about N log2(node
-    spread) bits: sum_t |a_t||lambda|^t exceeds |beta_lm| by at most
-    2^57 for n <= 5 and 2^132 for n <= 8 at the suites' four standard
-    alphas.  2 bits + 64 spends bits + 64 >= 128 bits above bits on it.
-    """
-    return 2 * bits + 64
-
-
 def annihilator(l: int, m: int, n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> AnnihilatorData:
     """Build R_lm(lambda) = prod_{(j,k) != (l,m)} (lambda - j - k*alpha).
 
-    The roots are the nodes at bits, the ones compose_to_expsum gives f.
-    The expansion runs by sequential linear-factor convolution at
-    _expansion_bits(bits), since apply_annihilator's sum cancels the
-    coefficients' rounding by far more than bits can spare.  beta_lm,
-    the product evaluated at the target node l + m*alpha, is
-    G[N][target] 2^{-sN} from core.node_products over the nodes (which
-    raises if two of them coincide), rounded once to bits.
+    The roots are the nodes at bits, the ones compose_to_expsum gives f,
+    in their dyadic form A_i 2^-s.  prod_{i != target}(X - A_i) is
+    expanded by Gaussian-integer convolution, so the coefficients are
+    exact for the rounded nodes.  beta_lm, the product evaluated at the
+    target node l + m*alpha, is G[N][target] 2^{-sN} from
+    core.node_products over the nodes (which raises if two of them
+    coincide), rounded once to bits.
     """
     _require_target(l, m, n)
     require_alpha(alpha)
     target = MultiIndex(l, m)
     nodes = monomial_nodes(n, alpha, bits)
-    roots = [e.value for e in nodes if e.index != target]
-    s, columns = node_products([e.value for e in nodes], bits)
+    at = [e.index for e in nodes].index(target)
+    values = [e.value for e in nodes]
+    s, columns = node_products(values, bits)
     for last in columns:  # beta_lm reads the last column, G[N]
         pass
-    p, q = last[[e.index for e in nodes].index(target)]
     shift = -s * (len(nodes) - 1)
     with mp.workprec(bits):
-        beta = mp.mpc(mp.ldexp(mp.mpf(p), shift), mp.ldexp(mp.mpf(q), shift))
-    with mp.workprec(_expansion_bits(bits)):
-        coeffs = [mp.mpc(1)]
-        for r in roots:
-            # multiply running polynomial by (lambda - r)
-            nxt = [mp.mpc(0)] * (len(coeffs) + 1)
-            for t, a in enumerate(coeffs):
-                nxt[t + 1] += a
-                nxt[t] -= a * r
-            coeffs = nxt
-    return AnnihilatorData(target, n, tuple(coeffs), beta, bits)
+        beta = mp.mpc(*(mp.ldexp(mp.mpf(x), shift) for x in last[at]))
+    coeffs = [(1, 0)]
+    for i, (x, y) in enumerate(dyadic_form(values, bits)[1]):
+        if i != at:  # times X - (x + iy): C_t <- C_{t-1} - (x + iy) C_t
+            coeffs = [(u - p * x + q * y, v - p * y - q * x)
+                      for (u, v), (p, q) in zip([(0, 0)] + coeffs, coeffs + [(0, 0)])]
+    return AnnihilatorData(target, n, tuple(coeffs), s, beta, bits)
+
+
+def _horner(coeffs, x: int, y: int):
+    """sum_t C_t (x + iy)^t over Gaussian integers C_t = (p, q), exactly."""
+    g = h = 0
+    for p, q in reversed(coeffs):
+        g, h = g * x - h * y + p, g * y + h * x + q
+    return g, h
 
 
 def apply_annihilator(data: AnnihilatorData, f: ExpSum, bits: int = DEFAULT_BITS):
-    """D_R f at 0, i.e. sum over terms c * R(a) with R in expanded form.
+    """D_R f at 0, i.e. sum over terms c * R(a), exact and rounded once to bits.
 
     For f composed from a degree-n polynomial this equals c_lm * beta_lm:
-    R vanishes at every node except the target.  Horner evaluation of the
-    expanded coefficients is badly conditioned, so the Horner loop runs
-    at the expansion's precision and the result is rounded back.
+    R vanishes at every node except the target.  The exponents a, rounded
+    to bits, go on one dyadic scale S with R's roots (core.dyadic_form),
+    and each R(a) is an integer Horner sum over the exact coefficients.
+    Each c is read exactly from its mantissa and exponent, so the sum is
+    an exact Gaussian integer times a power of two, rounded once in each
+    part.
     """
-    with mp.workprec(_expansion_bits(bits)):
-        total = mp.mpc(0)
-        for c, a in f.terms:
-            aa = mp.mpc(a)
-            acc = mp.mpc(0)
-            for coef in reversed(data.coeffs):
-                acc = acc * aa + mp.mpc(coef)
-            total += mp.mpc(c) * acc
+    N, s = data.poly_degree, data.scale
+    u, nodes = dyadic_form([a for _, a in f.terms], bits)
+    S = max(s, u)
+    coeffs = [(p << (S - s) * (N - t), q << (S - s) * (N - t))  # C_t 2^{-s(N-t)} at scale S
+              for t, (p, q) in enumerate(data.coeffs)]
+    cs = [mp.mpmathify(c) for c, _ in f.terms]
+    e = min([x.exp for c in cs for x in (c.real, c.imag) if x], default=0)  # c = C 2^e, C Gaussian
+    g = h = 0
+    for c, (x, y) in zip(cs, nodes):
+        r, i = _horner(coeffs, x << S - u, y << S - u)
+        cr, ci = int(mp.ldexp(c.real, -e)), int(mp.ldexp(c.imag, -e))
+        g, h = g + cr * r - ci * i, h + cr * i + ci * r
+    shift = e - S * N
     with mp.workprec(bits):
-        return +total
+        return mp.mpc(mp.ldexp(mp.mpf(g), shift), mp.ldexp(mp.mpf(h), shift))
 
 
 def beta_log_lower(l: int, m: int, n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS):
@@ -297,10 +308,10 @@ INEQUALITIES = (
 
 
 def expanded_vieta_sum(data: AnnihilatorData, bits: int = DEFAULT_BITS):
-    """sum_t |a_t| N^t for an expanded annihilator (test support)."""
+    """sum_t |a_t| N^t over the exact coefficients a_t = C_t 2^{-s(N-t)} (test support)."""
     with mp.workprec(bits):
-        N = mp.mpf(space_dimension(data.degree))
+        N = space_dimension(data.degree)
         total = mp.mpf(0)
-        for t, a in enumerate(data.coeffs):
-            total += abs(mp.mpc(a)) * N**t
+        for t, (p, q) in enumerate(data.coeffs):
+            total += mp.ldexp(mp.sqrt(p * p + q * q), -data.scale * (N - t)) * N**t
         return total

@@ -11,10 +11,11 @@ distinct: equal nodes force alpha2*k1 = alpha2*k2, hence k1 = k2 and
 then j1 = j2.  Distinctness is what every downstream construction
 (annihilators, divided differences, the witness polynomial) relies on:
 it makes the products prod_{j != i}(a_i - a_j) nonzero.  node_products
-forms them once, exactly, as Gaussian integers at one dyadic scale, and
-is the one place that checks the nodes are distinct to working
-precision; the witness weights, the LP's Newton weights and the
-annihilator's beta_lm each round its table once.
+forms them once, exactly, as Gaussian integers at one dyadic scale
+(dyadic_form), and is the one place that checks the nodes are distinct
+to working precision; the witness weights, the LP's Newton weights and
+the annihilator's beta_lm each round its table once.  The annihilator
+expands and applies R_lm over the same dyadic form, exactly.
 
 The space of degree <= n polynomials has dimension N + 1 with
 N = (n^2 + 3n)/2.  Extremal constants in this family grow like
@@ -167,12 +168,27 @@ def monomial_nodes(n: int, alpha: AlphaParam, bits: int = DEFAULT_BITS) -> list[
         return [ExponentNode(jk, jk.j + a * jk.k) for jk in canonical_indices(n)]
 
 
+def dyadic_form(values, bits: int = DEFAULT_BITS):
+    """The values rounded to bits, as a_i = A_i 2^-s at one scale.
+
+    Returns (s, A): s >= 0 is the least scale at which every real and
+    imaginary part is an integer, and A_i is the pair (real, imag) of
+    ints.  node_products forms its Gaussian-integer products over A, and
+    the annihilator expands and evaluates R_lm over it.
+    """
+    with mp.workprec(bits):
+        vals = [mp.mpc(a) for a in values]
+        parts = [x for a in vals for x in (a.real, a.imag)]
+        s = max([0] + [-x.exp for x in parts if x])  # x.exp: x = man 2^exp, man odd
+        return s, [(int(mp.ldexp(a.real, s)), int(mp.ldexp(a.imag, s))) for a in vals]
+
+
 def node_products(values, bits: int = DEFAULT_BITS):
     """Exact products of node differences over every prefix of the nodes.
 
     The values, rounded to bits, are dyadic: a_i = A_i 2^-s with
-    Gaussian integers A_i at one scale s >= 0.  Returns (s, columns):
-    columns yields G[0], G[1], ..., G[N] in turn, where
+    Gaussian integers A_i at one scale s >= 0 (dyadic_form).  Returns
+    (s, columns): columns yields G[0], G[1], ..., G[N] in turn, where
     G[k][i] = prod_{j<=k, j!=i}(A_i - A_j) for i <= k is a pair
     (real, imag) of ints, so 1/prod_{j<=k, j!=i}(a_i - a_j) is
     2^{sk}/G[k][i].  Column k follows from column k-1 and the k
@@ -182,16 +198,12 @@ def node_products(values, bits: int = DEFAULT_BITS):
     ValueError when two nodes coincide to working precision:
     |A_i - A_j| < 2^-(bits//2) max(2^s, max|A|).
     """
-    with mp.workprec(bits):
-        vals = [mp.mpc(a) for a in values]
-        parts = [x for a in vals for x in (a.real, a.imag)]
-        s = max([0] + [-x.exp for x in parts if x])  # x.exp: x = man 2^exp, man odd
-        A = [(int(mp.ldexp(a.real, s)), int(mp.ldexp(a.imag, s))) for a in vals]
-    return s, _product_columns(vals, A, s, bits)
+    s, A = dyadic_form(values, bits)
+    return s, _product_columns(A, s, bits)
 
 
-def _product_columns(vals, A, s, bits):
-    """The columns of node_products, over the values vals = A 2^-s."""
+def _product_columns(A, s, bits):
+    """The columns of node_products, over the values A 2^-s."""
     sep = max([1 << 2 * s] + [x * x + y * y for x, y in A])
     col = []
     for k, (x, y) in enumerate(A):
@@ -200,7 +212,7 @@ def _product_columns(vals, A, s, bits):
             u, v = A[i][0] - x, A[i][1] - y
             if (u * u + v * v) << 2 * (bits // 2) < sep:
                 with mp.workprec(bits):
-                    diff = mp.nstr(abs(vals[i] - vals[k]), 5)
+                    diff = mp.nstr(mp.ldexp(mp.sqrt(u * u + v * v), -s), 5)
                 raise ValueError(
                     f"nodes {i} and {k} coincide to working precision "
                     f"(|diff| = {diff}); need distinct nodes"

@@ -238,7 +238,7 @@ def _candidate_guard(n: int, cfg: LPConfig, max_degree: int) -> None:
     if n > max_degree:
         raise ValueError(
             f"n={n} exceeds the LP size guard ({max_degree}); "
-            f"pass a higher max_degree to override"
+            f"pass a higher max_degree (--max-degree on the command line) to override"
         )
     N = space_dimension(n)
     if cfg.circle_points < 4 * N:

@@ -144,34 +144,41 @@ def suite_stirling(level: str, bits: int) -> Iterator[str | None]:
 
 
 def suite_annihilator(level: str, bits: int) -> Iterator[str | None]:
-    """Annihilator isolation identity and the |beta| floor."""
+    """Annihilator isolation identity and the |beta| floor.
+
+    The full level adds n = 8 at alpha = 0.5 + 2^-10 i, where the nodes
+    j + k alpha crowd in pairs, so the terms of R's expansion cancel far
+    more than 64 bits at each node.
+    """
     n_max = 5 if level == "full" else 2
     per = 20 if level == "full" else 5
     rng = np.random.default_rng(_SUITE_SEED + 1)
     alphas = [make_alpha(re, im) for re, im in STANDARD_ALPHAS[:2]]
-    for n in range(1, n_max + 1):
-        for a in alphas:
-            idx = canonical_indices(n)
-            anns = {(jk.j, jk.k): annihilator(jk.j, jk.k, n, a, bits) for jk in idx}
-            for (l, m), data in anns.items():
-                logb = beta_log_lower(l, m, n, a, bits)
-                with mp.workprec(bits):
-                    bad = mp.log(abs(data.beta)) < logb - mp.mpf(2) ** (-bits // 2)
-                yield f"n={n} (l,m)=({l},{m}) alpha={a}: beta floor" if bad else None
-            for _ in range(per):
-                p = _random_poly(n, rng, bits)
-                f = compose_to_expsum(p, a, bits)
-                jk = idx[int(rng.integers(0, len(idx)))]
-                data = anns[(jk.j, jk.k)]
-                got = apply_annihilator(data, f, bits)
-                with mp.workprec(bits):
-                    want = mp.mpc(p.coefficient(jk.j, jk.k)) * data.beta
-                    tol = mp.mpf(2) ** (-min(128, bits // 2)) * abs(want)
-                    miss = abs(got - want)
-                yield (
-                    f"n={n} target=({jk.j},{jk.k}) alpha={a}: "
-                    f"isolation residual {mp.nstr(miss, 5)}"
-                ) if miss > tol else None
+    cases = [(n, a) for n in range(1, n_max + 1) for a in alphas]
+    if level == "full":
+        cases.append((8, make_alpha(0.5, 2.0**-10)))
+    for n, a in cases:
+        idx = canonical_indices(n)
+        anns = {(jk.j, jk.k): annihilator(jk.j, jk.k, n, a, bits) for jk in idx}
+        for (l, m), data in anns.items():
+            logb = beta_log_lower(l, m, n, a, bits)
+            with mp.workprec(bits):
+                bad = mp.log(abs(data.beta)) < logb - mp.mpf(2) ** (-bits // 2)
+            yield f"n={n} (l,m)=({l},{m}) alpha={a}: beta floor" if bad else None
+        for _ in range(per):
+            p = _random_poly(n, rng, bits)
+            f = compose_to_expsum(p, a, bits)
+            jk = idx[int(rng.integers(0, len(idx)))]
+            data = anns[(jk.j, jk.k)]
+            got = apply_annihilator(data, f, bits)
+            with mp.workprec(bits):
+                want = mp.mpc(p.coefficient(jk.j, jk.k)) * data.beta
+                tol = mp.mpf(2) ** (-min(128, bits // 2)) * abs(want)
+                miss = abs(got - want)
+            yield (
+                f"n={n} target=({jk.j},{jk.k}) alpha={a}: "
+                f"isolation residual {mp.nstr(miss, 5)}"
+            ) if miss > tol else None
 
 
 def suite_inequalities(level: str, bits: int) -> Iterator[str | None]:

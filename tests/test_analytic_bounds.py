@@ -5,7 +5,16 @@ import random
 import pytest
 from mpmath import mp
 
-from bwexp import MultiIndex, Poly2, canonical_indices, compose_to_expsum, make_alpha, space_dimension
+from bwexp import (
+    ExpSum,
+    MultiIndex,
+    Poly2,
+    canonical_indices,
+    compose_to_expsum,
+    make_alpha,
+    monomial_nodes,
+    space_dimension,
+)
 from bwexp.analytic_bounds import (
     a1_a2_products,
     annihilator,
@@ -193,12 +202,11 @@ def test_half_integer_product():
 def test_annihilator_hand_expansion():
     with mp.workprec(BITS):
         data = annihilator(0, 0, 1, make_alpha(0.0, 0.5))
-        # (lambda - 1)(lambda - 0.5i) = lambda^2 - (1+0.5i) lambda + 0.5i
+        # (lambda - 1)(lambda - 0.5i) = lambda^2 - (1+0.5i) lambda + 0.5i;
+        # at scale s = 1 the roots are 2/2 and i/2, so C_t = a_t 2^{s(2-t)}
         assert data.poly_degree == 2
-        a0, a1, a2 = data.coeffs
-        assert abs(a0 - mp.mpc(0, 0.5)) == 0
-        assert abs(a1 + mp.mpc(1, 0.5)) == 0
-        assert abs(a2 - 1) == 0
+        assert data.scale == 1
+        assert data.coeffs == ((0, 2), (-2, -1), (1, 0))
         assert abs(data.beta - mp.mpc(0, 0.5)) == 0
 
         data = annihilator(1, 0, 1, make_alpha(0.0, 0.5))
@@ -206,19 +214,19 @@ def test_annihilator_hand_expansion():
 
 
 def test_annihilator_degree_and_root_value():
-    with mp.workprec(BITS):
-        tol = mp.mpf(2) ** (-BITS // 2)
-        for n in (1, 2, 3):
-            for alpha in ALPHAS[:2]:
-                for l, m in canonical_indices(n):
-                    data = annihilator(l, m, n, alpha)
-                    assert data.poly_degree == space_dimension(n)
-                    # Horner at the target reproduces beta
-                    t = l + alpha.value(BITS) * m
-                    acc = mp.mpc(0)
-                    for c in reversed(data.coeffs):
-                        acc = acc * t + c
-                    assert abs(acc - data.beta) <= tol * abs(data.beta)
+    # R's exact Gaussian-integer expansion, evaluated exactly, is 0 at every
+    # other node and G[N][target] 2^{-sN}, rounded once like beta, at the target
+    for n in range(1, 7):
+        for alpha in ALPHAS:
+            nodes = monomial_nodes(n, alpha, BITS)
+            for l, m in canonical_indices(n):
+                data = annihilator(l, m, n, alpha)
+                assert data.poly_degree == space_dimension(n)
+                assert data.coeffs[-1] == (1, 0)
+                for e in nodes:
+                    got = apply_annihilator(data, ExpSum(((1, e.value),)))
+                    want = data.beta if e.index == (l, m) else 0
+                    assert got == want, f"n={n} ({l},{m}) at {e.index} alpha={alpha}"
     with pytest.raises(ValueError):
         annihilator(2, 1, 2, make_alpha(0.0, 0.5))
 
@@ -262,6 +270,29 @@ def test_apply_annihilator_isolates_coefficients():
                     assert abs(got - want) <= tol * abs(want), (
                         f"n={n} target=({l},{m}) alpha={alpha}"
                     )
+
+
+@pytest.mark.parametrize("n, bits, alpha, targets", [
+    (10, 64, make_alpha(0.1, 0.1), None),
+    (8, 64, make_alpha(0.0, 2.0**-20), None),
+    (20, 256, make_alpha(0.1, 0.1), (0, 115, 230)),
+])
+def test_apply_annihilator_isolates_coefficients_exactly(n, bits, alpha, targets):
+    # large n and crowded nodes (small alpha_2), where the terms of R's
+    # expansion cancel far more than bits: only exact arithmetic holds here
+    rng = random.Random(SEED + 2)
+    idx = canonical_indices(n)
+    with mp.workprec(bits):
+        coeffs = {jk: mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for jk in idx}
+    f = compose_to_expsum(Poly2(n, coeffs), alpha, bits)
+    for l, m in idx if targets is None else [idx[i] for i in targets]:
+        data = annihilator(l, m, n, alpha, bits)
+        got = apply_annihilator(data, f, bits)
+        with mp.workprec(bits):
+            want = coeffs[MultiIndex(l, m)] * data.beta
+            assert abs(got - want) <= mp.ldexp(abs(want), 4 - bits), (
+                f"n={n} target=({l},{m}) alpha={alpha}"
+            )
 
 
 def test_beta_log_lower_values_and_chain():

@@ -356,6 +356,21 @@ def test_solve_grid_error_maps_to_remediation_exit(capsys, monkeypatch):
     assert "remediation" in err and "--circle-points" in err
 
 
+def test_size_guard_names_the_flag_that_lifts_it(tmp_path, capsys):
+    # the guard fires before any LP work, in solve and in a sweep row alike
+    from bwexp.solver import DEFAULT_MAX_DEGREE
+
+    n = str(DEFAULT_MAX_DEGREE + 1)
+    code, _, err = run_cli(capsys, ["solve", "--n", n, "--alpha", "0.0+0.5i"])
+    assert code == EXIT_DOMAIN
+    assert f"exceeds the LP size guard ({DEFAULT_MAX_DEGREE})" in err and "--max-degree" in err
+    out = tmp_path / "guard.csv"
+    argv = ["sweep", "--n-range", n, "--alpha-grid", "im:0.5,re:0", "--out", str(out)]
+    assert run_cli(capsys, argv)[0] == EXIT_DOMAIN
+    error = out.read_text().strip().splitlines()[1].split(",")[-1]
+    assert "exceeds the LP size guard" in error and "--max-degree" in error
+
+
 # ------------------------------------------------------------------ sweep
 
 

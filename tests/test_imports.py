@@ -217,3 +217,45 @@ def test_every_check_is_stated_once():
             raisers.setdefault(head, set()).update(f"{path.name}:{name}" for name in functions)
     assert raisers
     assert not {head: sorted(where) for head, where in raisers.items() if len(where) > 1}
+
+
+def workprec_arguments(source: str) -> list:
+    """(innermost function, argument text) of every mp.workprec(...) call, in order."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "workprec" and ast.unparse(child.func.value) == "mp"):
+                out.append((function, ", ".join(ast.unparse(arg) for arg in child.args)))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_detector_sees_workprec_arguments():
+    source = (
+        "def f(bits):\n    with mp.workprec(bits + 1):\n"
+        "        def g(w):\n            return mp.workprec(w.bits)\n"
+        "mp.workprec(64)\nother.workprec(2)\n"
+    )
+    assert workprec_arguments(source) == [("f", "bits + 1"), ("g", "w.bits"), (None, "64")]
+
+
+def test_every_working_precision_is_a_named_precision():
+    # a precision computed from the caller's is a guess about the inputs it
+    # must cover; a routine works at the precision its caller or its check
+    # names.  The one exception is the doubled-precision reference the
+    # endpoint suite compares against.
+    named = {"bits", "prec", "w.bits", "table.bits"}
+    computed = {
+        (path.name, function, arg)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, arg in workprec_arguments(path.read_text())
+        if arg not in named
+    }
+    assert computed == {("suites.py", "suite_endpoint_formulas", "2 * bits")}

@@ -80,8 +80,9 @@ def test_inequality_scan_counts_the_n_it_scanned(monkeypatch):
 
 
 def test_annihilator_identity_holds_at_the_least_precision():
-    # the expansion is formed at the precision its Horner sum runs at, so
-    # 64 bits leave no isolation residual above the suite's 2^-32
+    # the annihilator is expanded and applied exactly and rounded once, so
+    # 64 bits leave no isolation residual above the suite's 2^-32, also
+    # at n = 8, alpha = 0.5 + 2^-10 i, where the nodes crowd in pairs
     assert [v for v in suites.suite_annihilator("full", 64) if v is not None] == []
 
 
