@@ -19,9 +19,10 @@ which is implemented and property-tested here:
     f = P(e^t, e^{alpha t}) as a differential operator at 0 isolates
     c_lm * beta_lm with beta_lm = prod (l - j + (m - k) alpha).  R_lm
     is expanded and applied in exact Gaussian integers over the nodes'
-    dyadic form (core.dyadic_form), so the identity holds to one final
-    rounding at every n and alpha2, however much the expansion's terms
-    cancel;
+    dyadic form (core.dyadic_form), and beta_lm is the expansion's exact
+    value at its target, so the identity holds to one final rounding at
+    every n and alpha2 whose rounded nodes differ, however much the
+    expansion's terms cancel;
   * the re-indexed double products A1, A2 with A1*A2 <= |beta_lm|;
   * the Vieta majorant sum_t |a_t| N^t <= (N + n)^N for the expanded
     coefficients of R_lm;
@@ -50,7 +51,6 @@ from .core import (
     MultiIndex,
     dyadic_form,
     monomial_nodes,
-    node_products,
     require_alpha,
     require_degree,
     space_dimension,
@@ -161,8 +161,9 @@ class AnnihilatorData:
     = sum_t C_t 2^{-s(N-t)} lambda^t.  coeffs holds C_0..C_N, each an
     exact Gaussian integer as a pair (real, imag) of ints, C_N = (1, 0);
     scale holds s.  beta is R_lm at the target node, the product of the
-    N linear factors: core.node_products's exact Gaussian-integer
-    product at the target, rounded once to bits in each part.
+    N linear factors: the expansion's exact integer Horner value at
+    A_target, prod_{i != target}(A_target - A_i) 2^{-sN}, rounded once
+    to bits in each part.
     """
 
     target: MultiIndex
@@ -184,27 +185,30 @@ def annihilator(l: int, m: int, n: int, alpha: AlphaParam, bits: int = DEFAULT_B
     in their dyadic form A_i 2^-s.  prod_{i != target}(X - A_i) is
     expanded by Gaussian-integer convolution, so the coefficients are
     exact for the rounded nodes.  beta_lm, the product evaluated at the
-    target node l + m*alpha, is G[N][target] 2^{-sN} from
-    core.node_products over the nodes (which raises if two of them
-    coincide), rounded once to bits.
+    target node l + m*alpha, is that expansion's integer Horner value
+    at A_target times 2^{-sN}, rounded once to bits.  The domain is
+    every alpha2 != 0 whose rounded nodes differ: ValueError is raised
+    only when the exact product is 0, that is, when the rounded target
+    node equals another node.  Nodes that are merely close need no
+    extra precision.
     """
     _require_target(l, m, n)
     require_alpha(alpha)
     target = MultiIndex(l, m)
     nodes = monomial_nodes(n, alpha, bits)
     at = [e.index for e in nodes].index(target)
-    values = [e.value for e in nodes]
-    s, columns = node_products(values, bits)
-    for last in columns:  # beta_lm reads the last column, G[N]
-        pass
-    shift = -s * (len(nodes) - 1)
-    with mp.workprec(bits):
-        beta = mp.mpc(*(mp.ldexp(mp.mpf(x), shift) for x in last[at]))
+    s, A = dyadic_form([e.value for e in nodes], bits)
     coeffs = [(1, 0)]
-    for i, (x, y) in enumerate(dyadic_form(values, bits)[1]):
+    for i, (x, y) in enumerate(A):
         if i != at:  # times X - (x + iy): C_t <- C_{t-1} - (x + iy) C_t
             coeffs = [(u - p * x + q * y, v - p * y - q * x)
                       for (u, v), (p, q) in zip([(0, 0)] + coeffs, coeffs + [(0, 0)])]
+    g, h = _horner(coeffs, *A[at])  # prod_{i != target}(A_target - A_i), exactly
+    if g == h == 0:
+        raise ValueError(f"rounded target node ({l},{m}) equals another node at {bits} bits")
+    shift = -s * (len(nodes) - 1)
+    with mp.workprec(bits):
+        beta = mp.mpc(*(mp.ldexp(mp.mpf(x), shift) for x in (g, h)))
     return AnnihilatorData(target, n, tuple(coeffs), s, beta, bits)
 
 

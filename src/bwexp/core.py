@@ -12,10 +12,11 @@ then j1 = j2.  Distinctness is what every downstream construction
 (annihilators, divided differences, the witness polynomial) relies on:
 it makes the products prod_{j != i}(a_i - a_j) nonzero.  node_products
 forms them once, exactly, as Gaussian integers at one dyadic scale
-(dyadic_form), and is the one place that checks the nodes are distinct
-to working precision; the witness weights, the LP's Newton weights and
-the annihilator's beta_lm each round its table once.  The annihilator
-expands and applies R_lm over the same dyadic form, exactly.
+(dyadic_form), and checks that the nodes are distinct to working
+precision, because its two readers divide by them: the witness weights
+and the LP's Newton weights each round its table once.  The annihilator
+reads dyadic_form alone: it expands and applies R_lm, and evaluates
+beta_lm, exactly, so it needs only the rounded nodes to differ.
 
 The space of degree <= n polynomials has dimension N + 1 with
 N = (n^2 + 3n)/2.  Extremal constants in this family grow like
@@ -194,9 +195,10 @@ def node_products(values, bits: int = DEFAULT_BITS):
     2^{sk}/G[k][i].  Column k follows from column k-1 and the k
     differences A_i - A_k, each formed once; a caller that reads only
     G[N] holds one column at a time (the whole table at n = 24,
-    0.3+0.4i takes about 180 MB).  As it forms the columns, it raises
-    ValueError when two nodes coincide to working precision:
-    |A_i - A_j| < 2^-(bits//2) max(2^s, max|A|).
+    0.3+0.4i takes about 180 MB).  Its readers, the witness weights and
+    the LP's Newton weights, divide by the products, so as it forms the
+    columns it raises ValueError when two nodes coincide to working
+    precision: |A_i - A_j| < 2^-(bits//2) max(2^s, max|A|).
     """
     s, A = dyadic_form(values, bits)
     return s, _product_columns(A, s, bits)

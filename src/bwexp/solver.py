@@ -161,6 +161,9 @@ _CUTS_PER_ROUND = 64
 _MAX_ROUNDS = 200
 _BOUND_CHUNK = 64
 _ORACLE_CIRCLE_POINTS = 512
+# The most entries one float64 grid table may hold (64 MiB of complex128);
+# _candidate_guard rejects a larger grid before any table is built.
+GRID_ENTRIES_MAX = 1 << 22
 # Margin for the row violation of an accepted point in the dual bound.
 # The largest measured over the test suite, the benchmark workloads and
 # n <= 8 at eleven alphas is 2.9e-11 (HiGHS runs at primal feasibility
@@ -233,7 +236,16 @@ def phase_residues(polygon_sides: int, phase_samples: int):
     return [2 * math.pi * r / (S * Q) for r in residues]
 
 
-def _candidate_guard(n: int, cfg: LPConfig, max_degree: int) -> None:
+def _candidate_guard(n: int, alpha: AlphaParam, cfg: LPConfig, max_degree: int) -> None:
+    """Reject, before any table is built, an n or a grid the LP cannot take.
+
+    Besides the degree guard and the 4N circle floor, each grid's largest
+    float64 table must hold at most GRID_ENTRIES_MAX entries: the torus
+    rows and the oracle's scores of one chunk, torus_points^2
+    max(N + 1, _BOUND_CHUNK); the circle's Taylor table behind psi,
+    circle_points (N + J) with J = newton_terms(n max(1, |alpha|)); the
+    polygon's phases; the objective's phase residues.
+    """
     require_degree(n)
     if n > max_degree:
         raise ValueError(
@@ -246,6 +258,20 @@ def _candidate_guard(n: int, cfg: LPConfig, max_degree: int) -> None:
             f"circle_points={cfg.circle_points} below 4N={4 * N}; "
             f"the constraint grid cannot resolve degree {n}"
         )
+    # max |j + k alpha|; past GRID_ENTRIES_MAX its Taylor terms alone exceed the cap
+    rho = min(n * max(1.0, abs(complex(alpha.re, alpha.im))), GRID_ENTRIES_MAX)
+    for name, flag, entries in (
+        ("torus_points", "--torus-points", cfg.torus_points**2 * max(N + 1, _BOUND_CHUNK)),
+        ("circle_points", "--circle-points", cfg.circle_points * (N + newton_terms(rho))),
+        ("polygon_sides", "--polygon-sides", cfg.polygon_sides),
+        ("phase_samples", "--phases", cfg.phase_samples),
+    ):
+        if entries > GRID_ENTRIES_MAX:
+            raise ValueError(
+                f"grid too large: {name}={getattr(cfg, name)} needs a table of {entries} entries, "
+                f"above GRID_ENTRIES_MAX = {GRID_ENTRIES_MAX}; pass a smaller {name} "
+                f"({flag} on the command line)"
+            )
 
 
 def _nodes_f64(n: int, alpha: AlphaParam, bits: int) -> np.ndarray:
@@ -583,7 +609,7 @@ def en_lp_estimate(
     max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> float:
     """ln of the discretized-LP maximum over torus candidates and phases."""
-    _candidate_guard(n, cfg, max_degree)
+    _candidate_guard(n, alpha, cfg, max_degree)
     require_alpha(alpha)
     psi, rows = _lp_problem(n, alpha, cfg, bits)
     S = cfg.polygon_sides
@@ -731,7 +757,7 @@ def en_bracket(
         return replace(est, alpha=alpha)
     lo, up = theorem2_bounds(n, alpha, bits)
     _require_search_inputs(trials, seed)
-    _candidate_guard(n, cfg, max_degree)
+    _candidate_guard(n, alpha, cfg, max_degree)
     w, _, _, wlower = witness_certificate(n, alpha, bits=bits)
     oracle_val = en_random_search(
         n, alpha, trials, seed, grid_points=cfg.torus_points, bits=bits, witness=w

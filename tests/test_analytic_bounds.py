@@ -30,6 +30,7 @@ from bwexp.analytic_bounds import (
     theorem2_bounds,
     vieta_majorant,
 )
+from bwexp.core import dyadic_form, node_products
 from bwexp.suites import suite_inequalities
 
 SEED = 20240812
@@ -276,23 +277,61 @@ def test_apply_annihilator_isolates_coefficients():
     (10, 64, make_alpha(0.1, 0.1), None),
     (8, 64, make_alpha(0.0, 2.0**-20), None),
     (20, 256, make_alpha(0.1, 0.1), (0, 115, 230)),
+    # nodes closer than 2^-32 of the largest, which node_products refuses at 64 bits
+    (4, 64, make_alpha(0.5, 2.0**-40), None),
+    (8, 64, make_alpha(0.5, 2.0**-40), None),
+    (8, 64, make_alpha(0.0, 2.0**-60), None),
 ])
 def test_apply_annihilator_isolates_coefficients_exactly(n, bits, alpha, targets):
     # large n and crowded nodes (small alpha_2), where the terms of R's
-    # expansion cancel far more than bits: only exact arithmetic holds here
+    # expansion cancel far more than bits: only exact arithmetic holds here.
+    # beta is the exact product over the rounded nodes, one factor at a
+    # time, rounded once, and it keeps the floor beta_log_lower
     rng = random.Random(SEED + 2)
     idx = canonical_indices(n)
     with mp.workprec(bits):
         coeffs = {jk: mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for jk in idx}
     f = compose_to_expsum(Poly2(n, coeffs), alpha, bits)
-    for l, m in idx if targets is None else [idx[i] for i in targets]:
+    s, A = dyadic_form([e.value for e in monomial_nodes(n, alpha, bits)], bits)
+    for at in range(len(idx)) if targets is None else targets:
+        (l, m), (x, y), g, h = idx[at], A[at], 1, 0
+        for i, (u, v) in enumerate(A):
+            if i != at:  # times A_at - A_i
+                g, h = g * (x - u) - h * (y - v), g * (y - v) + h * (x - u)
         data = annihilator(l, m, n, alpha, bits)
         got = apply_annihilator(data, f, bits)
         with mp.workprec(bits):
+            assert data.beta == mp.mpc(*(mp.ldexp(mp.mpf(z), -s * (len(idx) - 1)) for z in (g, h)))
             want = coeffs[MultiIndex(l, m)] * data.beta
             assert abs(got - want) <= mp.ldexp(abs(want), 4 - bits), (
                 f"n={n} target=({l},{m}) alpha={alpha}"
             )
+            assert mp.log(abs(data.beta)) >= beta_log_lower(l, m, n, alpha, bits)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_beta_is_the_node_product_rounded_once(bits):
+    # node_products' G[N][target] 2^{-sN}, rounded once, stays the reference
+    for n in range(1, 7):
+        for alpha in ALPHAS + [make_alpha(0.5, 2.0**-10)]:
+            nodes = monomial_nodes(n, alpha, bits)
+            s, columns = node_products([e.value for e in nodes], bits)
+            last = list(columns)[-1]
+            for at, e in enumerate(nodes):
+                with mp.workprec(bits):
+                    want = mp.mpc(*(mp.ldexp(mp.mpf(x), -s * (len(nodes) - 1)) for x in last[at]))
+                got = annihilator(e.index.j, e.index.k, n, alpha, bits).beta
+                assert repr(got) == repr(want), f"n={n} {e.index} alpha={alpha} bits={bits}"
+
+
+def test_annihilator_rejects_a_target_that_rounds_onto_another_node():
+    # at 64 bits 2^70 + 1 rounds to 2^70, so nodes (0,1) and (1,1) are equal
+    alpha = make_alpha(2.0**70, 0.5)
+    with pytest.raises(ValueError, match=r"^rounded target node \(0,1\) equals another node at 64 bits$"):
+        annihilator(0, 1, 2, alpha, 64)
+    # a target apart from the pair still has its exact, nonzero beta
+    assert annihilator(0, 0, 2, alpha, 64).beta != 0
+    assert annihilator(0, 1, 2, alpha, 128).beta != 0
 
 
 def test_beta_log_lower_values_and_chain():

@@ -371,6 +371,29 @@ def test_size_guard_names_the_flag_that_lifts_it(tmp_path, capsys):
     assert "exceeds the LP size guard" in error and "--max-degree" in error
 
 
+HOSTILE = {
+    "torus": ["--n", "1", "--torus-points", "100000"],
+    "circle": ["--n", "1", "--circle-points", "100000000"],
+    "degree": ["--n", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_inputs_keep_the_exit_code_contract(tmp_path, capsys, case):
+    # each is refused by a check before any large table is built, so the
+    # exit code is one of the contract's and no traceback is printed (a NaN
+    # witness radius is test_witness_radius_outside_the_hypothesis_is_a_domain_error)
+    flags = HOSTILE[case]
+    code, _, err = run_cli(capsys, ["solve", "--alpha", "0.0+0.5i"] + flags)
+    assert code in (EXIT_PARSE, EXIT_DOMAIN, EXIT_SOLVER, EXIT_VERIFY) and "Traceback" not in err
+    out = tmp_path / "rows.csv"
+    argv = ["sweep", "--n-range", flags[1], "--alpha-grid", "im:0.5,re:0", "--out", str(out)]
+    code, _, err = run_cli(capsys, argv + flags[2:])
+    assert code in (EXIT_PARSE, EXIT_DOMAIN, EXIT_SOLVER, EXIT_VERIFY) and "Traceback" not in err
+    header, row = out.read_text().strip().splitlines()
+    assert header.endswith(",error") and row.split(",", 10)[-1] != ""
+
+
 # ------------------------------------------------------------------ sweep
 
 

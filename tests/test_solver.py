@@ -98,6 +98,12 @@ def test_lp_guard_errors():
                                         torus_points=8, phase_samples=8))
     with pytest.raises(ValueError):
         en_lp_estimate(1, make_alpha(0.5, 0.0), SMALL)
+    # a grid whose largest table exceeds GRID_ENTRIES_MAX is refused before
+    # any table is built; each case is far past the cap
+    for field, value in (("torus_points", 100_000), ("circle_points", 10**8),
+                         ("polygon_sides", 10**8), ("phase_samples", 10**9)):
+        with pytest.raises(ValueError, match=rf"^grid too large: {field}={value} needs a table of \d+ entries"):
+            en_lp_estimate(1, A05, replace(SMALL, **{field: value}))
     # the Newton table overflows at |alpha| = 60, its scales underflow at
     # n = 20, and W's entries leave the float64 range at n = 11, 1e-30i;
     # the nodes at 1e-200i coincide at 256 bits.  The error is the only
@@ -113,6 +119,25 @@ def test_lp_guard_errors():
         with pytest.raises(ValueError, match="coincide to working precision"):
             en_lp_estimate(2, make_alpha(0.0, 1e-200), SMALL)
     assert [str(w.message) for w in caught] == []
+
+
+def test_grid_guard_counts_each_grid_largest_table():
+    # the guard alone, at the cap's edges; it builds no table.  At n = 1,
+    # alpha = 0.5i: N = 2, and the circle's Taylor table has N + J = 65 columns
+    cap = solver.GRID_ENTRIES_MAX
+    for cfg in (replace(SMALL, torus_points=256),  # 256^2 rows of max(N + 1, 64)
+                replace(SMALL, circle_points=cap // 65),
+                replace(SMALL, polygon_sides=cap), replace(SMALL, phase_samples=cap)):
+        solver._candidate_guard(1, A05, cfg, 8)
+    for cfg, flag in ((replace(SMALL, torus_points=257), "--torus-points"),
+                      (replace(SMALL, circle_points=cap // 65 + 1), "--circle-points"),
+                      (replace(SMALL, polygon_sides=cap + 1), "--polygon-sides"),
+                      (replace(SMALL, phase_samples=cap + 1), "--phases")):
+        with pytest.raises(ValueError, match=f"above GRID_ENTRIES_MAX = {cap}.*{flag} on the command line"):
+            solver._candidate_guard(1, A05, cfg, 8)
+    # the circle's Taylor terms grow with max |j + k alpha| = n max(1, |alpha|)
+    with pytest.raises(ValueError, match="circle_points"):
+        solver._candidate_guard(1, make_alpha(0.0, 1e6), replace(SMALL, circle_points=512), 8)
 
 
 def test_lp_small_config_frozen_value():

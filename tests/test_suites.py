@@ -80,9 +80,10 @@ def test_inequality_scan_counts_the_n_it_scanned(monkeypatch):
 
 
 def test_annihilator_identity_holds_at_the_least_precision():
-    # the annihilator is expanded and applied exactly and rounded once, so
-    # 64 bits leave no isolation residual above the suite's 2^-32, also
-    # at n = 8, alpha = 0.5 + 2^-10 i, where the nodes crowd in pairs
+    # the annihilator is expanded, applied and evaluated at its target
+    # exactly and rounded once, so 64 bits leave no isolation residual
+    # above the suite's 2^(4-bits), also at n = 8, alpha = 0.5 + 2^-10 i
+    # and 0.5 + 2^-40 i, where the nodes crowd in pairs
     assert [v for v in suites.suite_annihilator("full", 64) if v is not None] == []
 
 
