@@ -41,7 +41,6 @@ from .analytic_bounds import theorem2_bounds
 from .construct import witness_certificate
 from .core import DEFAULT_BITS, AlphaParam, make_alpha, require_alpha, require_bits
 from .solver import DEFAULT_MAX_DEGREE, LPConfig, SolverGridError, en_bracket
-from .suites import run_suites
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -395,6 +394,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import run_suites  # about 5 ms at start-up, paid only by verify
+
     results = run_suites(args.level, args.precision)
     name_w = max(len(r.name) for r in results)
     print(f"{'suite':{name_w}s}  {'cases':>6s}  {'failures':>8s}  "

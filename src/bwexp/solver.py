@@ -10,8 +10,9 @@ from both sides:
     Re(e^{i theta} P(z0, w0)).  Finitely many constraint points plus the
     outer polygon make this a relaxation of the candidate restriction,
     so refining the constraint grid can only shrink the value.
-  * en_random_search scores random coefficient vectors (plus the
-    deterministic candidates z, w, and the witness) on the LP's torus
+  * en_random_search scores random coefficient vectors (standard
+    normals from a SplitMix64 stream of the seed, by Box-Muller), plus
+    the deterministic candidates z, w, and the witness, on the LP's torus
     grid and a fixed circle grid of _ORACLE_CIRCLE_POINTS = 512 points
     by ln(bidisk grid max / first-order K bound), a float64 lower
     estimate without a rounding allowance.  That circle is the LP's
@@ -22,7 +23,7 @@ from both sides:
     torus, every 16th circle point below) lies below the best score so
     far.  On the benchmark's solve inputs (n = 1, 2, 3 at 0.5i, 1000
     trials) the deterministic candidates of the first chunk beat every
-    trial's bound by 0.3 nats or more at seeds 0 to 4, so no other chunk
+    trial's bound by 0.32 nats or more at seeds 0 to 4, so no other chunk
     is scored.  The points of both grids, like every float64 grid value
     here, are entries of norms.unit_roots read at exact integer phases.
 
@@ -110,7 +111,6 @@ from importlib.util import find_spec, module_from_spec
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.random import default_rng
 
 from .analytic_bounds import theorem2_bounds
 from .construct import WitnessResult, build_witness, witness_certificate
@@ -162,7 +162,8 @@ _MAX_ROUNDS = 200
 _BOUND_CHUNK = 64
 _ORACLE_CIRCLE_POINTS = 512
 # The most entries one float64 grid table may hold (64 MiB of complex128);
-# _candidate_guard rejects a larger grid before any table is built.
+# _candidate_guard and the oracle reject a larger grid or trial table
+# before any table is built.
 GRID_ENTRIES_MAX = 1 << 22
 # Margin for the row violation of an accepted point in the dual bound.
 # The largest measured over the test suite, the benchmark workloads and
@@ -266,12 +267,17 @@ def _candidate_guard(n: int, alpha: AlphaParam, cfg: LPConfig, max_degree: int) 
         ("polygon_sides", "--polygon-sides", cfg.polygon_sides),
         ("phase_samples", "--phases", cfg.phase_samples),
     ):
-        if entries > GRID_ENTRIES_MAX:
-            raise ValueError(
-                f"grid too large: {name}={getattr(cfg, name)} needs a table of {entries} entries, "
-                f"above GRID_ENTRIES_MAX = {GRID_ENTRIES_MAX}; pass a smaller {name} "
-                f"({flag} on the command line)"
-            )
+        _require_entries("grid", name, getattr(cfg, name), flag, entries)
+
+
+def _require_entries(kind: str, name: str, value: int, flag: str, entries: int) -> None:
+    """Reject a table of more than GRID_ENTRIES_MAX entries, naming the input behind it."""
+    if entries > GRID_ENTRIES_MAX:
+        raise ValueError(
+            f"{kind} too large: {name}={value} needs a table of {entries} entries, "
+            f"above GRID_ENTRIES_MAX = {GRID_ENTRIES_MAX}; pass a smaller {name} "
+            f"({flag} on the command line)"
+        )
 
 
 def _nodes_f64(n: int, alpha: AlphaParam, bits: int) -> np.ndarray:
@@ -636,11 +642,47 @@ def en_lp_estimate(
     return math.log(best)
 
 
-def _require_search_inputs(trials: int, seed: int) -> None:
+def _require_search_inputs(n: int, trials: int, seed: int) -> None:
+    """Reject, before any draw, a trial count or a seed the oracle cannot take.
+
+    The trials' normals fill a trials x 2(N + 1) table, and the stream's
+    state holds a seed below 2^64.
+    """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if seed >= 1 << 64:
+        raise ValueError(f"seed must be below 2^64, got {seed}")
+    _require_entries("sample", "trials", trials, "--trials", trials * 2 * (space_dimension(n) + 1))
+
+
+def _splitmix64(seed: int, count: int) -> np.ndarray:
+    """The first count outputs of SplitMix64 (Steele, Lea and Flood, OOPSLA
+    2014) from seed: output i mixes the state seed + i 0x9E3779B97F4A7C15
+    (mod 2^64), i = 1, 2, ..., so the whole stream is one vectorized pass."""
+    with np.errstate(over="ignore"):
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return z
+
+
+def _standard_normals(seed: int, shape: tuple) -> np.ndarray:
+    """Standard normals from _splitmix64(seed) by Box-Muller, in row-major order.
+
+    Of the 2h outputs (h = half the count, rounded up), each maps to a
+    53-bit uniform in [0, 1); u1 is the first h of them and u2 the last h.
+    With r = sqrt(-2 log(1 - u1)), the normals are r cos(2 pi u2), then
+    r sin(2 pi u2).
+    """
+    count = math.prod(shape)
+    u1, u2 = ((_splitmix64(seed, count + count % 2) >> np.uint64(11)) * 2.0**-53).reshape(2, -1)
+    r, theta = np.sqrt(-2.0 * np.log1p(-u1)), 2 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count].reshape(shape)
 
 
 def en_random_search(
@@ -657,8 +699,12 @@ def en_random_search(
     Scores the deterministic candidates z, w and the witness (built here
     unless a construct.WitnessResult for (n, alpha) is passed), then
     `trials` coefficient vectors drawn as standard normals in
-    R^{2(N+1)}; the score is scale invariant, so their directions are
-    uniform on the unit sphere.  The bidisk maximum is taken over the
+    R^{2(N+1)} (_standard_normals: Box-Muller over the SplitMix64 stream
+    of the seed); the score is scale invariant, so their directions are
+    uniform on the unit sphere.  A trial table of more than
+    GRID_ENTRIES_MAX normals, a torus grid whose largest table exceeds
+    it, or a seed of 2^64 or more is refused before anything is drawn or
+    built.  The bidisk maximum is taken over the
     LP's torus grid with grid_points per axis, and ||P||_K is bounded by
     grid_max + (pi/M) sum |c||a|e^{|a|} over a circle grid of the fixed
     M = _ORACLE_CIRCLE_POINTS = 512 points, whatever the LP's
@@ -669,10 +715,12 @@ def en_random_search(
     docstring), which changes no value.
     """
     require_degree(n)
-    _require_search_inputs(trials, seed)
+    _require_search_inputs(n, trials, seed)
     require_alpha(alpha)
     idx = canonical_indices(n)
     ncoef = len(idx)
+    _require_entries("grid", "grid_points", grid_points, "--torus-points",
+                     grid_points**2 * max(ncoef, _BOUND_CHUNK))
     nodes = _nodes_f64(n, alpha, bits)
     E = np.exp(np.outer(unit_roots(_ORACLE_CIRCLE_POINTS), nodes))
     mono = _torus_monomials(n, grid_points)
@@ -684,7 +732,7 @@ def en_random_search(
     fixed[0, idx.index((1, 0))] = 1.0
     fixed[1, idx.index((0, 1))] = 1.0
     fixed[2] = [complex(witness.p.coefficient(jk.j, jk.k)) for jk in idx]
-    v = default_rng(seed).standard_normal((trials, 2 * ncoef))
+    v = _standard_normals(seed, (trials, 2 * ncoef))
     cols = np.concatenate([fixed, v[:, :ncoef] + 1j * v[:, ncoef:]]).T
 
     # a column scores at most ln sum|c| - ln(max over every 16th circle
@@ -756,7 +804,7 @@ def en_bracket(
         est = en_bracket(n, make_alpha(alpha.re, -alpha.im), cfg, trials, seed, bits, max_degree)
         return replace(est, alpha=alpha)
     lo, up = theorem2_bounds(n, alpha, bits)
-    _require_search_inputs(trials, seed)
+    _require_search_inputs(n, trials, seed)
     _candidate_guard(n, alpha, cfg, max_degree)
     w, _, _, wlower = witness_certificate(n, alpha, bits=bits)
     oracle_val = en_random_search(

@@ -375,6 +375,7 @@ HOSTILE = {
     "torus": ["--n", "1", "--torus-points", "100000"],
     "circle": ["--n", "1", "--circle-points", "100000000"],
     "degree": ["--n", "0"],
+    "trials": ["--n", "1", "--trials", str(2**31)],
 }
 
 

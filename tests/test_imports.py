@@ -112,6 +112,23 @@ def test_cli_import_set():
     assert not {top for top in tops if top not in allowed and not top.startswith("_cython_")}
     highs = "scipy.optimize._highspy._core."
     assert not [name for name in loaded if name.split(".")[0] == "scipy" and not name.startswith(highs)]
+    # the oracle draws from its own stream, and only verify reads the suites
+    unused = ("numpy.random", "hashlib", "secrets", "bwexp.suites")
+    assert not [name for name in loaded if any(name == u or name.startswith(u + ".") for u in unused)]
+
+
+def test_verify_imports_its_suites_on_demand():
+    script = (
+        "import contextlib, io, sys\n"
+        "import bwexp.cli\n"
+        "assert 'bwexp.suites' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert bwexp.cli.main(['verify', '--level', 'quick']) == 0\n"
+        "assert 'bwexp.suites' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, cwd=PACKAGE.parent)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_commands_import_nothing_after_start_up():

@@ -532,6 +532,71 @@ def test_oracle_validation():
         en_random_search(1, A05, 10, seed=-1)
 
 
+def test_oracle_checks_its_sizes_before_drawing(monkeypatch):
+    # called from the library, the oracle refuses a trial table or a torus
+    # grid past GRID_ENTRIES_MAX, and a seed its uint64 stream cannot hold,
+    # before it draws, builds a witness or builds a table
+    cap = solver.GRID_ENTRIES_MAX
+    for name in ("_standard_normals", "build_witness", "_nodes_f64", "_torus_monomials"):
+        monkeypatch.setattr(solver, name, None)
+    # n = 3: N + 1 = 10 coefficients, so 20 normals a trial
+    with pytest.raises(ValueError, match=rf"^sample too large: trials={cap // 20 + 1} needs a table "
+                                         rf"of {(cap // 20 + 1) * 20} entries.*--trials on the command line"):
+        en_random_search(3, A05, cap // 20 + 1, seed=0)
+    with pytest.raises(ValueError, match="^sample too large: trials=2147483648 "):
+        en_random_search(3, A05, 2**31, seed=0)
+    # the torus table and one chunk's scores: 257^2 rows of max(N + 1, 64)
+    with pytest.raises(ValueError, match=r"^grid too large: grid_points=257 .*--torus-points on the"):
+        en_random_search(3, A05, 10, seed=0, grid_points=257)
+    with pytest.raises(ValueError, match=r"seed must be below 2\^64, got 18446744073709551616"):
+        en_random_search(3, A05, 10, seed=2**64)
+    # the edges pass the check
+    solver._require_search_inputs(3, cap // 20, 2**64 - 1)
+
+
+def _splitmix64_reference(seed, count):
+    """SplitMix64, one output at a time in Python integers."""
+    out, state = [], seed
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        out.append(z ^ z >> 31)
+    return out
+
+
+def test_stream_is_splitmix64():
+    assert _splitmix64_reference(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    for seed in (0, 1, 2**64 - 1):
+        got = solver._splitmix64(seed, 16)
+        assert got.dtype == np.uint64
+        assert [int(z) for z in got] == _splitmix64_reference(seed, 16), seed
+
+
+def test_standard_normals_are_box_muller_over_the_stream():
+    # u1 is the first half of the uniforms and u2 the second; the cosines
+    # come first, then the sines, and an odd count drops the last sine
+    u = [(z >> 11) * 2.0**-53 for z in _splitmix64_reference(3, 6)]
+    r = [math.sqrt(-2 * math.log1p(-x)) for x in u[:3]]
+    want = [ri * math.cos(2 * math.pi * x) for ri, x in zip(r, u[3:])]
+    want += [ri * math.sin(2 * math.pi * x) for ri, x in zip(r, u[3:])]
+    assert solver._standard_normals(3, (2, 3)).ravel() == pytest.approx(want, rel=1e-14, abs=1e-15)
+    assert solver._standard_normals(3, (5,)) == pytest.approx(want[:5], rel=1e-14, abs=1e-15)
+    assert solver._standard_normals(3, (0, 6)).shape == (0, 6)
+
+
+def test_standard_normals_are_seeded_and_standard():
+    a = solver._standard_normals(5, (100, 6))
+    assert a.shape == (100, 6)
+    assert np.array_equal(a, solver._standard_normals(5, (100, 6)))
+    assert not np.isin(a, solver._standard_normals(6, (100, 6))).any()
+    # mean and variance within 5 standard errors, sqrt(1/m) and sqrt(2/m)
+    m = 10**6
+    x = solver._standard_normals(0, (m,))
+    assert abs(x.mean()) < 5 * math.sqrt(1 / m)
+    assert abs(x.var() - 1) < 5 * math.sqrt(2 / m)
+
+
 def test_bracket_rejects_trials_and_seed_before_the_lp(monkeypatch):
     # the oracle checks its inputs before the LP and the certificate run
     monkeypatch.setattr(solver, "en_lp_estimate", None)
@@ -540,6 +605,10 @@ def test_bracket_rejects_trials_and_seed_before_the_lp(monkeypatch):
         solver.en_bracket(8, A05, trials=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         solver.en_bracket(8, A05, seed=-1)
+    with pytest.raises(ValueError, match="seed must be below 2"):
+        solver.en_bracket(8, A05, seed=2**64)
+    with pytest.raises(ValueError, match="sample too large: trials="):
+        solver.en_bracket(8, A05, trials=2**31)
 
 
 def test_bracket_builds_one_witness(monkeypatch):
@@ -584,10 +653,9 @@ def _reference_random_search(n, alpha, trials, seed, grid_points, bits=256):
     witness = solver.build_witness(n, alpha, bits)
     fixed.append(np.array([complex(witness.p.coefficient(jk.j, jk.k)) for jk in idx]))
     best = max(score(c) for c in fixed)
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        v = rng.standard_normal(2 * ncoef)
-        v /= math.sqrt(float(v @ v))
+    draws = solver._standard_normals(seed, (trials, 2 * ncoef))
+    for t in range(trials):
+        v = draws[t] / math.sqrt(float(draws[t] @ draws[t]))
         best = max(best, score(v[:ncoef] + 1j * v[ncoef:]))
     return best
 
@@ -622,7 +690,7 @@ def _chunk_loop_reference(n, alpha, trials, seed, grid_points, witness, bits=256
     fixed[0, idx.index((1, 0))] = 1.0
     fixed[1, idx.index((0, 1))] = 1.0
     fixed[2] = [complex(witness.p.coefficient(jk.j, jk.k)) for jk in idx]
-    v = np.random.default_rng(seed).standard_normal((trials, 2 * ncoef))
+    v = solver._standard_normals(seed, (trials, 2 * ncoef))
     cols = np.concatenate([fixed, v[:, :ncoef] + 1j * v[:, ncoef:]]).T
     best = -math.inf
     for lo in range(0, cols.shape[1], 64):
@@ -662,6 +730,20 @@ def test_oracle_skips_only_chunks_that_cannot_win(monkeypatch):
             _CountingMatrix.products = 0
             en_random_search(n, A05, 1000, seed)
             assert _CountingMatrix.products == 1, (n, seed)
+
+
+def test_oracle_trials_never_win_on_the_benchmark_inputs():
+    # perfbench's reference values assume the random search never beats its
+    # deterministic candidates on its inputs: at 0.5i, n = 1..3 and seeds
+    # 0 to 4, on torus 32 with 1000 trials (solve) and torus 16 with 200
+    # (sweep).  Only the rounding of chunk 0's wider product differs.
+    for n in (1, 2, 3):
+        w = construct.build_witness(n, A05, 256)
+        for grid, trials in ((32, 1000), (16, 200)):
+            fixed = en_random_search(n, A05, 0, 0, grid_points=grid, witness=w)
+            for seed in range(5):
+                got = en_random_search(n, A05, trials, seed, grid_points=grid, witness=w)
+                assert got == pytest.approx(fixed, abs=1e-12), (n, grid, seed)
 
 
 def test_base_pattern_spans_the_coefficients():
